@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .catalog import (
     CATALOG_KINDS,
@@ -187,17 +186,7 @@ def cmd_catalog(args) -> int:
             tasks.extend((kind, pt) for pt in points)
         else:
             tasks.append((kind, None))
-
-    def build(task):
-        kind, pt = task
-        M = catalog_mf(curve, kind, pt)
-        return catalog_entry_dict(kind, curve, pt, M)
-
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            entries = list(pool.map(build, tasks))
-    else:
-        entries = [build(t) for t in tasks]
+    entries = [catalog_entry_dict(kind, curve, pt, catalog_mf(curve, kind, pt)) for kind, pt in tasks]
     _emit(entries, args.out)
     bad = sum(1 for e in entries if not e["verified"])
     _say(f"catalog: {len(entries)} entries, {bad} failed verification")
@@ -372,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", help="point x-coordinate")
     p.add_argument("--mu", dest="mu", help="point y-coordinate")
     p.add_argument("--all-points", action="store_true", help="enumerate all affine points (finite fields)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel verification workers")
     _add_out(p)
     p.set_defaults(func=cmd_catalog)
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ParseError
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -31,14 +33,19 @@ class Field:
         self.char = char
 
     def of(self, x):
-        """Coerce an int, Fraction, or numeric string into the field."""
+        """Coerce an int, Fraction, or numeric string into the field; text
+        that is not a number, or a denominator divisible by the
+        characteristic, raises ParseError."""
         if isinstance(x, str):
-            x = Fraction(x)
+            try:
+                x = Fraction(x)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"not a field element: {x!r}") from exc
         if self.char == 0:
             return Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator % self.char == 0:
-                raise ZeroDivisionError(
+                raise ParseError(
                     f"denominator {x.denominator} is not invertible mod {self.char}"
                 )
             return x.numerator * pow(x.denominator, -1, self.char) % self.char

@@ -2,11 +2,18 @@
 cones, stable-isomorphism testing, and the twist functor along a fixed
 factorisation.
 
-A strict morphism (f0, f1): M → N satisfies f1·alpha_M = alpha_N·f0 and
-f0·beta_M = beta_N·f1 on the nose; it is null-homotopic when it is
-(h, s)-split as f0 = h·alpha_M + beta_N·s, f1 = alpha_N·h + s·beta_M.
-Stable Hom is the quotient, computed by exact linear algebra on the
-monomial coefficients of the matrix entries.
+Hom(M, N) is a Z/2-graded complex.  Its even part holds pairs (f0, f1) of
+maps P0(M) → P0(N) and P1(M) → P1(N), its odd part pairs (h, s) of maps
+h: P1(M) → P0(N) and s: P0(M) → P1(N)(-3), and its one differential is
+
+    D(X) = d_N·X − (−1)^|X| X·d_M,   d = alpha on P0 and beta on P1.
+
+Strict morphisms are the even cycles: D(f0, f1) = 0 says
+f1·alpha_M = alpha_N·f0 and f0·beta_M = beta_N·f1.  Null-homotopic
+morphisms are the boundaries D(h, s) = (h·alpha_M + beta_N·s,
+alpha_N·h + s·beta_M).  Stable Hom is cycles modulo boundaries, computed by
+exact linear algebra on the monomial coefficients of the matrix entries;
+HomProblem builds both systems from the one operator D.
 """
 
 from __future__ import annotations
@@ -14,11 +21,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce as _fold
+from itertools import product
+from operator import add
 
 from .errors import InputError, ValidationError
 from .linalg import RowSpace, nullspace
 from .mf import MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf
-from .poly import GradedMatrix, Poly, validate_graded_matrix
+from .poly import GradedMatrix, validate_graded_matrix
 
 
 @dataclass
@@ -133,19 +142,9 @@ def _matrix_slots(tag: str, ring, tgt: list[int], src: list[int], extra: int = 0
     return slots
 
 
-def _mul_into(row: dict, key_base, poly: Poly, exp, coef, index: dict) -> None:
-    """Accumulate coef·x^exp·poly into the row at coordinates of key_base."""
-    fld = poly.ring.field
-    for pexp, pcoef in poly.terms.items():
-        mono = tuple(a + b for a, b in zip(exp, pexp))
-        col = index[key_base + (mono,)]
-        c = fld.mul(coef, pcoef)
-        prev = row.get(col, fld.zero)
-        tot = fld.add(prev, c)
-        if tot == fld.zero:
-            row.pop(col, None)
-        else:
-            row[col] = tot
+# component tag <-> (a, b) for a component P_a(M) → P_b(N) of Hom(M, N)
+_ENDS = {"f0": (0, 0), "f1": (1, 1), "h": (1, 0), "s": (0, 1)}
+_COMPONENT = {ends: tag for tag, ends in _ENDS.items()}
 
 
 class HomProblem:
@@ -160,117 +159,50 @@ class HomProblem:
         )
         self.index = {k: c for c, k in enumerate(self.slots)}
 
+    def _differential(self, slots) -> list[dict]:
+        """D(X) = d_N·X − (−1)^|X| X·d_M for X = x^exp at entry (i, j) of
+        each slot's component, as {(component, i, j, monomial): coefficient}.
+
+        Left multiplication by d_N (alpha_N out of P0, beta_N out of P1)
+        flips the target index b; right multiplication by d_M (beta_M into
+        P0, alpha_M into P1) flips the source index a.  No two terms of one
+        image share a key, so images need no accumulation.
+        """
+        M, N = self.M, self.N
+        out_of = (N.alpha, N.beta)
+        # −(−1)^|X|·d_M, looked up by whether X is odd
+        into = {True: (M.beta, M.alpha), False: (-M.beta, -M.alpha)}
+        images = []
+        for tag, i, j, exp in slots:
+            a, b = _ENDS[tag]
+            odd = a != b
+            img = {}
+            left = _COMPONENT[a, 1 - b]
+            for k, row in enumerate(out_of[b].entries):
+                for pexp, c in row[i].terms.items():
+                    img[left, k, j, tuple(map(add, exp, pexp))] = c
+            right = _COMPONENT[1 - a, b]
+            for k, e in enumerate(into[odd][a].entries[j]):
+                for pexp, c in e.terms.items():
+                    img[right, i, k, tuple(map(add, exp, pexp))] = c
+            images.append(img)
+        return images
+
     def strict_rows(self) -> list[dict]:
-        M, N, ring = self.M, self.N, self.ring
-        fld = ring.field
-        one = fld.one
+        """Equations of the even cycles D(f0, f1) = 0: the transpose of D on
+        the morphism slots, one row per image coordinate in sorted order."""
         rows: dict = {}
-
-        def eq_row(tag, i, j, mono):
-            return rows.setdefault((tag, i, j, mono), {})
-
-        # f1·alpha_M - alpha_N·f0 = 0, an identity of maps P0(M) → P1(N)
-        for i in range(len(N.p1)):
-            for j in range(len(M.p0)):
-                for k in range(len(M.p1)):
-                    a = M.alpha.entries[k][j]
-                    if a.is_zero():
-                        continue
-                    dh = M.p1[k] - N.p1[i]
-                    if dh < 0:
-                        continue
-                    for exp in ring.monomials_of_degree(dh):
-                        col = self.index[("f1", i, k, exp)]
-                        for aexp, acoef in a.terms.items():
-                            mono = tuple(x + y for x, y in zip(exp, aexp))
-                            r = eq_row("a", i, j, mono)
-                            r[col] = fld.add(r.get(col, fld.zero), acoef)
-                for k in range(len(N.p0)):
-                    a = N.alpha.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    dh = M.p0[j] - N.p0[k]
-                    if dh < 0:
-                        continue
-                    for exp in ring.monomials_of_degree(dh):
-                        col = self.index[("f0", k, j, exp)]
-                        for aexp, acoef in a.terms.items():
-                            mono = tuple(x + y for x, y in zip(exp, aexp))
-                            r = eq_row("a", i, j, mono)
-                            r[col] = fld.sub(r.get(col, fld.zero), acoef)
-        # f0·beta_M - beta_N·f1 = 0, an identity of maps P1(M) → P0(N)(3)
-        for i in range(len(N.p0)):
-            for j in range(len(M.p1)):
-                for k in range(len(M.p0)):
-                    b = M.beta.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    dh = M.p0[k] - N.p0[i]
-                    if dh < 0:
-                        continue
-                    for exp in ring.monomials_of_degree(dh):
-                        col = self.index[("f0", i, k, exp)]
-                        for bexp, bcoef in b.terms.items():
-                            mono = tuple(x + y for x, y in zip(exp, bexp))
-                            r = eq_row("b", i, j, mono)
-                            r[col] = fld.add(r.get(col, fld.zero), bcoef)
-                for k in range(len(N.p1)):
-                    b = N.beta.entries[i][k]
-                    if b.is_zero():
-                        continue
-                    dh = M.p1[j] - N.p1[k]
-                    if dh < 0:
-                        continue
-                    for exp in ring.monomials_of_degree(dh):
-                        col = self.index[("f1", k, j, exp)]
-                        for bexp, bcoef in b.terms.items():
-                            mono = tuple(x + y for x, y in zip(exp, bexp))
-                            r = eq_row("b", i, j, mono)
-                            r[col] = fld.sub(r.get(col, fld.zero), bcoef)
-        return [r for r in rows.values() if r]
+        for col, img in enumerate(self._differential(self.slots)):
+            for key, c in img.items():
+                rows.setdefault(key, {})[col] = c
+        return [rows[key] for key in sorted(rows)]
 
     def boundary_vectors(self) -> list[dict]:
-        """Images of the homotopy parameters (h, s) in morphism coordinates."""
-        M, N, ring = self.M, self.N, self.ring
-        fld = ring.field
-        out = []
-        # h: P1(M) → P0(N), entry degree M.p1[j] - N.p0[i]
-        for i in range(len(N.p0)):
-            for j in range(len(M.p1)):
-                d = M.p1[j] - N.p0[i]
-                if d < 0:
-                    continue
-                for exp in ring.monomials_of_degree(d):
-                    vec: dict = {}
-                    for jp in range(len(M.p0)):
-                        a = M.alpha.entries[j][jp]
-                        if not a.is_zero():
-                            _mul_into(vec, ("f0", i, jp), a, exp, fld.one, self.index)
-                    for ip in range(len(N.p1)):
-                        a = N.alpha.entries[ip][i]
-                        if not a.is_zero():
-                            _mul_into(vec, ("f1", ip, j), a, exp, fld.one, self.index)
-                    if vec:
-                        out.append(vec)
-        # s: P0(M) → P1(N)(-3)-style, entry degree M.p0[j] - N.p1[i] - 3
-        for i in range(len(N.p1)):
-            for j in range(len(M.p0)):
-                d = M.p0[j] - N.p1[i] - 3
-                if d < 0:
-                    continue
-                for exp in ring.monomials_of_degree(d):
-                    vec = {}
-                    for ip in range(len(N.p0)):
-                        b = N.beta.entries[ip][i]
-                        if not b.is_zero():
-                            _mul_into(vec, ("f0", ip, j), b, exp, fld.one, self.index)
-                    for jp in range(len(M.p1)):
-                        b = M.beta.entries[j][jp]
-                        if not b.is_zero():
-                            _mul_into(vec, ("f1", i, jp), b, exp, fld.one, self.index)
-                    if vec:
-                        out.append(vec)
-        return out
+        """Images D(h), D(s) of the homotopy slots h: P1(M) → P0(N) and
+        s: P0(M) → P1(N) in morphism coordinates; nonzero ones only."""
+        M, N, ring, index = self.M, self.N, self.ring, self.index
+        odd = _matrix_slots("h", ring, N.p0, M.p1) + _matrix_slots("s", ring, N.p1, M.p0, extra=3)
+        return [{index[k]: c for k, c in img.items()} for img in self._differential(odd) if img]
 
     def morphism_from_vector(self, vec: dict) -> MFMorphism:
         M, N, ring = self.M, self.N, self.ring
@@ -317,15 +249,19 @@ class StableHom:
         return self.strict_dim - self.boundary_rank
 
 
+def _boundary_span(prob: HomProblem) -> RowSpace:
+    """The null-homotopic morphisms M → N, as a row space in prob's coordinates."""
+    span = RowSpace(prob.ring.field)
+    for b in prob.boundary_vectors():
+        span.add(b)
+    return span
+
+
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
     """Strict morphism space M → N with its null-homotopic subspace split off."""
     prob = HomProblem(M, N)
-    fld = prob.ring.field
-    rows = prob.strict_rows()
-    sols = nullspace(rows, len(prob.slots), fld)
-    span = RowSpace(fld)
-    for b in prob.boundary_vectors():
-        span.add(b)
+    sols = nullspace(prob.strict_rows(), len(prob.slots), prob.ring.field)
+    span = _boundary_span(prob)
     boundary_rank = span.rank
     reps = []
     strict_basis = []
@@ -345,10 +281,7 @@ def is_null_homotopic(phi: MFMorphism) -> bool:
     assert_strict(phi)
     prob = HomProblem(phi.source, phi.target)
     vec = prob.vector_from_morphism(phi)
-    span = RowSpace(prob.ring.field)
-    for b in prob.boundary_vectors():
-        span.add(b)
-    return not span.reduce(vec)
+    return _boundary_span(prob).contains(vec)
 
 
 # --- mapping cone ------------------------------------------------------------
@@ -440,6 +373,25 @@ def _try_certificate(phi: MFMorphism) -> IsoResult | None:
     return IsoResult("yes", "strict isomorphism of reduced factorisations found", phi, psi)
 
 
+def _combination(basis: list[MFMorphism], coefs) -> MFMorphism:
+    return _fold(add_morphisms, (scale_morphism(b, c) for b, c in zip(basis, coefs)))
+
+
+def _iso_candidates(basis: list[MFMorphism], fld, seed: int, samples: int):
+    """Strict morphisms to try, built one at a time: the basis, every small
+    coefficient combination when the space is at most 2-dimensional, then
+    `samples` seeded random combinations."""
+    yield from basis
+    if len(basis) <= 2:
+        small = [fld.of(v) for v in (-2, -1, 0, 1, 2)]
+        for coefs in product(small, repeat=len(basis)):
+            if any(coefs):
+                yield _combination(basis, coefs)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield _combination(basis, [fld.sample(rng) for _ in basis])
+
+
 def is_stably_isomorphic(
     M: MatrixFactorization,
     N: MatrixFactorization,
@@ -472,36 +424,7 @@ def is_stably_isomorphic(
     if bwd_dim == 0:
         return IsoResult("no", "no nonzero stable morphism from right to left")
 
-    fld = M.ring.field
-    candidates = list(fwd.strict_basis)
-    D = fwd.strict_dim
-    if 1 <= D <= 2:
-        small = [fld.of(v) for v in (-2, -1, 0, 1, 2)]
-        combos = []
-        if D == 1:
-            combos = [(c,) for c in small if c != fld.zero]
-        else:
-            combos = [
-                (c1, c2)
-                for c1 in small
-                for c2 in small
-                if not (c1 == fld.zero and c2 == fld.zero)
-            ]
-        for coefs in combos:
-            phi = scale_morphism(fwd.strict_basis[0], coefs[0])
-            for c, base in zip(coefs[1:], fwd.strict_basis[1:]):
-                phi = add_morphisms(phi, scale_morphism(base, c))
-            candidates.append(phi)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        phi = None
-        for base in fwd.strict_basis:
-            c = fld.sample(rng)
-            piece = scale_morphism(base, c)
-            phi = piece if phi is None else add_morphisms(phi, piece)
-        if phi is not None:
-            candidates.append(phi)
-    for phi in candidates:
+    for phi in _iso_candidates(fwd.strict_basis, M.ring.field, seed, samples):
         res = _try_certificate(phi)
         if res is not None:
             return res

@@ -79,26 +79,8 @@ def verify_mf(M: MatrixFactorization) -> list[str]:
     if problems:
         return problems
     n = len(p0)
-    ba = [
-        [
-            sum(
-                (M.beta.entries[i][m] * M.alpha.entries[m][j] for m in range(n)),
-                ring.zero(),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    ab = [
-        [
-            sum(
-                (M.alpha.entries[i][m] * M.beta.entries[m][j] for m in range(n)),
-                ring.zero(),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    ba = (M.beta * M.alpha).entries
+    ab = (M.alpha * M.beta).entries
     for i in range(n):
         for j in range(n):
             want = M.f if i == j else ring.zero()
@@ -166,15 +148,6 @@ def direct_sum_mf(M: MatrixFactorization, N: MatrixFactorization) -> MatrixFacto
     return MatrixFactorization(ring, M.f, alpha, beta)
 
 
-def _find_unit(mat: GradedMatrix):
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            e = mat.entries[i][j]
-            if not e.is_zero() and mat.source_twists[j] == mat.target_twists[i]:
-                return i, j
-    return None
-
-
 def _split_unit(ring, A: GradedMatrix, B: GradedMatrix, i: int, j: int, f: Poly):
     """Clear row i / column j of A around the unit pivot, mirroring inverse
     operations on B, then drop the split-off trivial summand from both."""
@@ -219,15 +192,13 @@ def reduce_mf(M: MatrixFactorization) -> MatrixFactorization:
         ring, list(M.beta.target_twists), list(M.beta.source_twists), [row[:] for row in M.beta.entries]
     )
     while True:
-        hit = _find_unit(alpha)
+        hit = alpha.unit_entry()
         if hit is not None:
-            i, j = hit
-            alpha, beta = _split_unit(ring, alpha, beta, i, j, f)
+            alpha, beta = _split_unit(ring, alpha, beta, *hit, f)
             continue
-        hit = _find_unit(beta)
+        hit = beta.unit_entry()
         if hit is not None:
-            i, j = hit
-            beta, alpha = _split_unit(ring, beta, alpha, i, j, f)
+            beta, alpha = _split_unit(ring, beta, alpha, *hit, f)
             continue
         break
     return MatrixFactorization(ring, f, alpha, beta)
@@ -291,38 +262,18 @@ def mf_from_pair(res: Resolution, s: int) -> MatrixFactorization:
         raise InputError(f"twists at step {s + 1} are {hi}, expected {[t + 3 for t in lo]}")
     alpha = res.diffs[s - 1]
     beta0 = res.diffs[s]
-    n = len(lo)
-    u_entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = sum(
-                (alpha.entries[i][m] * beta0.entries[m][j] for m in range(n)),
-                ring.zero(),
-            )
-            row.append(ring.zero() if prod.is_zero() else exact_divide(prod, f))
-        u_entries.append(row)
+    u_entries = [
+        [ring.zero() if e.is_zero() else exact_divide(e, f) for e in row]
+        for row in (alpha * beta0).entries
+    ]
     u_const = _constant_matrix(ring, GradedMatrix(ring, lo, lo, u_entries))
     if u_const is None:
         raise InputError("composite d^s∘d^{s+1} is not f times a constant matrix")
     u_inv = _invert_field_matrix(ring.field, u_const)
     if u_inv is None:
         raise InputError("normalisation matrix for d^s∘d^{s+1} is not invertible")
-    beta_entries = [
-        [
-            sum(
-                (
-                    beta0.entries[i][k].scale(u_inv[k][j])
-                    for k in range(n)
-                    if u_inv[k][j] != ring.field.zero
-                ),
-                ring.zero(),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    beta = GradedMatrix(ring, [t - 3 for t in mid], list(lo), beta_entries)
+    u_inv_mat = GradedMatrix(ring, lo, lo, [[ring.const(c) for c in row] for row in u_inv])
+    beta = (beta0 * u_inv_mat).with_twists([t - 3 for t in mid], list(lo))
     M = MatrixFactorization(ring, f, alpha, beta)
     assert_valid_mf(M, "factorisation from resolution pair")
     return M

@@ -475,6 +475,15 @@ class GradedMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
+    def unit_entry(self) -> tuple[int, int] | None:
+        """(i, j) of the first nonzero degree-0 entry in row-major order; in
+        a graded matrix such an entry is a unit constant.  None if there is none."""
+        for i, t in enumerate(self.target_twists):
+            for j, a in enumerate(self.source_twists):
+                if a == t and self.entries[i][j].terms:
+                    return i, j
+        return None
+
     def column(self, j: int) -> list[Poly]:
         return [row[j] for row in self.entries]
 

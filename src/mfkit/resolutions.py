@@ -62,27 +62,17 @@ def minimize_presentation(P: Presentation) -> Presentation:
     rel = vectors_as_columns(ring, ambient, cols)
 
     while True:
-        pivot = None
-        for i in range(rel.rows):
-            for j in range(rel.cols):
-                e = rel.entries[i][j]
-                if not e.is_zero() and rel.source_twists[j] == rel.target_twists[i] and e.is_constant():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        pivot = rel.unit_entry()
         if pivot is None:
             break
         i, j = pivot
-        u = rel.entries[i][j].constant_value()
+        uinv = fld.inv(rel.entries[i][j].constant_value())
         # clear the pivot row by column operations, then drop generator i
         # and the relation j that expressed it
         for k in range(rel.cols):
             if k == j or rel.entries[i][k].is_zero():
                 continue
-            c = fld.div(rel.entries[i][k].constant_value(), u) if rel.entries[i][k].is_constant() else None
-            coefpoly = rel.entries[i][k]
-            factor = coefpoly.scale(fld.inv(u)) if c is None else ring.const(c)
+            factor = rel.entries[i][k].scale(uinv)
             for m in range(rel.rows):
                 rel.entries[m][k] = rel.entries[m][k] - factor * rel.entries[m][j]
         rel = rel.delete(i, j)
@@ -139,13 +129,9 @@ def minimal_resolution(P: Presentation, length: int) -> Resolution:
 
 def _assert_minimal(res: Resolution) -> None:
     for k, d in enumerate(res.diffs, start=1):
-        for i in range(d.rows):
-            for j in range(d.cols):
-                e = d.entries[i][j]
-                if not e.is_zero() and d.source_twists[j] == d.target_twists[i]:
-                    raise ValidationError(
-                        f"resolution not minimal: unit entry at d^{k}[{i}][{j}]"
-                    )
+        hit = d.unit_entry()
+        if hit is not None:
+            raise ValidationError(f"resolution not minimal: unit entry at d^{k}[{hit[0]}][{hit[1]}]")
 
 
 def _module_gb(P: Presentation) -> GroebnerBasis:

@@ -140,8 +140,6 @@ def test_catalog_all_points_prime_field(capsys):
         "--field",
         "F101",
         "--all-points",
-        "--jobs",
-        "2",
     )
     assert code == 0
     assert len(payload) == 101
@@ -162,6 +160,16 @@ def test_catalog_bad_point_is_input_error(capsys):
         capsys, "catalog", "--kind", "point", "--lambda", "0", "--mu", "2"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("lam", ["1/101", "abc"])
+def test_catalog_bad_coordinate_is_input_error(capsys, lam):
+    code, payload, err = run_cli(
+        capsys, "catalog", "--field", "101", "--kind", "point", "--lambda", lam, "--mu", "0"
+    )
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

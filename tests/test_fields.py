@@ -46,6 +46,16 @@ def test_division_by_zero_rejected():
         Field(5).div(3, 0)
 
 
+def test_bad_text_and_noninvertible_denominators_are_parse_errors():
+    for bad in ("abc", "1/0", ""):
+        with pytest.raises(mk.ParseError):
+            QQ.of(bad)
+    with pytest.raises(mk.ParseError):
+        Field(101).of("1/101")
+    with pytest.raises(mk.ParseError):
+        Field(5).of(Fraction(2, 15))
+
+
 def test_composite_characteristic_rejected():
     for bad in (4, 6, 9, 100):
         with pytest.raises(ValueError):

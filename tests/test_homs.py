@@ -3,6 +3,7 @@
 import pytest
 
 import mfkit as mk
+from mfkit.homs import HomProblem
 from mfkit.poly import GradedMatrix
 
 from fixtures import CONE_CASES, CONE_SHAPES, cone_generator, cone_target
@@ -107,6 +108,24 @@ def test_stable_hom_dimension_table(curve, points, kp, kq, osheaf):
         for shift in range(-3, 4):
             want = expected.get(shift, 0)
             assert mk.stable_hom_dim(M, N, shift=shift) == want
+
+
+def test_boundaries_are_strict_morphisms(curve101):
+    # D∘D = 0: every image D(h, s) must be an even cycle, i.e. a strict morphism
+    pt = mk.default_points(curve101, 1)[0]
+    objs = [
+        mk.catalog_mf(curve101, kind, pt if kind in mk.POINT_KINDS else None)
+        for kind in mk.CATALOG_KINDS
+    ]
+    checked = 0
+    for M in objs:
+        for N in objs:
+            for shift in (-1, 0, 1):
+                prob = HomProblem(mk.shift_mf(M, shift), N)
+                for vec in prob.boundary_vectors():
+                    assert mk.verify_morphism(prob.morphism_from_vector(vec)) == []
+                    checked += 1
+    assert checked > 0
 
 
 def test_hom_space_structure(kp):
