@@ -19,7 +19,6 @@ from .groebner import (
     ColumnSpan,
     GroebnerBasis,
     groebner_basis,
-    kernel_of_map,
     minimal_generators,
     normal_form,
     syzygy_basis,

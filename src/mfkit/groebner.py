@@ -222,24 +222,6 @@ def normal_form(v, gb: GroebnerBasis):
     return reduce_vec(v, gb.basis, gb.lts, gb.ring.field)
 
 
-def spairs_reduce_to_zero(gb: GroebnerBasis) -> bool:
-    """Post-hoc Buchberger criterion: every same-position S-pair reduces to 0."""
-    fld = gb.ring.field
-    for i in range(len(gb.basis)):
-        for j in range(i + 1, len(gb.basis)):
-            (pi, ei), ci = gb.lts[i]
-            (pj, ej), cj = gb.lts[j]
-            if pi != pj:
-                continue
-            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-            s: Vec = {}
-            _add_scaled(s, gb.basis[i], fld.inv(ci), tuple(a - b for a, b in zip(lcm, ei)), fld)
-            _add_scaled(s, gb.basis[j], fld.neg(fld.inv(cj)), tuple(a - b for a, b in zip(lcm, ej)), fld)
-            if reduce_vec(s, gb.basis, gb.lts, fld):
-                return False
-    return True
-
-
 class ColumnSpan:
     """Elimination Groebner data for the span of given columns of ⊕_i R(-t_i).
 
@@ -280,34 +262,35 @@ class ColumnSpan:
         gpart, cpart = self._split(w)
         return None if gpart else cpart
 
-    def syzygies(self) -> list[Vec]:
-        """Groebner basis of the syzygy module of the columns."""
+    def syzygies(self, first: int | None = None) -> list[Vec]:
+        """Groebner basis of the syzygy module of the columns; with `first`
+        set, each syzygy cut to the first columns, empty ones dropped."""
         out = []
         for v in self.basis:
             if all(t[0] >= self.g for t in v):
-                out.append({(t[0] - self.g, t[1]): c for t, c in v.items()})
+                syz = {(t[0] - self.g, t[1]): c for t, c in v.items() if first is None or t[0] - self.g < first}
+                if syz:
+                    out.append(syz)
         return out
 
 
 def syzygy_basis(M, *, over: str = "R", f: Poly | None = None) -> GradedMatrix:
-    """Syzygies among the columns of M (over R, or over A = R/(f)).
+    """Syzygies among the columns of M (over R, or over A = R/(f)): the
+    generators of ker(M) as columns in the source free module of M.
 
-    Over A the syzygy of the columns is the projection of the syzygies of
-    [M | f·Id] onto the column coordinates.
+    Over A this is the kernel of the induced map of free A-modules: the
+    projection onto the column coordinates of the syzygies of [M | f·Id],
+    with entries reduced modulo f.
     """
     ring = M.ring
     cols = columns_as_vectors(M)
-    n = len(cols)
-    if over == "A":
-        cols = cols + _f_unit_vectors(f, M.target_twists)
-    span = ColumnSpan(ring, M.target_twists, cols)
-    syz = span.syzygies()
-    if over == "A":
-        syz = [{t: c for t, c in v.items() if t[0] < n} for v in syz]
-        gb_f = groebner_basis([f], ring=ring)
-        syz = [_entrywise_nf(v, gb_f) for v in syz]
-        syz = [v for v in syz if v]
-        syz = _drop_redundant(syz)
+    if over != "A":
+        return vectors_as_columns(ring, M.source_twists, ColumnSpan(ring, M.target_twists, cols).syzygies())
+    if f is None:
+        raise ValidationError("syzygies over A need the potential f")
+    span = ColumnSpan(ring, M.target_twists, cols + _f_unit_vectors(f, M.target_twists))
+    gb_f = groebner_basis([f], ring=ring)
+    syz = _drop_redundant([_entrywise_nf(v, gb_f) for v in span.syzygies(len(cols))])
     return vectors_as_columns(ring, M.source_twists, syz)
 
 
@@ -337,18 +320,6 @@ def _drop_redundant(vecs: list[Vec]) -> list[Vec]:
         seen.append(key)
         out.append(v)
     return out
-
-
-def kernel_of_map(M: GradedMatrix, *, over: str = "R", f: Poly | None = None) -> GradedMatrix:
-    """Generators of ker(M) as columns in the source free module of M.
-
-    Over A this is the kernel of the induced map of free A-modules: the
-    projection onto the source coordinates of the syzygies of [M | f·Id],
-    with entries reduced modulo f.
-    """
-    if over == "A" and f is None:
-        raise ValidationError("kernels over A need the potential f")
-    return syzygy_basis(M, over=over, f=f)
 
 
 def mingens(

@@ -27,7 +27,7 @@ from operator import add
 from .errors import InputError, ValidationError
 from .linalg import RowSpace, nullspace
 from .mf import MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf
-from .poly import GradedMatrix, validate_graded_matrix
+from .poly import GradedMatrix, graded_inverse, validate_graded_matrix
 
 
 @dataclass
@@ -325,36 +325,10 @@ class IsoResult:
     backward: MFMorphism | None = None
 
 
-def _adjugate_inverse(mat: GradedMatrix) -> GradedMatrix | None:
-    """Inverse of a square graded matrix whose determinant is a nonzero
-    constant; None when the determinant vanishes or is nonconstant."""
-    ring = mat.ring
-    n = mat.rows
-    if n != mat.cols:
-        return None
-    det = mat.det()
-    if det.is_zero() or not det.is_constant():
-        return None
-    dinv = ring.field.inv(det.constant_value())
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = mat.delete(i, j) if n > 1 else None
-            cof = minor.det() if n > 1 else ring.one()
-            if (i + j) % 2 == 1:
-                cof = -cof
-            row.append(cof.scale(dinv))
-        entries.append(row)
-    # adjugate is the transpose of the cofactor matrix
-    entries = [[entries[j][i] for j in range(n)] for i in range(n)]
-    return GradedMatrix(ring, list(mat.source_twists), list(mat.target_twists), entries)
-
-
 def _try_certificate(phi: MFMorphism) -> IsoResult | None:
     M, N = phi.source, phi.target
-    inv0 = _adjugate_inverse(phi.f0)
-    inv1 = _adjugate_inverse(phi.f1)
+    inv0 = graded_inverse(phi.f0)
+    inv1 = graded_inverse(phi.f1)
     if inv0 is None or inv1 is None:
         return None
     psi = MFMorphism(N, M, inv0, inv1)

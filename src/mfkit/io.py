@@ -25,8 +25,8 @@ def parse_field_token(token) -> Field:
     """Lenient field spec: Q/QQ/rationals, or a prime via GF(p), Fp:p, F_p, p."""
     if isinstance(token, Field):
         return token
-    if isinstance(token, int):
-        return QQ if token == 0 else Field(token)
+    if isinstance(token, bool):
+        raise ParseError(f"unrecognised field spec {token!r}")
     text = str(token).strip().lower()
     if text in _FIELD_RATIONAL:
         return QQ
@@ -54,10 +54,15 @@ def ring_from_dict(data) -> PolyRing:
     if not isinstance(data, dict):
         raise ParseError("ring must be an object with vars/field/char")
     field = parse_field_token(data.get("field", data.get("char", "QQ")))
-    if "char" in data and int(data["char"]) != field.char:
+    if "char" in data and str(data["char"]).strip() != str(field.char):
         raise ParseError("ring char does not match the field spec")
-    names = tuple(data.get("vars", ("X", "Y", "Z")))
-    return PolyRing(field, names)
+    names = data.get("vars", ["X", "Y", "Z"])
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise ParseError("ring vars must be a list of variable names")
+    try:
+        return PolyRing(field, names)
+    except ValueError as exc:
+        raise ParseError(f"bad ring vars: {exc}") from exc
 
 
 def _matrix_rows(mat: GradedMatrix) -> list[list[str]]:
@@ -65,7 +70,9 @@ def _matrix_rows(mat: GradedMatrix) -> list[list[str]]:
 
 
 def _matrix_from_rows(ring: PolyRing, target, source, rows) -> GradedMatrix:
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+    if not isinstance(rows, list) or any(
+        not isinstance(r, list) or any(not isinstance(e, str) for e in r) for r in rows
+    ):
         raise ParseError("matrix must be a list of rows of polynomial strings")
     if len(rows) != len(target) or any(len(r) != len(source) for r in rows):
         raise ParseError(
@@ -76,7 +83,7 @@ def _matrix_from_rows(ring: PolyRing, target, source, rows) -> GradedMatrix:
 
 
 def _int_list(value, what: str) -> list[int]:
-    if not isinstance(value, list) or any(not isinstance(v, int) for v in value):
+    if not isinstance(value, list) or any(not isinstance(v, int) or isinstance(v, bool) for v in value):
         raise ParseError(f"{what} must be a list of integers")
     return list(value)
 
@@ -137,7 +144,7 @@ def morphism_from_dict(data) -> MFMorphism:
     source = mf_from_dict(data["source"])
     target = mf_from_dict(data["target"])
     k = data.get("shift", 0)
-    if not isinstance(k, int):
+    if not isinstance(k, int) or isinstance(k, bool):
         raise ParseError("shift must be an integer")
     if k:
         source = shift_mf(source, k)
@@ -177,28 +184,21 @@ def presentation_from_dict(data) -> Presentation:
         raise ParseError(f"cannot parse potential: {exc}") from exc
     ambient = _int_list(data["ambient_twists"], "ambient_twists")
     rows = data["relations"]
-    if not isinstance(rows, list):
-        raise ParseError("relations must be a list of rows")
-    if "relation_twists" in data:
-        src = _int_list(data["relation_twists"], "relation_twists")
-        rel = _matrix_from_rows(ring, ambient, src, rows)
-    else:
-        if len(rows) != len(ambient):
-            raise ParseError("relations row count does not match ambient twists")
-        parsed = [[ring.parse(s) for s in row] for row in rows]
-        ncols = len(rows[0]) if rows else 0
-        src = []
-        for j in range(ncols):
-            twist = 0
-            for i in range(len(ambient)):
-                e = parsed[i][j]
-                if not e.is_zero():
-                    twist = e.homogeneous_degree() + ambient[i]
-                    break
-            src.append(twist)
-        rel = GradedMatrix(ring, list(ambient), src, parsed)
     try:
+        if "relation_twists" in data:
+            rel = _matrix_from_rows(ring, ambient, _int_list(data["relation_twists"], "relation_twists"), rows)
+        else:
+            # infer each relation's twist from its first nonzero entry
+            ncols = len(rows[0]) if isinstance(rows, list) and rows and isinstance(rows[0], list) else 0
+            rel = _matrix_from_rows(ring, ambient, [0] * ncols, rows)
+            src = [
+                next((e.homogeneous_degree() + t for t, e in zip(ambient, col) if e.terms), 0)
+                for col in zip(*rel.entries)
+            ]
+            rel = rel.with_twists(ambient, src)
         return Presentation(ring, f, ambient, rel)
+    except ParseError:
+        raise
     except Exception as exc:
         raise ParseError(f"invalid presentation: {exc}") from exc
 

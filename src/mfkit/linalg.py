@@ -70,6 +70,23 @@ def rank(rows: list[dict], field: Field) -> int:
     return space.rank
 
 
+def inverse(rows: list[list], field: Field) -> list[list] | None:
+    """Inverse of a square matrix of field scalars, or None if it is singular.
+
+    The rows of [U | I] span a space of rank n whose reduced echelon form is
+    [I | U^-1] exactly when its pivots are the columns 0..n-1.
+    """
+    n = len(rows)
+    space = RowSpace(field)
+    for i, row in enumerate(rows):
+        vec = {j: c for j, c in enumerate(row) if c}
+        vec[n + i] = field.one
+        space.add(vec)
+    if any(p not in space.rows for p in range(n)):
+        return None
+    return [[space.rows[i].get(n + k, field.zero) for k in range(n)] for i in range(n)]
+
+
 def nullspace(rows: list[dict], ncols: int, field: Field) -> list[dict]:
     """Basis of {x : row·x = 0 for all rows}, one vector per free column."""
     space = RowSpace(field)

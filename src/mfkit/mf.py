@@ -17,7 +17,7 @@ from .groebner import (
     mingens,
     vectors_as_columns,
 )
-from .poly import GradedMatrix, Poly, PolyRing, exact_divide, validate_graded_matrix
+from .poly import GradedMatrix, Poly, PolyRing, exact_divide, graded_inverse, validate_graded_matrix
 from .resolutions import Presentation, Resolution, hilbert_function, minimal_resolution
 
 
@@ -148,36 +148,29 @@ def direct_sum_mf(M: MatrixFactorization, N: MatrixFactorization) -> MatrixFacto
     return MatrixFactorization(ring, M.f, alpha, beta)
 
 
-def _split_unit(ring, A: GradedMatrix, B: GradedMatrix, i: int, j: int, f: Poly):
-    """Clear row i / column j of A around the unit pivot, mirroring inverse
-    operations on B, then drop the split-off trivial summand from both."""
-    fld = ring.field
-    u = A.entries[i][j].constant_value()
-    uinv = fld.inv(u)
-    # column operations on A (basis change of the common source of A / target of B)
-    for k in range(A.cols):
-        if k == j or A.entries[i][k].is_zero():
-            continue
-        g = A.entries[i][k].scale(uinv)
-        for m in range(A.rows):
-            A.entries[m][k] = A.entries[m][k] - g * A.entries[m][j]
-        for c in range(B.cols):
-            B.entries[j][c] = B.entries[j][c] + g * B.entries[k][c]
-    # row operations on A (basis change of the target of A / source of B)
-    for m in range(A.rows):
-        if m == i or A.entries[m][j].is_zero():
-            continue
-        g = A.entries[m][j].scale(uinv)
-        for k in range(A.cols):
-            A.entries[m][k] = A.entries[m][k] - g * A.entries[i][k]
-        for r in range(B.rows):
-            B.entries[r][i] = B.entries[r][i] + g * B.entries[r][m]
-    quot = f.scale(uinv) if u != fld.one else f
-    for k in range(B.cols):
-        want = quot if k == i else ring.zero()
-        if B.entries[j][k] != want:
-            raise ValidationError("reduction invariant failed: complementary map not split")
-    return A.delete(i, j), B.delete(j, i)
+def _split_unit(A: GradedMatrix, B: GradedMatrix, i: int, j: int, f: Poly):
+    """Split the trivial summand at the unit A[i][j] off the pair (A, B).
+
+    A.split_unit clears row i by column operations; B gets their inverse,
+    row j += Σ g_k·row k.  The row operations m -= g_m·i that would clear
+    column j of A change only that column, which is dropped, so only their
+    inverse on B is done: column i += Σ g_m·column m.
+    """
+    ring = A.ring
+    uinv = ring.field.inv(A.entries[i][j].constant_value())
+    A_small, gs = A.split_unit(i, j)
+    b = [row[:] for row in B.entries]
+    for k, g in gs.items():
+        b[j] = [x + g * y for x, y in zip(b[j], b[k])]
+    for m, e in enumerate(A.column(j)):
+        if m != i and e.terms:
+            g = e.scale(uinv)
+            for row in b:
+                row[i] = row[i] + g * row[m]
+    quot = f.scale(uinv)
+    if any(x != (quot if k == i else ring.zero()) for k, x in enumerate(b[j])):
+        raise ValidationError("reduction invariant failed: complementary map not split")
+    return A_small, GradedMatrix(ring, B.target_twists, B.source_twists, b).delete(j, i)
 
 
 def reduce_mf(M: MatrixFactorization) -> MatrixFactorization:
@@ -186,61 +179,23 @@ def reduce_mf(M: MatrixFactorization) -> MatrixFactorization:
     Scans alpha first, then beta, row-major, and repeats until clean; the
     result is the reduced representative of the stable isomorphism class.
     """
-    ring, f = M.ring, M.f
-    alpha = GradedMatrix(ring, list(M.p1), list(M.p0), [row[:] for row in M.alpha.entries])
-    beta = GradedMatrix(
-        ring, list(M.beta.target_twists), list(M.beta.source_twists), [row[:] for row in M.beta.entries]
-    )
+    f, alpha, beta = M.f, M.alpha, M.beta
     while True:
         hit = alpha.unit_entry()
         if hit is not None:
-            alpha, beta = _split_unit(ring, alpha, beta, *hit, f)
+            alpha, beta = _split_unit(alpha, beta, *hit, f)
             continue
         hit = beta.unit_entry()
         if hit is not None:
-            beta, alpha = _split_unit(ring, beta, alpha, *hit, f)
+            beta, alpha = _split_unit(beta, alpha, *hit, f)
             continue
         break
-    return MatrixFactorization(ring, f, alpha, beta)
+    return MatrixFactorization(M.ring, f, alpha, beta)
 
 
 def cokernel_module(M: MatrixFactorization) -> Presentation:
     """The graded A-module coker(beta), presented by beta itself."""
     return Presentation(M.ring, M.f, list(M.beta.target_twists), M.beta)
-
-
-def _constant_matrix(ring: PolyRing, mat: GradedMatrix):
-    """Entries as field constants, or None if some entry is not constant."""
-    out = []
-    for row in mat.entries:
-        vals = []
-        for e in row:
-            if e.is_zero():
-                vals.append(ring.field.zero)
-            elif e.is_constant():
-                vals.append(e.constant_value())
-            else:
-                return None
-        out.append(vals)
-    return out
-
-
-def _invert_field_matrix(fld, rows):
-    """Inverse of a square matrix of field scalars, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + [fld.one if i == k else fld.zero for k in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != fld.zero), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = fld.inv(aug[col][col])
-        aug[col] = [fld.mul(inv, x) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != fld.zero:
-                c = aug[r][col]
-                aug[r] = [fld.sub(x, fld.mul(c, y)) for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def mf_from_pair(res: Resolution, s: int) -> MatrixFactorization:
@@ -266,14 +221,12 @@ def mf_from_pair(res: Resolution, s: int) -> MatrixFactorization:
         [ring.zero() if e.is_zero() else exact_divide(e, f) for e in row]
         for row in (alpha * beta0).entries
     ]
-    u_const = _constant_matrix(ring, GradedMatrix(ring, lo, lo, u_entries))
-    if u_const is None:
+    if not all(e.is_constant() for row in u_entries for e in row):
         raise InputError("composite d^s∘d^{s+1} is not f times a constant matrix")
-    u_inv = _invert_field_matrix(ring.field, u_const)
+    u_inv = graded_inverse(GradedMatrix(ring, lo, lo, u_entries))
     if u_inv is None:
         raise InputError("normalisation matrix for d^s∘d^{s+1} is not invertible")
-    u_inv_mat = GradedMatrix(ring, lo, lo, [[ring.const(c) for c in row] for row in u_inv])
-    beta = (beta0 * u_inv_mat).with_twists([t - 3 for t in mid], list(lo))
+    beta = (beta0 * u_inv).with_twists([t - 3 for t in mid], list(lo))
     M = MatrixFactorization(ring, f, alpha, beta)
     assert_valid_mf(M, "factorisation from resolution pair")
     return M

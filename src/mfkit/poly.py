@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .fields import Field
+from .linalg import inverse
 
 Exp = tuple[int, ...]
 
@@ -484,6 +485,21 @@ class GradedMatrix:
                     return i, j
         return None
 
+    def split_unit(self, i: int, j: int) -> tuple["GradedMatrix", dict]:
+        """Split off the trivial summand at the unit entry (i, j).
+
+        The column operations col_k -= g_k·col_j, g_k = entry(i, k)/entry(i, j),
+        clear row i; row i and column j are then dropped.  Returns the smaller
+        matrix and the multipliers {k: g_k}.
+        """
+        uinv = self.ring.field.inv(self.entries[i][j].constant_value())
+        gs = {k: e.scale(uinv) for k, e in enumerate(self.entries[i]) if k != j and e.terms}
+        cleared = [
+            [e - gs[k] * row[j] if k in gs and row[j].terms else e for k, e in enumerate(row)]
+            for row in self.entries
+        ]
+        return GradedMatrix(self.ring, self.target_twists, self.source_twists, cleared).delete(i, j), gs
+
     def column(self, j: int) -> list[Poly]:
         return [row[j] for row in self.entries]
 
@@ -638,6 +654,37 @@ class GradedMatrix:
         return (
             f"GradedMatrix({self.target_twists} <- {self.source_twists}: [{body}])"
         )
+
+
+def graded_inverse(mat: GradedMatrix) -> GradedMatrix | None:
+    """Inverse of a square degree-zero map, or None if it is not invertible.
+
+    Graded Nakayama: with C the constant part (the entries between equal
+    twists) and N = mat − C, mat is invertible iff C is, and then
+    mat⁻¹ = Σ_k (−C⁻¹N)^k·C⁻¹, a finite sum because C⁻¹N strictly raises
+    degree.
+    """
+    ring, fld = mat.ring, mat.ring.field
+    src, tgt = mat.source_twists, mat.target_twists
+    if len(src) != len(tgt):
+        return None
+    const, rest = [], []
+    for b, row in zip(tgt, mat.entries):
+        const.append([e.constant_value() if a == b else fld.zero for a, e in zip(src, row)])
+        rest.append([ring.zero() if a == b else e for a, e in zip(src, row)])
+    cinv = inverse(const, fld)
+    if cinv is None:
+        return None
+    out = term = GradedMatrix(ring, src, tgt, [[ring.const(c) for c in row] for row in cinv])
+    step = -(term * GradedMatrix(ring, tgt, src, rest))
+    # a product of k factors C⁻¹N joins k + 1 strictly rising twists, so the
+    # terms vanish after at most n - 1 steps
+    for _ in src:
+        term = step * term
+        if term.is_zero():
+            break
+        out = out + term
+    return out
 
 
 def validate_graded_matrix(M: GradedMatrix) -> list[tuple[int, int, str]]:

@@ -19,8 +19,8 @@ from .groebner import (
     _f_unit_vectors,
     columns_as_vectors,
     groebner_basis,
-    kernel_of_map,
     mingens,
+    syzygy_basis,
     vec_degree,
     vectors_as_columns,
 )
@@ -54,29 +54,14 @@ class Presentation:
 def minimize_presentation(P: Presentation) -> Presentation:
     """Equivalent presentation with no unit entries and minimal relations."""
     ring, f = P.ring, P.f
-    fld = ring.field
     gb_f = groebner_basis([f], ring=ring)
-    ambient = list(P.ambient)
     cols = [_entrywise_nf(v, gb_f) for v in columns_as_vectors(P.relations)]
-    cols = [c for c in cols if c]
-    rel = vectors_as_columns(ring, ambient, cols)
-
-    while True:
-        pivot = rel.unit_entry()
-        if pivot is None:
-            break
-        i, j = pivot
-        uinv = fld.inv(rel.entries[i][j].constant_value())
-        # clear the pivot row by column operations, then drop generator i
-        # and the relation j that expressed it
-        for k in range(rel.cols):
-            if k == j or rel.entries[i][k].is_zero():
-                continue
-            factor = rel.entries[i][k].scale(uinv)
-            for m in range(rel.rows):
-                rel.entries[m][k] = rel.entries[m][k] - factor * rel.entries[m][j]
-        rel = rel.delete(i, j)
-        ambient = rel.target_twists
+    rel = vectors_as_columns(ring, P.ambient, [c for c in cols if c])
+    # each unit entry expresses a generator by the others: clear its row,
+    # then drop the generator and the relation
+    while (pivot := rel.unit_entry()) is not None:
+        rel, _ = rel.split_unit(*pivot)
+    ambient = rel.target_twists
 
     cols = [_entrywise_nf(v, gb_f) for v in columns_as_vectors(rel)]
     cols = [c for c in cols if c]
@@ -119,7 +104,7 @@ def minimal_resolution(P: Presentation, length: int) -> Resolution:
         if current.cols == 0:
             current = GradedMatrix.zero(ring, [], [])
             continue
-        ker = kernel_of_map(current, over="A", f=f)
+        ker = syzygy_basis(current, over="A", f=f)
         kept = mingens(columns_as_vectors(ker), ker.target_twists, ring, over="A", f=f)
         current = vectors_as_columns(ring, current.source_twists, kept)
     res = Resolution(ring, f, twists, diffs)
@@ -169,9 +154,7 @@ def present_subquotient(
     """Presentation of (⟨U⟩ + ⟨V⟩)/⟨V⟩ inside ⊕A(-t_i), generators the U-images."""
     n = len(u_vecs)
     cols = list(u_vecs) + list(v_vecs) + _f_unit_vectors(f, twists)
-    span = ColumnSpan(ring, list(twists), cols)
-    rels = [{t: c for t, c in v.items() if t[0] < n} for v in span.syzygies()]
-    rels = [r for r in rels if r]
+    rels = ColumnSpan(ring, list(twists), cols).syzygies(n)
     u_twists = []
     for u in u_vecs:
         d = vec_degree(u, twists)
@@ -227,11 +210,7 @@ def hom_presentation(P: Presentation, Q: Presentation) -> Presentation:
             for q in columns_as_vectors(Q.relations):
                 allowed.append({(c * g0 + pos, exp): coef for (pos, exp), coef in q.items()})
         cols = phi_cols + allowed + _f_unit_vectors(f, tgt_twists)
-        span = ColumnSpan(ring, tgt_twists, cols)
-        w_gens = [
-            {t: c for t, c in v.items() if t[0] < f0 * g0} for v in span.syzygies()
-        ]
-        w_gens = [w for w in w_gens if w]
+        w_gens = ColumnSpan(ring, tgt_twists, cols).syzygies(f0 * g0)
 
     trivial = []
     for j in range(f0):

@@ -71,6 +71,37 @@ def test_verify_malformed_json_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha", lambda rows: [[1] + row[1:] for row in rows]), ("p0_twists", lambda tw: [True] + tw[1:])],
+)
+def test_verify_non_string_entry_or_bool_twist_is_input_error(tmp_path, capsys, qcurve, qpoints, key, value):
+    d = mk.mf_to_dict(mk.catalog_mf(qcurve, "point", qpoints[0]))
+    d[key] = value(d[key])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    code, payload, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error:")
+
+
+def test_resolve_non_string_relation_is_input_error(tmp_path, capsys):
+    # no relation_twists, so the loader infers them from the entries
+    d = {
+        "ring": {"vars": ["X", "Y", "Z"], "field": "QQ"},
+        "f": "Y^2*Z - X^3 - Z^3",
+        "ambient_twists": [0],
+        "relations": [["X", 1, "Z"]],
+    }
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(d))
+    code, payload, err = run_cli(capsys, "resolve", "--module", str(path), "--length", "2")
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # resolve / extract
 

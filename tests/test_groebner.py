@@ -10,9 +10,11 @@ import mfkit as mk
 from mfkit.fields import Field, QQ
 from mfkit.groebner import (
     ColumnSpan,
+    GroebnerBasis,
+    _add_scaled,
     columns_as_vectors,
     mingens,
-    spairs_reduce_to_zero,
+    reduce_vec,
     term_divides,
     vectors_as_columns,
 )
@@ -31,6 +33,24 @@ def fpoly(R):
 
 def poly_vec(p):
     return {(0, e): c for e, c in p.terms.items()}
+
+
+def spairs_reduce_to_zero(gb: GroebnerBasis) -> bool:
+    """Post-hoc Buchberger criterion: every same-position S-pair reduces to 0."""
+    fld = gb.ring.field
+    for i in range(len(gb.basis)):
+        for j in range(i + 1, len(gb.basis)):
+            (pi, ei), ci = gb.lts[i]
+            (pj, ej), cj = gb.lts[j]
+            if pi != pj:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+            s = {}
+            _add_scaled(s, gb.basis[i], fld.inv(ci), tuple(a - b for a, b in zip(lcm, ei)), fld)
+            _add_scaled(s, gb.basis[j], fld.neg(fld.inv(cj)), tuple(a - b for a, b in zip(lcm, ej)), fld)
+            if reduce_vec(s, gb.basis, gb.lts, fld):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +161,24 @@ def test_syzygies_over_hypersurface_vanish_mod_potential(R, fpoly):
             assert mk.normal_form(e, gb).is_zero()
 
 
+def test_syzygies_over_hypersurface_need_the_potential(R):
+    X, Y, Z = R.gens()
+    M = GradedMatrix(R, [0], [1, 1], [[Y - Z, X]])
+    with pytest.raises(mk.ValidationError, match="potential"):
+        mk.syzygy_basis(M, over="A")
+
+
 def test_kernel_of_injective_map_is_zero(R):
     X, Y, Z = R.gens()
     M = GradedMatrix.identity(R, [0, 0])
-    K = mk.kernel_of_map(M, over="R")
+    K = mk.syzygy_basis(M, over="R")
     assert len(K.source_twists) == 0
 
 
 def test_kernel_columns_are_killed(R):
     X, Y, Z = R.gens()
     M = GradedMatrix(R, [0, 0], [1, 1], [[X, Y], [Y, X]])
-    K = mk.kernel_of_map(M, over="R")
+    K = mk.syzygy_basis(M, over="R")
     assert (M * K).is_zero()
 
 

@@ -60,6 +60,22 @@ def test_ring_char_cross_check():
         ring_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "ring",
+    [
+        {"field": 4},
+        {"field": True},
+        {"field": "GF(7)", "char": True},
+        {"vars": 5},
+        {"vars": ["X", 1, "Z"]},
+        {"vars": ["X", "X", "Z"]},
+    ],
+)
+def test_bad_ring_specs_are_parse_errors(ring):
+    with pytest.raises(mk.ParseError):
+        ring_from_dict(ring)
+
+
 # ---------------------------------------------------------------------------
 # matrix factorisations
 
