@@ -5,8 +5,12 @@ Module elements are sparse dicts {(position, exponent): coefficient}.  The
 module order is position-over-term — position 0 highest, degrevlex on the
 monomial part — so prepending ambient positions turns the same Buchberger
 loop into an elimination engine for syzygies, membership, and lifts.
-Computations over A adjoin f·e_i to generator sets; there is no dedicated
-quotient-ring engine.
+The loop runs degree by degree, so the pass that builds a basis also tells
+which generators were needed: minimal generators come from one pass.
+
+A computation is over A exactly when the potential f is passed: f·e_i are
+adjoined to the generators, and reduction modulo f is the normal form
+against f·e_i.  There is no dedicated quotient-ring engine.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ def term_divides(t1: Term, t2: Term) -> bool:
     return t1[0] == t2[0] and all(a <= b for a, b in zip(t1[1], t2[1]))
 
 
-def vec_degree(v: Vec, twists) -> int | None:
-    """Common homogeneous degree |exp| + twist[pos]; None for the zero vector."""
+def vec_degree(v: Vec, twists) -> int:
+    """Common homogeneous degree |exp| + twist[pos]; 0 for the zero vector."""
     degs = {sum(e) + twists[p] for p, e in v}
     if len(degs) > 1:
         raise ValidationError("vector is not homogeneous for the ambient twists")
-    return degs.pop() if degs else None
+    return degs.pop() if degs else 0
 
 
 def _add_scaled(u: Vec, v: Vec, c, shift: Exp, fld) -> None:
@@ -86,13 +90,27 @@ def _monic(v: Vec, fld) -> Vec:
     return {t: fld.mul(x, c) for t, x in v.items()}
 
 
-def buchberger(gens, twists, ring: PolyRing) -> list[Vec]:
-    """Unique reduced Groebner basis of the span of gens (homogeneous vectors)."""
+def _degree_pass(gens, twists, ring: PolyRing):
+    """Buchberger's loop, degree by degree (degree of the leading term).
+
+    Within a degree the S-pairs are reduced before the generators, so a
+    homogeneous generator enlarges the span of the generators taken before it
+    exactly when it does not reduce to zero.  Returns a (not yet reduced)
+    Groebner basis, its leading terms, and the indices of the generators that
+    enlarged the span, in the order taken: by degree, then index.
+    """
     fld = ring.field
     G: list[Vec] = []
     lts: list[tuple[Term, object]] = []
-    pairs: list[tuple[int, int, int]] = []
+    enlarged: list[int] = []
     ideal_case = len(twists) == 1
+    # items (degree, 0, i, j) are S-pairs, (degree, 1, k) generators
+    queue = []
+    for k, g in enumerate(gens):
+        if g:
+            pos, exp = vec_lt(g)
+            queue.append((sum(exp) + twists[pos], 1, k))
+    heapq.heapify(queue)
 
     def append(v: Vec) -> None:
         v = _monic(v, fld)
@@ -106,26 +124,34 @@ def buchberger(gens, twists, ring: PolyRing) -> list[Vec]:
             if ideal_case and all(min(a, b) == 0 for a, b in zip(ti[1], lt[1])):
                 continue
             lcm = tuple(max(a, b) for a, b in zip(ti[1], lt[1]))
-            heapq.heappush(pairs, (sum(lcm) + twists[lt[0]], i, k))
+            heapq.heappush(queue, (sum(lcm) + twists[lt[0]], 0, i, k))
         G.append(v)
         lts.append((lt, v[lt]))
 
-    for g in gens:
-        r = reduce_vec(g, G, lts, fld)
+    while queue:
+        item = heapq.heappop(queue)
+        if item[1]:
+            r = reduce_vec(gens[item[2]], G, lts, fld)
+            if r:
+                enlarged.append(item[2])
+        else:
+            _, _, i, j = item
+            (pi, ei), ci = lts[i]
+            (pj, ej), cj = lts[j]
+            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+            s: Vec = {}
+            _add_scaled(s, G[i], fld.inv(ci), tuple(a - b for a, b in zip(lcm, ei)), fld)
+            _add_scaled(s, G[j], fld.neg(fld.inv(cj)), tuple(a - b for a, b in zip(lcm, ej)), fld)
+            r = reduce_vec(s, G, lts, fld)
         if r:
             append(r)
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        (pi, ei), ci = lts[i]
-        (pj, ej), cj = lts[j]
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        s: Vec = {}
-        _add_scaled(s, G[i], fld.inv(ci), tuple(a - b for a, b in zip(lcm, ei)), fld)
-        _add_scaled(s, G[j], fld.neg(fld.inv(cj)), tuple(a - b for a, b in zip(lcm, ej)), fld)
-        r = reduce_vec(s, G, lts, fld)
-        if r:
-            append(r)
+    return G, lts, enlarged
 
+
+def buchberger(gens, twists, ring: PolyRing) -> list[Vec]:
+    """Unique reduced Groebner basis of the span of gens."""
+    fld = ring.field
+    G, lts, _ = _degree_pass(gens, twists, ring)
     # inter-reduce to the unique reduced basis
     order = sorted(range(len(G)), key=lambda i: term_key(lts[i][0]))
     kept: list[int] = []
@@ -144,17 +170,15 @@ def buchberger(gens, twists, ring: PolyRing) -> list[Vec]:
 
 @dataclass
 class GroebnerBasis:
-    """Reduced Groebner basis of a graded submodule of ⊕_i R(-t_i)."""
+    """Groebner basis, with leading terms, of a graded submodule of ⊕_i R(-t_i)."""
 
     ring: PolyRing
     twists: list[int]
     basis: list[Vec]
-    over: str = "R"  # "R", or "A" when f·e_i were adjoined
-    lts: list = dc_field(default=None, repr=False)
+    lts: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.lts is None:
-            self.lts = [(vec_lt(v), v[vec_lt(v)]) for v in self.basis]
+        self.lts = [(vec_lt(v), v[vec_lt(v)]) for v in self.basis]
 
 
 def columns_as_vectors(M: GradedMatrix) -> list[Vec]:
@@ -173,10 +197,7 @@ def vectors_as_columns(
 ) -> GradedMatrix:
     """Pack vectors as the columns of a graded matrix, inferring source twists."""
     if source_twists is None:
-        source_twists = []
-        for v in vecs:
-            d = vec_degree(v, twists)
-            source_twists.append(d if d is not None else 0)
+        source_twists = [vec_degree(v, twists) for v in vecs]
     entries = [[ring.zero() for _ in vecs] for _ in twists]
     for j, v in enumerate(vecs):
         per_pos: dict[int, dict] = {}
@@ -188,12 +209,14 @@ def vectors_as_columns(
 
 
 def _f_unit_vectors(f: Poly, twists) -> list[Vec]:
+    """f·e_i for every position i: a Groebner basis of f·F, F = ⊕_i R(-t_i)."""
     return [{(i, e): c for e, c in f.terms.items()} for i in range(len(twists))]
 
 
-def groebner_basis(gens, *, ring=None, twists=None, over: str = "R", f: Poly | None = None) -> GroebnerBasis:
+def groebner_basis(gens, *, ring=None, twists=None, f: Poly | None = None) -> GroebnerBasis:
     """Reduced GB of the span of gens: a GradedMatrix (columns), a list of
-    Poly (ideal case), or a list of vectors with explicit ambient twists."""
+    Poly (ideal case), or a list of vectors with explicit ambient twists.
+    With f, the span is taken over A = R/(f): f·e_i are adjoined."""
     if isinstance(gens, GradedMatrix):
         ring = gens.ring
         twists = list(gens.target_twists)
@@ -205,12 +228,9 @@ def groebner_basis(gens, *, ring=None, twists=None, over: str = "R", f: Poly | N
     else:
         vecs = [dict(v) for v in gens]
         twists = list(twists)
-    if over == "A":
-        if f is None:
-            raise ValidationError("computations over A need the potential f")
+    if f is not None:
         vecs = vecs + _f_unit_vectors(f, twists)
-    basis = buchberger(vecs, twists, ring)
-    return GroebnerBasis(ring, twists, basis, over)
+    return GroebnerBasis(ring, twists, buchberger(vecs, twists, ring))
 
 
 def normal_form(v, gb: GroebnerBasis):
@@ -240,15 +260,13 @@ class ColumnSpan:
         for j, col in enumerate(columns):
             v = dict(col)
             v[(self.g + j, zero_exp)] = ring.field.one
-            d = vec_degree(col, twists)
-            comb_twists.append(d if d is not None else 0)
+            comb_twists.append(vec_degree(col, twists))
             comb.append(v)
-        self.basis = buchberger(comb, comb_twists, ring)
-        self.lts = [(vec_lt(v), v[vec_lt(v)]) for v in self.basis]
+        self.gb = GroebnerBasis(ring, comb_twists, buchberger(comb, comb_twists, ring))
 
     def _split(self, w: Vec):
         fld = self.ring.field
-        red = reduce_vec(dict(w), self.basis, self.lts, fld, positions_below=self.g)
+        red = reduce_vec(w, self.gb.basis, self.gb.lts, fld, positions_below=self.g)
         gpart = {t: c for t, c in red.items() if t[0] < self.g}
         cpart = {(t[0] - self.g, t[1]): fld.neg(c) for t, c in red.items() if t[0] >= self.g}
         return gpart, cpart
@@ -266,7 +284,7 @@ class ColumnSpan:
         """Groebner basis of the syzygy module of the columns; with `first`
         set, each syzygy cut to the first columns, empty ones dropped."""
         out = []
-        for v in self.basis:
+        for v in self.gb.basis:
             if all(t[0] >= self.g for t in v):
                 syz = {(t[0] - self.g, t[1]): c for t, c in v.items() if first is None or t[0] - self.g < first}
                 if syz:
@@ -274,80 +292,40 @@ class ColumnSpan:
         return out
 
 
-def syzygy_basis(M, *, over: str = "R", f: Poly | None = None) -> GradedMatrix:
-    """Syzygies among the columns of M (over R, or over A = R/(f)): the
-    generators of ker(M) as columns in the source free module of M.
+def syzygy_basis(M, *, f: Poly | None = None) -> GradedMatrix:
+    """Syzygies among the columns of M: the generators of ker(M) as columns
+    in the source free module of M.
 
-    Over A this is the kernel of the induced map of free A-modules: the
-    projection onto the column coordinates of the syzygies of [M | f·Id],
-    with entries reduced modulo f.
+    Over R (no f) this is a Groebner basis of the syzygy module.  With f it is
+    the kernel of the induced map of free A-modules, A = R/(f): the projection
+    onto the column coordinates of the syzygies of [M | f·Id], reduced modulo
+    f and cut to minimal generators.
     """
     ring = M.ring
     cols = columns_as_vectors(M)
-    if over != "A":
-        return vectors_as_columns(ring, M.source_twists, ColumnSpan(ring, M.target_twists, cols).syzygies())
     if f is None:
-        raise ValidationError("syzygies over A need the potential f")
+        return vectors_as_columns(ring, M.source_twists, ColumnSpan(ring, M.target_twists, cols).syzygies())
     span = ColumnSpan(ring, M.target_twists, cols + _f_unit_vectors(f, M.target_twists))
-    gb_f = groebner_basis([f], ring=ring)
-    syz = _drop_redundant([_entrywise_nf(v, gb_f) for v in span.syzygies(len(cols))])
-    return vectors_as_columns(ring, M.source_twists, syz)
+    mod_f = GroebnerBasis(ring, M.source_twists, _f_unit_vectors(f, M.source_twists))
+    syz = [normal_form(v, mod_f) for v in span.syzygies(len(cols))]
+    return vectors_as_columns(ring, M.source_twists, mingens(syz, M.source_twists, ring, f=f))
 
 
-def _entrywise_nf(v: Vec, gb_f: GroebnerBasis) -> Vec:
-    """Reduce every polynomial coordinate of v modulo the ideal GB gb_f."""
-    per_pos: dict[int, dict] = {}
-    for (pos, exp), c in v.items():
-        per_pos.setdefault(pos, {})[(0, exp)] = c
-    out: Vec = {}
-    for pos, vec in per_pos.items():
-        red = reduce_vec(vec, gb_f.basis, gb_f.lts, gb_f.ring.field)
-        for (_, exp), c in red.items():
-            out[(pos, exp)] = c
-    return out
-
-
-def _drop_redundant(vecs: list[Vec]) -> list[Vec]:
-    """Drop exact duplicates and zero vectors, preserving order."""
-    seen = []
-    out = []
-    for v in vecs:
-        if not v:
-            continue
-        key = tuple(sorted(((t, c) for t, c in v.items()), key=lambda tc: term_key(tc[0])))
-        if key in seen:
-            continue
-        seen.append(key)
-        out.append(v)
-    return out
-
-
-def mingens(
-    vecs: list[Vec], twists, ring: PolyRing, *, over: str = "R", f: Poly | None = None
-) -> list[Vec]:
+def mingens(vecs: list[Vec], twists, ring: PolyRing, *, f: Poly | None = None) -> list[Vec]:
     """Minimal generating subset of homogeneous vectors (graded Nakayama).
 
-    Processes candidates by ascending degree; keeps one iff it is not a
-    combination of those already kept (plus f·e_i over A).
+    Takes the vectors by ascending degree, then index, and keeps one iff it
+    is not a combination of those kept before it (plus f·e_i when f is
+    given).  One degree-ordered Buchberger pass decides every candidate.
     """
-    order = sorted(
-        range(len(vecs)),
-        key=lambda k: (vec_degree(vecs[k], twists) or 0, k),
-    )
-    kept: list[Vec] = []
-    base = _f_unit_vectors(f, twists) if over == "A" else []
-    for k in order:
-        v = vecs[k]
-        if not v:
-            continue
-        gb = buchberger(base + kept, twists, ring)
-        lts = [(vec_lt(g), g[vec_lt(g)]) for g in gb]
-        if reduce_vec(v, gb, lts, ring.field):
-            kept.append(v)
-    return kept
+    for v in vecs:
+        vec_degree(v, twists)  # raises on a non-homogeneous vector
+    base = _f_unit_vectors(f, twists) if f is not None else []
+    _, _, enlarged = _degree_pass(base + list(vecs), twists, ring)
+    return [vecs[k - len(base)] for k in enlarged if k >= len(base)]
 
 
-def minimal_generators(M: GradedMatrix, *, over: str = "R", f: Poly | None = None) -> GradedMatrix:
+def minimal_generators(M: GradedMatrix, *, f: Poly | None = None) -> GradedMatrix:
     """mingens applied to the columns of a graded matrix."""
-    vecs = mingens(columns_as_vectors(M), M.target_twists, M.ring, over=over, f=f)
+    vecs = mingens(columns_as_vectors(M), M.target_twists, M.ring, f=f)
     return vectors_as_columns(M.ring, M.target_twists, vecs)

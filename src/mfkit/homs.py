@@ -37,16 +37,6 @@ class MFMorphism:
     f0: GradedMatrix
     f1: GradedMatrix
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MFMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.f0 == other.f0
-            and self.f1 == other.f1
-        )
-
 
 def verify_morphism(phi: MFMorphism) -> list[str]:
     """Report every strictness/grading violation; empty means phi is strict."""

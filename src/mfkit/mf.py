@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import InputError, ValidationError
 from .groebner import (
     ColumnSpan,
+    _f_unit_vectors,
     columns_as_vectors,
     mingens,
     vectors_as_columns,
@@ -47,16 +48,6 @@ class MatrixFactorization:
         alpha = GradedMatrix.from_strings(ring, p1, p0, alpha_rows)
         beta = GradedMatrix.from_strings(ring, [a - 3 for a in p0], p1, beta_rows)
         return cls(ring, fpoly, alpha, beta)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixFactorization):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.f == other.f
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-        )
 
 
 def verify_mf(M: MatrixFactorization) -> list[str]:
@@ -246,8 +237,8 @@ def _solve_beta(ring: PolyRing, f: Poly, alpha: GradedMatrix) -> GradedMatrix:
     """The unique beta with alpha·beta = f·id, found by lifting f·e_c."""
     span = ColumnSpan(ring, list(alpha.target_twists), columns_as_vectors(alpha))
     cols = []
-    for c, t in enumerate(alpha.target_twists):
-        lift = span.lift({(c, exp): coef for exp, coef in f.terms.items()})
+    for w in _f_unit_vectors(f, alpha.target_twists):
+        lift = span.lift(w)
         if lift is None:
             raise InputError("potential multiple of a generator is not in the column span")
         cols.append(lift)
@@ -296,10 +287,8 @@ def _stabilise(ring: PolyRing, f: Poly, res: Resolution, s: int) -> MatrixFactor
     """alpha = minimal generators over R of im(d^s) + f·F_{s-1}, beta by lifting."""
     d = res.diffs[s - 1]
     p1 = list(d.target_twists)
-    candidates = columns_as_vectors(d)
-    for c in range(len(p1)):
-        candidates.append({(c, exp): coef for exp, coef in f.terms.items()})
-    kept = mingens(candidates, p1, ring, over="R")
+    candidates = columns_as_vectors(d) + _f_unit_vectors(f, p1)
+    kept = mingens(candidates, p1, ring)
     alpha = vectors_as_columns(ring, p1, kept)
     beta = _solve_beta(ring, f, alpha)
     M = MatrixFactorization(ring, f, alpha, beta)

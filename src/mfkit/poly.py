@@ -264,6 +264,11 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
 # parsing / printing
 
 
+# Largest degree of a parsed polynomial, and largest exponent.  Factorisations
+# of the cubic potentials need degree 3; without a cap, text such as
+# "(X+Y+Z)^100000" would keep the parser multiplying for hours.
+MAX_PARSE_DEGREE = 24
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[-+*/^()]))")
 
 
@@ -278,7 +283,10 @@ def _tokenize(text: str):
             pos = m.end()
             continue
         if m.group(1):
-            tokens.append(("int", m.group(1)))
+            try:
+                tokens.append(("int", int(m.group(1))))
+            except ValueError as exc:  # more digits than int() converts
+                raise ParseError(str(exc)) from exc
         elif m.group(2):
             tokens.append(("name", m.group(2)))
         else:
@@ -318,6 +326,8 @@ class _Parser:
             _, op = self.take()
             q = self.factor()
             if op == "*":
+                if (p.degree() or 0) + (q.degree() or 0) > MAX_PARSE_DEGREE:
+                    raise ParseError(f"product of degree above {MAX_PARSE_DEGREE} in polynomial")
                 p = p * q
             else:
                 if not q.is_constant() or q.is_zero():
@@ -340,13 +350,15 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            p = p ** int(val)
+            if val > MAX_PARSE_DEGREE or (p.degree() or 0) * val > MAX_PARSE_DEGREE:
+                raise ParseError(f"power of degree or exponent above {MAX_PARSE_DEGREE} in polynomial")
+            p = p ** val
         return p if sign == 1 else -p
 
     def atom(self) -> Poly:
         kind, val = self.take()
         if kind == "int":
-            return self.ring.const(int(val))
+            return self.ring.const(val)
         if kind == "name":
             return self.ring.var(val)
         if (kind, val) == ("op", "("):

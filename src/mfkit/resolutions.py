@@ -3,23 +3,24 @@ minimal free resolutions, Hilbert functions, truncation, subquotient and
 Hom-module presentations.
 
 A Presentation is a cokernel description coker(relations: ⊕A(-s_k) → ⊕A(-t_i));
-resolutions are built by iterated kernel computation plus minimal-generator
-selection, so minimality holds entrywise by construction.
+resolutions are built by iterated syzygies over A, which come as minimal
+generators, so minimality holds entrywise by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 from .groebner import (
     ColumnSpan,
     GroebnerBasis,
-    _entrywise_nf,
     _f_unit_vectors,
     columns_as_vectors,
     groebner_basis,
     mingens,
+    normal_form,
     syzygy_basis,
     vec_degree,
     vectors_as_columns,
@@ -35,7 +36,6 @@ class Presentation:
     f: Poly
     ambient: list[int]
     relations: GradedMatrix
-    _hf_gb: GroebnerBasis | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.ambient = list(self.ambient)
@@ -47,15 +47,17 @@ class Presentation:
     def free(cls, ring: PolyRing, f: Poly, twists) -> "Presentation":
         return cls(ring, f, list(twists), GradedMatrix.zero(ring, list(twists), []))
 
-    def copy(self) -> "Presentation":
-        return Presentation(self.ring, self.f, list(self.ambient), self.relations)
+    @cached_property
+    def _module_gb(self) -> GroebnerBasis:
+        return groebner_basis(self.relations, f=self.f)
 
 
 def minimize_presentation(P: Presentation) -> Presentation:
     """Equivalent presentation with no unit entries and minimal relations."""
     ring, f = P.ring, P.f
-    gb_f = groebner_basis([f], ring=ring)
-    cols = [_entrywise_nf(v, gb_f) for v in columns_as_vectors(P.relations)]
+    # splitting only drops rows, so f·e_i on P's rows reduce every later column
+    mod_f = GroebnerBasis(ring, P.ambient, _f_unit_vectors(f, P.ambient))
+    cols = [normal_form(v, mod_f) for v in columns_as_vectors(P.relations)]
     rel = vectors_as_columns(ring, P.ambient, [c for c in cols if c])
     # each unit entry expresses a generator by the others: clear its row,
     # then drop the generator and the relation
@@ -63,9 +65,8 @@ def minimize_presentation(P: Presentation) -> Presentation:
         rel, _ = rel.split_unit(*pivot)
     ambient = rel.target_twists
 
-    cols = [_entrywise_nf(v, gb_f) for v in columns_as_vectors(rel)]
-    cols = [c for c in cols if c]
-    cols = mingens(cols, ambient, ring, over="A", f=f)
+    cols = [normal_form(v, mod_f) for v in columns_as_vectors(rel)]
+    cols = mingens(cols, ambient, ring, f=f)
     return Presentation(ring, f, ambient, vectors_as_columns(ring, ambient, cols))
 
 
@@ -104,9 +105,7 @@ def minimal_resolution(P: Presentation, length: int) -> Resolution:
         if current.cols == 0:
             current = GradedMatrix.zero(ring, [], [])
             continue
-        ker = syzygy_basis(current, over="A", f=f)
-        kept = mingens(columns_as_vectors(ker), ker.target_twists, ring, over="A", f=f)
-        current = vectors_as_columns(ring, current.source_twists, kept)
+        current = syzygy_basis(current, f=f)
     res = Resolution(ring, f, twists, diffs)
     _assert_minimal(res)
     return res
@@ -119,15 +118,9 @@ def _assert_minimal(res: Resolution) -> None:
             raise ValidationError(f"resolution not minimal: unit entry at d^{k}[{hit[0]}][{hit[1]}]")
 
 
-def _module_gb(P: Presentation) -> GroebnerBasis:
-    if P._hf_gb is None:
-        P._hf_gb = groebner_basis(P.relations, over="A", f=P.f)
-    return P._hf_gb
-
-
 def hilbert_function(P: Presentation, i: int) -> int:
     """dim_K of the degree-i piece of coker(P)."""
-    gb = _module_gb(P)
+    gb = P._module_gb
     lead_by_pos: dict[int, list] = {}
     for (pos, exp), _c in gb.lts:
         lead_by_pos.setdefault(pos, []).append(exp)
@@ -155,10 +148,7 @@ def present_subquotient(
     n = len(u_vecs)
     cols = list(u_vecs) + list(v_vecs) + _f_unit_vectors(f, twists)
     rels = ColumnSpan(ring, list(twists), cols).syzygies(n)
-    u_twists = []
-    for u in u_vecs:
-        d = vec_degree(u, twists)
-        u_twists.append(d if d is not None else 0)
+    u_twists = [vec_degree(u, twists) for u in u_vecs]
     rel_matrix = vectors_as_columns(ring, u_twists, rels)
     return minimize_presentation(Presentation(ring, f, u_twists, rel_matrix))
 

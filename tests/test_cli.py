@@ -86,6 +86,16 @@ def test_verify_non_string_entry_or_bool_twist_is_input_error(tmp_path, capsys, 
     assert err.startswith("error:")
 
 
+def test_verify_overlong_power_is_input_error(tmp_path, capsys, qcurve, qpoints):
+    d = mk.mf_to_dict(mk.catalog_mf(qcurve, "point", qpoints[0]))
+    d["f"] = "(X+Y+Z)^100000"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    code, payload, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_resolve_non_string_relation_is_input_error(tmp_path, capsys):
     # no relation_twists, so the loader infers them from the entries
     d = {

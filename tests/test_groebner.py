@@ -12,10 +12,14 @@ from mfkit.groebner import (
     ColumnSpan,
     GroebnerBasis,
     _add_scaled,
+    _f_unit_vectors,
+    buchberger,
     columns_as_vectors,
     mingens,
     reduce_vec,
     term_divides,
+    vec_degree,
+    vec_lt,
     vectors_as_columns,
 )
 from mfkit.poly import GradedMatrix, PolyRing
@@ -51,6 +55,23 @@ def spairs_reduce_to_zero(gb: GroebnerBasis) -> bool:
             if reduce_vec(s, gb.basis, gb.lts, fld):
                 return False
     return True
+
+
+def mingens_per_candidate(vecs, twists, ring, f=None):
+    """Reference for mingens: graded Nakayama with one Groebner basis per
+    candidate, taken in (degree, index) order."""
+    order = sorted(range(len(vecs)), key=lambda k: (vec_degree(vecs[k], twists), k))
+    base = _f_unit_vectors(f, twists) if f is not None else []
+    kept = []
+    for k in order:
+        v = vecs[k]
+        if not v:
+            continue
+        gb = buchberger(base + kept, twists, ring)
+        lts = [(vec_lt(g), g[vec_lt(g)]) for g in gb]
+        if reduce_vec(v, gb, lts, ring.field):
+            kept.append(v)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +163,7 @@ def test_random_combinations_reduce_to_zero(seed):
 def test_koszul_syzygies_over_polynomial_ring(R):
     X, Y, Z = R.gens()
     M = GradedMatrix(R, [0], [1, 1, 1], [[X, Y, Z]])
-    S = mk.syzygy_basis(M, over="R")
+    S = mk.syzygy_basis(M)
     assert len(S.source_twists) == 3
     prod = M * S
     assert prod.is_zero()
@@ -152,7 +173,7 @@ def test_koszul_syzygies_over_polynomial_ring(R):
 def test_syzygies_over_hypersurface_vanish_mod_potential(R, fpoly):
     X, Y, Z = R.gens()
     M = GradedMatrix(R, [0], [1, 1], [[Y - Z, X]])
-    S = mk.syzygy_basis(M, over="A", f=fpoly)
+    S = mk.syzygy_basis(M, f=fpoly)
     assert len(S.source_twists) >= 1
     gb = mk.groebner_basis([fpoly], ring=R)
     prod = M * S
@@ -161,24 +182,24 @@ def test_syzygies_over_hypersurface_vanish_mod_potential(R, fpoly):
             assert mk.normal_form(e, gb).is_zero()
 
 
-def test_syzygies_over_hypersurface_need_the_potential(R):
+def test_syzygies_over_hypersurface_are_minimal_generators(R, fpoly):
     X, Y, Z = R.gens()
-    M = GradedMatrix(R, [0], [1, 1], [[Y - Z, X]])
-    with pytest.raises(mk.ValidationError, match="potential"):
-        mk.syzygy_basis(M, over="A")
+    M = GradedMatrix(R, [0], [1, 1, 1], [[X, Y, Z]])
+    # three Koszul syzygies and the one coming from f = X·(-X^2) + Y·(YZ) + Z·(-Z^2)
+    assert mk.syzygy_basis(M, f=fpoly).source_twists == [2, 2, 2, 3]
 
 
 def test_kernel_of_injective_map_is_zero(R):
     X, Y, Z = R.gens()
     M = GradedMatrix.identity(R, [0, 0])
-    K = mk.syzygy_basis(M, over="R")
+    K = mk.syzygy_basis(M)
     assert len(K.source_twists) == 0
 
 
 def test_kernel_columns_are_killed(R):
     X, Y, Z = R.gens()
     M = GradedMatrix(R, [0, 0], [1, 1], [[X, Y], [Y, X]])
-    K = mk.syzygy_basis(M, over="R")
+    K = mk.syzygy_basis(M)
     assert (M * K).is_zero()
 
 
@@ -224,7 +245,7 @@ def test_column_span_syzygies_annihilate(R):
 def test_minimal_generators_drop_redundant_columns(R):
     X, Y, Z = R.gens()
     M = GradedMatrix(R, [0], [1, 1, 1, 2], [[X, Y, X + Y, X * Y]])
-    G = mk.minimal_generators(M, over="R")
+    G = mk.minimal_generators(M)
     assert len(G.source_twists) == 2
     assert G.target_twists == [0]
 
@@ -232,12 +253,74 @@ def test_minimal_generators_drop_redundant_columns(R):
 def test_minimal_generators_over_hypersurface_kill_potential_multiples(R, fpoly):
     X, Y, Z = R.gens()
     M = GradedMatrix(R, [0], [3, 4], [[fpoly, fpoly * X]])
-    G = mk.minimal_generators(M, over="A", f=fpoly)
+    G = mk.minimal_generators(M, f=fpoly)
     assert len(G.source_twists) == 0
 
 
 def test_mingens_vector_form(R):
     X, Y, Z = R.gens()
     vecs = [poly_vec(X), poly_vec(Y), poly_vec(X + Y)]
-    kept = mingens(vecs, [0], R, over="R")
+    kept = mingens(vecs, [0], R)
     assert len(kept) == 2
+
+
+def test_mingens_waits_for_the_s_pairs_of_each_degree(R):
+    X, Y, Z = R.gens()
+    # Y^3 = X·(XY) - Y·(X^2 - Y^2) is in the span only through the degree-3 S-pair
+    vecs = [poly_vec(X * X - Y * Y), poly_vec(X * Y), poly_vec(Y**3)]
+    assert mingens(vecs, [0], R) == vecs[:2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([QQ, Field(7)]), st.booleans())
+def test_mingens_matches_per_candidate_loop(seed, fld, over_a):
+    R = PolyRing(fld)
+    rng = random.Random(seed)
+    twists = [rng.randrange(2) for _ in range(rng.randrange(1, 4))]
+    f = R.parse("Y^2*Z - X^3 - Z^3") if over_a else None
+    spanning = _f_unit_vectors(f, twists) if f is not None else []
+
+    def rand_vec(d):
+        v = {}
+        for pos, t in enumerate(twists):
+            if d >= t and rng.random() < 0.7:
+                monos = R.monomials_of_degree(d - t)
+                for exp in rng.sample(monos, rng.randrange(1, min(3, len(monos)) + 1)):
+                    v[(pos, exp)] = fld.of(rng.randrange(1, 5))
+        return v
+
+    def combination(d):
+        # a degree-d combination of earlier vectors (and of f·e_i over A)
+        v = {}
+        for w in spanning:
+            e = vec_degree(w, twists)
+            if w and e <= d and rng.random() < 0.6:
+                shift = rng.choice(R.monomials_of_degree(d - e))
+                _add_scaled(v, w, fld.of(rng.randrange(1, 5)), shift, fld)
+        return v
+
+    def s_vector():
+        # in the span, but its leading term need not be a multiple of one before
+        a, b = rng.sample([w for w in spanning if w], 2)
+        (pa, ea), (pb, eb) = vec_lt(a), vec_lt(b)
+        if pa != pb:
+            return {}
+        lcm = tuple(map(max, ea, eb))
+        v = {}
+        _add_scaled(v, a, fld.inv(a[(pa, ea)]), tuple(x - y for x, y in zip(lcm, ea)), fld)
+        _add_scaled(v, b, fld.neg(fld.inv(b[(pb, eb)])), tuple(x - y for x, y in zip(lcm, eb)), fld)
+        return v
+
+    vecs = []
+    for _ in range(rng.randrange(1, 7)):
+        kind = rng.random()
+        if kind < 0.3 and sum(1 for w in spanning if w) >= 2:
+            v = s_vector()
+        elif kind < 0.5:
+            v = combination(rng.randrange(1, 5))
+        else:
+            v = rand_vec(rng.randrange(1, 5))
+        vecs.append(v)
+        spanning.append(v)
+    rng.shuffle(vecs)
+    assert mingens(vecs, twists, R, f=f) == mingens_per_candidate(vecs, twists, R, f)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import mfkit as mk
 from mfkit.fields import Field, QQ
 from mfkit.poly import (
+    MAX_PARSE_DEGREE,
     GradedMatrix,
     PolyRing,
     exact_divide,
@@ -68,6 +69,14 @@ def test_parse_rejects_garbage(R):
     for bad in ("X +", "W^2", "X^^2", "X**2 + (", "2X"):
         with pytest.raises(mk.ParseError):
             parse_poly(bad, R)
+
+
+def test_parse_caps_degree_and_exponent(R):
+    # each is refused before any multiplication, so none of them hangs
+    for bad in ("(X+Y+Z)^100000", "X^13*Y^12", "2^25", "X^" + "9" * 5000, "1" * 5000):
+        with pytest.raises(mk.ParseError):
+            parse_poly(bad, R)
+    assert parse_poly(f"X^{MAX_PARSE_DEGREE}", R).degree() == MAX_PARSE_DEGREE
 
 
 def test_parse_accepts_fraction_and_prime_coefficients():
