@@ -83,7 +83,10 @@ def _seed_from(args) -> int:
         seed = args.seed
     else:
         env = os.environ.get("MFKIT_SEED")
-        seed = int(env) if env else 0
+        try:
+            seed = int(env) if env else 0
+        except ValueError as exc:
+            raise ParseError(f"MFKIT_SEED must be an integer, not {env!r}") from exc
     _say(f"seed: {seed}")
     return seed
 
@@ -259,33 +262,21 @@ def cmd_ar(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_transpose(args) -> int:
+# Commands that apply one function to one envelope: name, help, the
+# function's int option and its choices (or None), and the function.
+_ENVELOPE_MAPS = (
+    ("transpose", "transpose of a factorisation envelope", None, None, transpose_mf),
+    ("duality", "duality of a factorisation envelope", None, None, duality_image),
+    ("twist", "grading twist (n)", "n", None, twist_mf),
+    ("shift", "suspension [k]", "k", None, shift_mf),
+    ("picard", "Picard action by ±1", "sign", [1, -1], picard_tensor),
+)
+
+
+def cmd_envelope_map(args) -> int:
     M = mf_from_dict(_load_json(args.file))
-    _emit(mf_to_dict(transpose_mf(M)), args.out)
-    return EXIT_OK
-
-
-def cmd_twist(args) -> int:
-    M = mf_from_dict(_load_json(args.file))
-    _emit(mf_to_dict(twist_mf(M, args.n)), args.out)
-    return EXIT_OK
-
-
-def cmd_shift(args) -> int:
-    M = mf_from_dict(_load_json(args.file))
-    _emit(mf_to_dict(shift_mf(M, args.k)), args.out)
-    return EXIT_OK
-
-
-def cmd_picard(args) -> int:
-    M = mf_from_dict(_load_json(args.file))
-    _emit(mf_to_dict(picard_tensor(M, args.sign)), args.out)
-    return EXIT_OK
-
-
-def cmd_duality(args) -> int:
-    M = mf_from_dict(_load_json(args.file))
-    _emit(mf_to_dict(duality_image(M)), args.out)
+    extra = () if args.option is None else (getattr(args, args.option),)
+    _emit(mf_to_dict(args.map(M, *extra)), args.out)
     return EXIT_OK
 
 
@@ -391,32 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_ar)
 
-    for name, fn in (
-        ("transpose", cmd_transpose),
-        ("duality", cmd_duality),
-    ):
-        p = sub.add_parser(name, help=f"{name} of a factorisation envelope")
+    for name, help_text, option, choices, fn in _ENVELOPE_MAPS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
+        if option is not None:
+            p.add_argument(f"--{option}", type=int, required=True, choices=choices)
         _add_out(p)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("twist", help="grading twist (n)")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_twist)
-
-    p = sub.add_parser("shift", help="suspension [k]")
-    p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_shift)
-
-    p = sub.add_parser("picard", help="Picard action by ±1")
-    p.add_argument("file")
-    p.add_argument("--sign", type=int, required=True, choices=[1, -1])
-    _add_out(p)
-    p.set_defaults(func=cmd_picard)
+        p.set_defaults(func=cmd_envelope_map, map=fn, option=option)
 
     p = sub.add_parser("size-bound", help="reduced cone size window at a point")
     _add_curve_field(p)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce as _fold
-from itertools import product
+from functools import cached_property, reduce as _fold
 from operator import add
 
 from .errors import InputError, ValidationError
@@ -226,17 +225,28 @@ class HomProblem:
 
 @dataclass
 class StableHom:
+    """Strict morphisms modulo null-homotopic ones.  `solutions` are the strict
+    morphisms as coordinate vectors of `problem`; `basis` holds the built
+    strict representatives of a stable basis; `strict_basis` is built on use."""
+
     source: MatrixFactorization
     target: MatrixFactorization
-    strict_dim: int
     boundary_rank: int
-    strict_basis: list[MFMorphism]
-    basis: list[MFMorphism]  # strict representatives of a stable basis
+    solutions: list[dict]
+    basis: list[MFMorphism]
     problem: HomProblem
+
+    @property
+    def strict_dim(self) -> int:
+        return len(self.solutions)
 
     @property
     def stable_dim(self) -> int:
         return self.strict_dim - self.boundary_rank
+
+    @cached_property
+    def strict_basis(self) -> list[MFMorphism]:
+        return [self.problem.morphism_from_vector(v) for v in self.solutions]
 
 
 def _boundary_span(prob: HomProblem) -> RowSpace:
@@ -248,19 +258,21 @@ def _boundary_span(prob: HomProblem) -> RowSpace:
 
 
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
-    """Strict morphism space M → N with its null-homotopic subspace split off."""
+    """Strict morphism space M → N with its null-homotopic subspace split off.
+    D∘D = 0 makes the stable dimension nullity − boundary rank, so solutions
+    are folded into the boundary span only until that many enlarge it."""
     prob = HomProblem(M, N)
     sols = nullspace(prob.strict_rows(), len(prob.slots), prob.ring.field)
     span = _boundary_span(prob)
     boundary_rank = span.rank
+    stable_dim = len(sols) - boundary_rank
     reps = []
-    strict_basis = []
     for v in sols:
-        phi = prob.morphism_from_vector(v)
-        strict_basis.append(phi)
+        if len(reps) == stable_dim:
+            break
         if span.add(v) is not None:
-            reps.append(phi)
-    return StableHom(M, N, len(sols), boundary_rank, strict_basis, reps, prob)
+            reps.append(prob.morphism_from_vector(v))
+    return StableHom(M, N, boundary_rank, sols, reps, prob)
 
 
 def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 0) -> int:
@@ -337,23 +349,13 @@ def _try_certificate(phi: MFMorphism) -> IsoResult | None:
     return IsoResult("yes", "strict isomorphism of reduced factorisations found", phi, psi)
 
 
-def _combination(basis: list[MFMorphism], coefs) -> MFMorphism:
-    return _fold(add_morphisms, (scale_morphism(b, c) for b, c in zip(basis, coefs)))
-
-
 def _iso_candidates(basis: list[MFMorphism], fld, seed: int, samples: int):
-    """Strict morphisms to try, built one at a time: the basis, every small
-    coefficient combination when the space is at most 2-dimensional, then
-    `samples` seeded random combinations."""
+    """Strict morphisms to try, built one at a time: the stable
+    representatives, then `samples` seeded random combinations of them."""
     yield from basis
-    if len(basis) <= 2:
-        small = [fld.of(v) for v in (-2, -1, 0, 1, 2)]
-        for coefs in product(small, repeat=len(basis)):
-            if any(coefs):
-                yield _combination(basis, coefs)
     rng = random.Random(seed)
     for _ in range(samples):
-        yield _combination(basis, [fld.sample(rng) for _ in basis])
+        yield _fold(add_morphisms, [scale_morphism(b, fld.sample(rng)) for b in basis])
 
 
 def is_stably_isomorphic(
@@ -366,10 +368,11 @@ def is_stably_isomorphic(
     """Decide stable isomorphism where possible.
 
     Reduces both sides, refutes by invariants (rank, twist multisets, stable
-    Hom dimensions), and otherwise searches the strict morphism space for an
-    invertible element: basis elements, a small coefficient grid when the
-    space is at most 2-dimensional, then seeded random combinations. A "yes"
-    always carries a verified two-sided certificate on the reduced models.
+    Hom dimensions), and otherwise tries the stable representatives, then
+    seeded random combinations of them.  On reduced models a boundary has no
+    constant part, so a strict morphism is invertible exactly when its stable
+    class is.  A "yes" always carries a verified two-sided certificate on the
+    reduced models.
     """
     if M.ring != N.ring or M.f != N.f:
         return IsoResult("no", "different rings or potentials")
@@ -388,7 +391,7 @@ def is_stably_isomorphic(
     if bwd_dim == 0:
         return IsoResult("no", "no nonzero stable morphism from right to left")
 
-    for phi in _iso_candidates(fwd.strict_basis, M.ring.field, seed, samples):
+    for phi in _iso_candidates(fwd.basis, M.ring.field, seed, samples):
         res = _try_certificate(phi)
         if res is not None:
             return res
@@ -401,17 +404,15 @@ def is_stably_isomorphic(
 # --- twist functor -----------------------------------------------------------
 
 
-def _graded_pieces(C: MatrixFactorization, X: MatrixFactorization, contravariant: bool):
-    """Stable Hom data Hom(C[i], X) (or Hom(X, C[i])) for i in -3..3."""
-    pieces = {}
+def _twist_reps(C: MatrixFactorization, X: MatrixFactorization, into_c: bool) -> list[MFMorphism]:
+    """Stable representatives of ⊕_i Hom(C[i], X), or of ⊕_i Hom(X, C[i])
+    when into_c, for i in -3..3.  Guard: stable Hom vanishes at i = ±3 and
+    lives on at most two adjacent shifts."""
+    spaces = {}
     for i in range(-3, 4):
         Ci = shift_mf(C, i)
-        pieces[i] = hom_space(X, Ci) if contravariant else hom_space(Ci, X)
-    return pieces
-
-
-def _twist_support(pieces) -> list[int]:
-    dims = {i: pieces[i].stable_dim for i in pieces}
+        spaces[i] = hom_space(X, Ci) if into_c else hom_space(Ci, X)
+    dims = {i: H.stable_dim for i, H in spaces.items()}
     if dims[-3] != 0 or dims[3] != 0:
         raise InputError(
             f"twist functor guard failed: nonzero stable Hom at shift ±3 ({dims})"
@@ -421,44 +422,30 @@ def _twist_support(pieces) -> list[int]:
         raise InputError(
             f"twist functor guard failed: stable Hom supported at shifts {support}"
         )
-    return support
+    return [phi for i in support for phi in spaces[i].basis]
 
 
 def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFactorization:
     """T_C(X): cone over the evaluation ⊕_i C[i] ⊗ Hom(C[i], X) → X, reduced."""
-    pieces = _graded_pieces(C, X, contravariant=False)
-    support = _twist_support(pieces)
-    reps: list[MFMorphism] = []
-    for i in support:
-        reps.extend(pieces[i].basis)
+    reps = _twist_reps(C, X, into_c=False)
     if not reps:
         # no stable maps out of C: the evaluation source is the zero object
         # and the cone is X itself
         return reduce_mf(X)
-    source = reps[0].source
-    for r in reps[1:]:
-        source = direct_sum_mf(source, r.source)
+    source = _fold(direct_sum_mf, [r.source for r in reps])
     f0 = _fold(GradedMatrix.hstack, [r.f0 for r in reps])
     f1 = _fold(GradedMatrix.hstack, [r.f1 for r in reps])
-    ev = MFMorphism(source, X, f0, f1)
-    return reduce_mf(cone_mf(ev))
+    return reduce_mf(cone_mf(MFMorphism(source, X, f0, f1)))
 
 
 def inverse_twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFactorization:
     """T_C^{-1}(X): shifted cone over the coevaluation X → ⊕_i C[i]."""
-    pieces = _graded_pieces(C, X, contravariant=True)
-    support = _twist_support(pieces)
-    reps = []
-    for i in support:
-        reps.extend(pieces[i].basis)
+    reps = _twist_reps(C, X, into_c=True)
     if not reps:
         # no stable maps into C: the shifted cone over the zero coevaluation
         # is X itself
         return reduce_mf(X)
-    target = reps[0].target
-    for r in reps[1:]:
-        target = direct_sum_mf(target, r.target)
+    target = _fold(direct_sum_mf, [r.target for r in reps])
     f0 = GradedMatrix.block([[r.f0] for r in reps])
     f1 = GradedMatrix.block([[r.f1] for r in reps])
-    coev = MFMorphism(X, target, f0, f1)
-    return reduce_mf(shift_mf(cone_mf(coev), -1))
+    return reduce_mf(shift_mf(cone_mf(MFMorphism(X, target, f0, f1)), -1))

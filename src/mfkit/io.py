@@ -146,8 +146,7 @@ def morphism_from_dict(data) -> MFMorphism:
     k = data.get("shift", 0)
     if not isinstance(k, int) or isinstance(k, bool):
         raise ParseError("shift must be an integer")
-    if k:
-        source = shift_mf(source, k)
+    source = shift_mf(source, k)
     ring = source.ring
     if ring != target.ring:
         raise ParseError("morphism source and target use different rings")

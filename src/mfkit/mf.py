@@ -100,14 +100,12 @@ def twist_mf(M: MatrixFactorization, n: int) -> MatrixFactorization:
 
 
 def shift_mf(M: MatrixFactorization, k: int = 1) -> MatrixFactorization:
-    """Suspension M[k]; [1] swaps the maps, and [2] equals the twist (3)."""
-    out = M
-    while k > 0:
+    """Suspension M[k]; [1] swaps the maps, (alpha, beta) ↦ (beta, alpha(3)),
+    and [2] equals the twist (3), so M[k] is M(3·(k // 2)) shifted once more
+    when k is odd."""
+    out = twist_mf(M, 3 * (k // 2))
+    if k % 2:
         out = MatrixFactorization(out.ring, out.f, out.beta, out.alpha.retwist(3))
-        k -= 1
-    while k < 0:
-        out = MatrixFactorization(out.ring, out.f, out.beta.retwist(-3), out.alpha)
-        k += 1
     return out
 
 

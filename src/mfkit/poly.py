@@ -13,6 +13,7 @@ of degree a_j - b_i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
@@ -269,6 +270,10 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
 # "(X+Y+Z)^100000" would keep the parser multiplying for hours.
 MAX_PARSE_DEGREE = 24
 
+# Most term products, over every `*` and `^`, that one parse may form: the
+# degree cap bounds each power, not their number.  (X+Y+Z+1)^24 needs ~70,000.
+MAX_PARSE_PRODUCTS = 100_000
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[-+*/^()]))")
 
 
@@ -303,6 +308,14 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.ring = ring
+        self.budget = MAX_PARSE_PRODUCTS
+
+    def mul(self, p: Poly, q: Poly) -> Poly:
+        """p·q, charged to the parse's budget of term products before it is formed."""
+        self.budget -= len(p.terms) * len(q.terms)
+        if self.budget < 0:
+            raise ParseError(f"polynomial text needs more than {MAX_PARSE_PRODUCTS} term products")
+        return p * q
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
@@ -328,7 +341,7 @@ class _Parser:
             if op == "*":
                 if (p.degree() or 0) + (q.degree() or 0) > MAX_PARSE_DEGREE:
                     raise ParseError(f"product of degree above {MAX_PARSE_DEGREE} in polynomial")
-                p = p * q
+                p = self.mul(p, q)
             else:
                 if not q.is_constant() or q.is_zero():
                     raise ParseError("division only by nonzero constants")
@@ -352,7 +365,7 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer")
             if val > MAX_PARSE_DEGREE or (p.degree() or 0) * val > MAX_PARSE_DEGREE:
                 raise ParseError(f"power of degree or exponent above {MAX_PARSE_DEGREE} in polynomial")
-            p = p ** val
+            p = functools.reduce(self.mul, [p] * val, self.ring.one())
         return p if sign == 1 else -p
 
     def atom(self) -> Poly:

@@ -278,6 +278,15 @@ def test_iso_seed_env(capsys, tmp_path, qcurve, qpoints, monkeypatch):
     assert "seed: 42" in err
 
 
+def test_iso_non_integer_seed_env_is_input_error(capsys, tmp_path, qcurve, qpoints, monkeypatch):
+    a = write_mf(tmp_path, "s.json", mk.catalog_mf(qcurve, "point", qpoints[0]))
+    monkeypatch.setenv("MFKIT_SEED", "abc")
+    code, payload, err = run_cli(capsys, "iso", a, a)
+    assert code == 2
+    assert payload is None
+    assert "MFKIT_SEED" in err
+
+
 # ---------------------------------------------------------------------------
 # object functors
 

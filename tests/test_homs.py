@@ -4,6 +4,7 @@ import pytest
 
 import mfkit as mk
 from mfkit.homs import HomProblem
+from mfkit.linalg import RowSpace
 from mfkit.poly import GradedMatrix
 
 from fixtures import CONE_CASES, CONE_SHAPES, cone_generator, cone_target
@@ -110,8 +111,20 @@ def test_stable_hom_dimension_table(curve, points, kp, kq, osheaf):
             assert mk.stable_hom_dim(M, N, shift=shift) == want
 
 
+def folded_representatives(H):
+    """The stable representatives by folding every strict solution, in
+    order, into the boundary span and keeping those that enlarge it."""
+    prob = H.problem
+    span = RowSpace(prob.ring.field)
+    for b in prob.boundary_vectors():
+        span.add(b)
+    return [phi for phi in H.strict_basis if span.add(prob.vector_from_morphism(phi)) is not None]
+
+
 def test_boundaries_are_strict_morphisms(curve101):
-    # D∘D = 0: every image D(h, s) must be an even cycle, i.e. a strict morphism
+    # D∘D = 0: every image D(h, s) must be an even cycle, i.e. a strict
+    # morphism, so stopping the fold at stable_dim representatives keeps
+    # exactly the representatives that folding every solution finds
     pt = mk.default_points(curve101, 1)[0]
     objs = [
         mk.catalog_mf(curve101, kind, pt if kind in mk.POINT_KINDS else None)
@@ -121,11 +134,32 @@ def test_boundaries_are_strict_morphisms(curve101):
     for M in objs:
         for N in objs:
             for shift in (-1, 0, 1):
-                prob = HomProblem(mk.shift_mf(M, shift), N)
+                H = mk.hom_space(mk.shift_mf(M, shift), N)
+                prob = H.problem
                 for vec in prob.boundary_vectors():
                     assert mk.verify_morphism(prob.morphism_from_vector(vec)) == []
                     checked += 1
+                assert H.basis == folded_representatives(H)
     assert checked > 0
+
+
+def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
+    built = []
+    build = HomProblem.morphism_from_vector
+
+    def counted(self, vec):
+        built.append(vec)
+        return build(self, vec)
+
+    monkeypatch.setattr(HomProblem, "morphism_from_vector", counted)
+    dims = []
+    for M, N in ((kp, kp), (kp, kq), (osheaf, kp), (mk.direct_sum_mf(kp, osheaf), kp)):
+        built.clear()
+        H = mk.hom_space(M, N)
+        assert len(built) == H.stable_dim
+        dims.append((H.stable_dim, H.strict_dim))
+    # a stable Hom of 0, and one whose strict space is larger than its stable one
+    assert dims[1][0] == 0 and dims[3][0] < dims[3][1]
 
 
 def test_hom_space_structure(kp):

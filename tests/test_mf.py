@@ -92,6 +92,24 @@ def test_shift_inverts(kp):
     assert mk.shift_mf(mk.shift_mf(kp, -1), 1) == kp
 
 
+def test_shift_equals_repeated_single_shifts(curve, points):
+    def single(M, step):
+        if step > 0:
+            return mk.MatrixFactorization(M.ring, M.f, M.beta, M.alpha.retwist(3))
+        return mk.MatrixFactorization(M.ring, M.f, M.beta.retwist(-3), M.alpha)
+
+    for kind in mk.CATALOG_KINDS:
+        M = mk.catalog_mf(curve, kind, points[0] if kind in mk.POINT_KINDS else None)
+        for k in range(-7, 8):
+            want = M
+            for _ in range(abs(k)):
+                want = single(want, 1 if k > 0 else -1)
+            assert mk.shift_mf(M, k) == want
+    # closed form: a huge shift costs no more than a small one
+    kp = mk.catalog_mf(curve, "point", points[0])
+    assert mk.shift_mf(kp, 10**9) == mk.twist_mf(kp, 3 * 10**9 // 2)
+
+
 def test_double_shift_is_twist(kp, osheaf):
     for M in (kp, osheaf):
         assert mk.shift_mf(M, 2) == mk.twist_mf(M, 3)

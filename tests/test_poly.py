@@ -77,6 +77,12 @@ def test_parse_caps_degree_and_exponent(R):
         with pytest.raises(mk.ParseError):
             parse_poly(bad, R)
     assert parse_poly(f"X^{MAX_PARSE_DEGREE}", R).degree() == MAX_PARSE_DEGREE
+    # every power is within the degree cap, but together they exceed the
+    # budget of term products, counted over `^` and `*` alike
+    power = "(X+Y+Z+1)^24"
+    for bad in ("+".join([power] * 4), "(X+Y+Z+1)^12*(X+Y+Z+1)^12"):
+        with pytest.raises(mk.ParseError, match="term products"):
+            parse_poly(bad, R)
 
 
 def test_parse_accepts_fraction_and_prime_coefficients():
