@@ -2,7 +2,8 @@
 envelopes on stdout (or --out) and human-readable notes on stderr.
 
 Exit codes: 0 success, 1 verification failure or isomorphism refutation,
-2 input error, 3 inconclusive isomorphism search.
+2 input error, 3 inconclusive isomorphism search, 141 standard output closed
+before the envelope was written (the shell's code for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_PIPE = 141
 
 
 def _say(msg: str) -> None:
@@ -66,6 +68,7 @@ def _emit(payload, out_path: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+        sys.stdout.flush()
 
 
 def _load_json(path: str):
@@ -408,6 +411,11 @@ def dispatch(argv=None) -> int:
     except MFKitError as exc:
         _say(f"error: {exc}")
         return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # interpreter's final flush of what is left in the buffer is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 def main() -> None:

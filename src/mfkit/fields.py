@@ -80,9 +80,12 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def sample(self, rng, nonzero: bool = False):
-        """Draw a random element: uniform over F_p, a small integer over Q."""
+        """Draw a random element: uniform over F_p, and over Q an integer
+        uniform in [-2^31, 2^31), so that by Schwartz–Zippel a nonzero
+        polynomial of degree d vanishes at a random point of Q^n with
+        probability at most d / 2^32."""
         while True:
-            c = rng.randrange(self.char) if self.char else Fraction(rng.randint(-5, 5))
+            c = rng.randrange(self.char) if self.char else Fraction(rng.randrange(-(2**31), 2**31))
             if c or not nonzero:
                 return c
 

@@ -1,13 +1,72 @@
 """Sparse exact linear algebra over Q and F_p.
 
-Vectors are dicts {column index: nonzero coefficient}.  Everything here is
-plain Gaussian elimination kept in fully reduced form, which is all the
-Hom-space and isomorphism-search computations need.
+Vectors are dicts {column index: nonzero coefficient} of field elements.
+`RowSpace` is the one eliminator: it keeps its rows in fully reduced echelon
+form and stores every entry as a plain int.
+
+- Over F_p the entries lie in [0, p), each pivot is 1, and the arithmetic is
+  inline `% p`.
+- Over Q an input row is scaled by the lcm of its denominators on entry, and
+  elimination is fraction-free: clearing a pivot cross-multiplies the two
+  rows (the idea of Bareiss, Math. Comp. 22 (1968)).  Every stored row is
+  primitive (its content is 1) with a positive pivot, so it is the reduced
+  echelon row times a positive integer.  `Fraction`s are built only where
+  `inverse` and `nullspace` hand out field elements.
+
+Because of the scaling, `RowSpace.reduce` returns the reduced vector only up
+to a nonzero scalar over Q; its support, and so `contains`, is exact.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .fields import Field
+
+
+def _eliminate(v: dict, row: dict, piv: int, p: int) -> None:
+    """Clear v[piv] in place with the stored row whose pivot is piv:
+    v ← v − v[piv]·row over F_p, and over Q v ← a·v − c·row, where a/c is
+    row[piv]/v[piv] in lowest terms."""
+    c = v[piv]
+    if p:
+        for j, x in row.items():
+            s = (v.get(j, 0) - c * x) % p
+            if s:
+                v[j] = s
+            else:
+                del v[j]
+        return
+    a = row[piv]
+    g = gcd(a, c)
+    a //= g
+    c //= g
+    if a != 1:
+        for j in v:
+            v[j] *= a
+    for j, x in row.items():
+        s = v.get(j, 0) - c * x
+        if s:
+            v[j] = s
+        else:
+            del v[j]
+
+
+def _normalise(v: dict, piv: int, p: int) -> None:
+    """Scale v in place to stored form: pivot 1 over F_p; primitive with a
+    positive pivot over Q."""
+    if p:
+        inv = pow(v[piv], -1, p)
+        for j in v:
+            v[j] = v[j] * inv % p
+        return
+    g = gcd(*v.values())
+    if v[piv] < 0:
+        g = -g
+    if g != 1:
+        for j in v:
+            v[j] //= g
 
 
 class RowSpace:
@@ -15,45 +74,47 @@ class RowSpace:
 
     def __init__(self, field: Field):
         self.field = field
-        self.rows: dict[int, dict[int, object]] = {}  # pivot column -> row
+        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> row
+
+    def _ints(self, vec: dict) -> dict:
+        """vec as ints: reduced mod p, or over Q times the lcm of its denominators."""
+        p = self.field.char
+        if p:
+            return {j: c % p for j, c in vec.items() if c % p}
+        den = lcm(*(c.denominator for c in vec.values()))
+        return {j: c.numerator * (den // c.denominator) for j, c in vec.items() if c}
 
     def reduce(self, vec: dict) -> dict:
-        """Fully reduce vec against the stored rows (pure; vec untouched)."""
-        fld = self.field
-        v = dict(vec)
-        for piv, row in self.rows.items():
-            c = v.get(piv)
-            if not c:
-                continue
-            for j, x in row.items():
-                s = fld.sub(v.get(j, fld.zero), fld.mul(c, x))
-                if s:
-                    v[j] = s
-                else:
-                    v.pop(j, None)
+        """Fully reduce vec against the stored rows (pure; vec untouched).
+
+        In a fully reduced echelon form, clearing one pivot adds entries only
+        at non-pivot columns, so only the pivots already in vec are visited."""
+        rows, p = self.rows, self.field.char
+        v = self._ints(vec)
+        for piv in [j for j in v if j in rows]:
+            _eliminate(v, rows[piv], piv, p)
         return v
 
     def add(self, vec: dict) -> dict | None:
         """Insert vec; return its reduced form if it enlarged the space, else None."""
-        fld = self.field
+        p = self.field.char
         v = self.reduce(vec)
         if not v:
             return None
         piv = min(v)
-        inv = fld.inv(v[piv])
-        v = {j: fld.mul(c, inv) for j, c in v.items()}
-        for p, row in self.rows.items():
-            c = row.get(piv)
-            if not c:
-                continue
-            for j, x in v.items():
-                s = fld.sub(row.get(j, fld.zero), fld.mul(c, x))
-                if s:
-                    row[j] = s
-                else:
-                    row.pop(j, None)
+        _normalise(v, piv, p)
+        for q, row in self.rows.items():
+            if piv in row:
+                _eliminate(row, v, piv, p)
+                if not p:
+                    _normalise(row, q, p)
         self.rows[piv] = v
         return v
+
+    def scalar(self, piv: int, x: int):
+        """The field element x / (pivot entry of the row at piv)."""
+        p = self.field.char
+        return x % p if p else Fraction(x, self.rows[piv][piv])
 
     @property
     def rank(self) -> int:
@@ -84,23 +145,20 @@ def inverse(rows: list[list], field: Field) -> list[list] | None:
         space.add(vec)
     if any(p not in space.rows for p in range(n)):
         return None
-    return [[space.rows[i].get(n + k, field.zero) for k in range(n)] for i in range(n)]
+    return [[space.scalar(i, space.rows[i].get(n + k, 0)) for k in range(n)] for i in range(n)]
 
 
 def nullspace(rows: list[dict], ncols: int, field: Field) -> list[dict]:
-    """Basis of {x : row·x = 0 for all rows}, one vector per free column."""
+    """Basis of {x : row·x = 0 for all rows}, one vector per free column,
+    each keyed by its free column and then by the pivots in insertion order.
+    Built in one transposed pass over the pivot rows."""
     space = RowSpace(field)
     for r in rows:
         space.add(r)
-    pivots = space.rows
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = {free: field.one}
-        for piv, row in pivots.items():
-            c = row.get(free)
-            if c:
-                vec[piv] = field.neg(c)
-        basis.append(vec)
-    return basis
+    basis = {free: {free: field.one} for free in range(ncols) if free not in space.rows}
+    for piv, row in space.rows.items():
+        for j, x in row.items():
+            vec = basis.get(j)
+            if vec is not None:
+                vec[piv] = space.scalar(piv, -x)
+    return list(basis.values())

@@ -353,3 +353,19 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload[0]["kind"] == "trivial"
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path, qcurve, qpoints):
+    # like `mfkit transpose kp.json | head -c 0`: the reader is gone before
+    # the envelope is written
+    path = write_mf(tmp_path, "kp.json", mk.catalog_mf(qcurve, "point", qpoints[0]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mfkit", "transpose", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err

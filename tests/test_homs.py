@@ -5,7 +5,7 @@ import pytest
 import mfkit as mk
 from mfkit.homs import HomProblem
 from mfkit.linalg import RowSpace
-from mfkit.poly import GradedMatrix
+from mfkit.poly import GradedMatrix, graded_inverse
 
 from fixtures import CONE_CASES, CONE_SHAPES, cone_generator, cone_target
 
@@ -109,6 +109,41 @@ def test_stable_hom_dimension_table(curve, points, kp, kq, osheaf):
         for shift in range(-3, 4):
             want = expected.get(shift, 0)
             assert mk.stable_hom_dim(M, N, shift=shift) == want
+
+
+# (rank, degree) of the sheaf on E that each nontrivial catalog kind models
+RANK_DEGREE = {
+    "point": (0, 1),
+    "point-e": (0, 1),
+    "lb-minus-p": (1, -1),
+    "lb-minus-e": (1, -1),
+    "lb-e-plus-p": (1, -2),
+    "lb-2e": (1, -2),
+    "lb-2e-plus-p": (1, -3),
+    "structure-sheaf": (1, 0),
+    "fundamental": (1, 0),
+}
+
+
+@pytest.mark.parametrize("char, lam, mu", [(101, 2, 3), (0, 0, 1)])
+def test_serre_duality_and_riemann_roch_on_all_pairs(char, lam, mu):
+    # Orlov's equivalence with D^b(coh E) predicts, for all 81 ordered pairs,
+    # dim Hom(X, Y) = dim Hom(Y[-1], X) and
+    # dim Hom(X, Y) - dim Hom(X[-1], Y) = r_X d_Y - r_Y d_X;
+    # neither identity shares code with hom_space
+    curve = mk.default_curve(mk.Field(char))
+    pt = mk.point_on(curve, curve.field.of(lam), curve.field.of(mu))
+    objs = {k: mk.catalog_mf(curve, k, pt if k in mk.POINT_KINDS else None) for k in RANK_DEGREE}
+    dim = {
+        (x, y, s): mk.stable_hom_dim(objs[x], objs[y], shift=s)
+        for x in objs
+        for y in objs
+        for s in (0, -1)
+    }
+    for x, (rx, dx) in RANK_DEGREE.items():
+        for y, (ry, dy) in RANK_DEGREE.items():
+            assert dim[x, y, 0] == dim[y, x, -1], (x, y)
+            assert dim[x, y, 0] - dim[x, y, -1] == rx * dy - ry * dx, (x, y)
 
 
 def folded_representatives(H):
@@ -251,6 +286,20 @@ def test_iso_sees_through_trivial_summands(kp, curve):
     T = mk.trivial_mf(curve.ring, curve.f)
     padded = mk.direct_sum_mf(kp, T)
     assert mk.is_stably_isomorphic(padded, kp).status == "yes"
+
+
+def test_iso_over_q_certified_by_one_random_combination(osheaf):
+    # Stable End(O ⊕ O) is the 2x2 matrices: no representative is
+    # invertible, and a combination is singular only on the quadric ad = bc,
+    # which a draw from 2^32 integers per coefficient all but never hits.
+    M = mk.direct_sum_mf(osheaf, osheaf)
+    Mr = mk.reduce_mf(M)
+    H = mk.hom_space(Mr, Mr)
+    assert H.stable_dim == 4
+    assert all(graded_inverse(phi.f0) is None for phi in H.basis)
+    for seed in range(20):
+        res = mk.is_stably_isomorphic(M, M, seed=seed, samples=1)
+        assert res.status == "yes", seed
 
 
 def test_iso_of_rank_zero_objects(curve):

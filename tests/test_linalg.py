@@ -1,6 +1,8 @@
 """Sparse exact linear algebra over coefficient fields."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,3 +155,149 @@ def test_graded_inverse_of_non_square_matrix_is_none():
     ring = PolyRing(Field(101))
     X, Y, Z = ring.gens()
     assert graded_inverse(GradedMatrix(ring, [3], [3, 4], [[ring.one(), X]])) is None
+
+
+# ---------------------------------------------------------------------------
+# differential test of the integer-row kernel against plain Gauss–Jordan
+
+
+class FieldRowSpace:
+    """Reference eliminator: fully reduced echelon form kept with `Field`
+    arithmetic (Fraction over Q), every pivot scaled to 1."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+
+    def reduce(self, vec):
+        fld = self.field
+        v = dict(vec)
+        for piv, row in self.rows.items():
+            c = v.get(piv)
+            if not c:
+                continue
+            for j, x in row.items():
+                s = fld.sub(v.get(j, fld.zero), fld.mul(c, x))
+                if s:
+                    v[j] = s
+                else:
+                    v.pop(j, None)
+        return v
+
+    def add(self, vec):
+        fld = self.field
+        v = self.reduce(vec)
+        if not v:
+            return None
+        piv = min(v)
+        inv = fld.inv(v[piv])
+        v = {j: fld.mul(c, inv) for j, c in v.items()}
+        for row in self.rows.values():
+            c = row.get(piv)
+            if not c:
+                continue
+            for j, x in v.items():
+                s = fld.sub(row.get(j, fld.zero), fld.mul(c, x))
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+        self.rows[piv] = v
+        return v
+
+
+def reference_nullspace(rows, ncols, field):
+    space = FieldRowSpace(field)
+    for r in rows:
+        space.add(r)
+    basis = []
+    for free in range(ncols):
+        if free in space.rows:
+            continue
+        vec = {free: field.one}
+        for piv, row in space.rows.items():
+            c = row.get(free)
+            if c:
+                vec[piv] = field.neg(c)
+        basis.append(vec)
+    return basis
+
+
+def reference_inverse(rows, field):
+    n = len(rows)
+    space = FieldRowSpace(field)
+    for i, row in enumerate(rows):
+        vec = {j: c for j, c in enumerate(row) if c}
+        vec[n + i] = field.one
+        space.add(vec)
+    if any(p not in space.rows for p in range(n)):
+        return None
+    return [[space.rows[i].get(n + k, field.zero) for k in range(n)] for i in range(n)]
+
+
+KERNEL_FIELDS = st.sampled_from([QQ, Field(7), Field(101), Field(2**31 - 1)])
+
+
+def random_entry(rng, F):
+    if F.char:
+        return F.of(rng.randrange(1, F.char))
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 2, 3, 4, 7]))
+
+
+def random_rows(rng, F, nrows, ncols, density):
+    """Sparse random rows; some are combinations of earlier ones, so the
+    rank is often deficient."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            ca, cb = random_entry(rng, F), random_entry(rng, F)
+            vec = {}
+            for j in set(a) | set(b):
+                c = F.add(F.mul(ca, a.get(j, F.zero)), F.mul(cb, b.get(j, F.zero)))
+                if c:
+                    vec[j] = c
+        else:
+            vec = {j: random_entry(rng, F) for j in range(ncols) if rng.random() < density}
+        rows.append(vec)
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(0, 9),
+    st.integers(1, 9),
+    st.sampled_from([0.2, 0.5, 0.9]),
+    KERNEL_FIELDS,
+)
+def test_kernel_matches_field_gauss_jordan(seed, nrows, ncols, density, F):
+    rng = random.Random(seed)
+    rows = random_rows(rng, F, nrows, ncols, density)
+
+    space, ref = RowSpace(F), FieldRowSpace(F)
+    for r in rows:
+        assert (space.add(r) is None) == (ref.add(r) is None)
+    assert space.rows.keys() == ref.rows.keys()
+    assert rank(rows, F) == len(ref.rows)
+    got = nullspace(rows, ncols, F)
+    want = reference_nullspace(rows, ncols, F)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    for piv, row in space.rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert row.keys() == ref.rows[piv].keys()
+        assert {j: space.scalar(piv, x) for j, x in row.items()} == ref.rows[piv]
+        if F.char == 0:
+            assert row[piv] > 0 and gcd(*row.values()) == 1
+    probes = random_rows(rng, F, 6, ncols + 1, density)
+    probes += [
+        {j: F.add(a.get(j, F.zero), b.get(j, F.zero)) for j in set(a) | set(b)}
+        for a, b in zip(rows, rows[1:])
+    ]
+    for vec in probes:
+        vec = {j: c for j, c in vec.items() if c}
+        assert space.contains(vec) == (not ref.reduce(vec))
+
+    n = min(nrows, ncols)
+    square = [[r.get(j, F.zero) for j in range(n)] for r in rows[:n]]
+    assert inverse(square, F) == reference_inverse(square, F)
