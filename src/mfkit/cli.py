@@ -39,6 +39,7 @@ from .io import (
     presentation_to_dict,
 )
 from .mf import (
+    assert_valid_mf,
     cokernel_module,
     detect_periodicity,
     extract_mf,
@@ -79,6 +80,14 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_mf(path: str):
+    """The factorisation in the envelope at path, checked: one that fails
+    the factorisation axioms raises ValidationError (exit 2)."""
+    M = mf_from_dict(_load_json(path))
+    assert_valid_mf(M, f"factorisation in {path}")
+    return M
 
 
 def _seed_from(args) -> int:
@@ -210,8 +219,8 @@ def cmd_cone(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    M = mf_from_dict(_load_json(args.source))
-    N = mf_from_dict(_load_json(args.target))
+    M = _load_mf(args.source)
+    N = _load_mf(args.target)
     space = hom_space(shift_mf(M, args.shift), N)
     payload = {
         "shift": args.shift,
@@ -228,8 +237,8 @@ def cmd_hom(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    M = mf_from_dict(_load_json(args.left))
-    N = mf_from_dict(_load_json(args.right))
+    M = _load_mf(args.left)
+    N = _load_mf(args.right)
     seed = _seed_from(args)
     res = is_stably_isomorphic(M, N, seed=seed, samples=args.samples)
     payload = {"status": res.status, "reason": res.reason}
@@ -246,7 +255,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_ar(args) -> int:
-    M = mf_from_dict(_load_json(args.file))
+    M = _load_mf(args.file)
     middle = ar_middle(M)
     cok = cokernel_module(reduce_mf(M))
     degrees = list(range(args.max_degree + 1))
@@ -277,7 +286,7 @@ _ENVELOPE_MAPS = (
 
 
 def cmd_envelope_map(args) -> int:
-    M = mf_from_dict(_load_json(args.file))
+    M = _load_mf(args.file)
     extra = () if args.option is None else (getattr(args, args.option),)
     _emit(mf_to_dict(args.map(M, *extra)), args.out)
     return EXIT_OK

@@ -3,10 +3,18 @@ submodules of free modules over R = K[x_0..x_n] and over A = R/(f).
 
 Module elements are sparse dicts {(position, exponent): coefficient}.  The
 module order is position-over-term — position 0 highest, degrevlex on the
-monomial part — so prepending ambient positions turns the same Buchberger
-loop into an elimination engine for syzygies, membership, and lifts.
-The loop runs degree by degree, so the pass that builds a basis also tells
-which generators were needed: minimal generators come from one pass.
+monomial part — so prepending ambient positions turns the same basis
+computation into an elimination engine for syzygies, membership, and lifts.
+
+Input must be homogeneous: a generator that is not raises ValidationError.
+Bases come from F4 with the normal strategy (Faugère, JPAA 139 (1999);
+Lazard, EUROCAL 1983) on the one eliminator, `linalg.RowSpace`.  Degree by
+degree, the rows are the S-pairs' second halves, the generators, and the
+multiples of earlier basis elements that reduce their terms; the columns
+are the terms in descending order, so a row's pivot is its leading term.
+Each new pivot row of the fully reduced echelon form is an element of the
+reduced basis, and a generator is needed exactly when it enlarges the row
+space, so one pass gives both.  A normal form is one more such row.
 
 A computation is over A exactly when the potential f is passed: f·e_i are
 adjoined to the generators, and reduction modulo f is the normal form
@@ -15,10 +23,11 @@ against f·e_i.  There is no dedicated quotient-ring engine.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .errors import ValidationError
+from .linalg import RowSpace
 from .poly import Exp, GradedMatrix, Poly, PolyRing, grevlex_key
 
 Term = tuple[int, Exp]
@@ -45,127 +54,104 @@ def vec_degree(v: Vec, twists) -> int:
     return degs.pop() if degs else 0
 
 
-def _add_scaled(u: Vec, v: Vec, c, shift: Exp, fld) -> None:
-    """u += c * x^shift * v, in place."""
-    for (pos, exp), cv in v.items():
-        key = (pos, tuple(a + b for a, b in zip(exp, shift)))
-        s = fld.add(u.get(key, fld.zero), fld.mul(c, cv))
-        if s:
-            u[key] = s
-        else:
-            u.pop(key, None)
+def _shifted(v: Vec, shift: Exp) -> Vec:
+    """x^shift · v."""
+    return {(pos, tuple(a + b for a, b in zip(exp, shift))): c for (pos, exp), c in v.items()}
 
 
-def reduce_vec(v: Vec, basis, lts, fld, positions_below: int | None = None) -> Vec:
-    """Full normal form of v against basis (leading terms precomputed in lts).
-
-    With positions_below set, only terms in positions < positions_below are
-    reduced; the remaining tail is returned untouched (elimination use).
-    """
-    work = dict(v)
-    out: Vec = {}
-    while work:
-        t = max(work, key=term_key)
-        pos, exp = t
-        if positions_below is not None and pos >= positions_below:
-            out.update(work)
-            break
-        hit = None
-        for g, (lt, lc) in zip(basis, lts):
-            gpos, gexp = lt
-            if gpos == pos and all(a <= b for a, b in zip(gexp, exp)):
-                hit = (g, gexp, lc)
-                break
-        if hit is None:
-            out[t] = work.pop(t)
-            continue
-        g, gexp, lc = hit
-        shift = tuple(a - b for a, b in zip(exp, gexp))
-        _add_scaled(work, g, fld.neg(fld.div(work[t], lc)), shift, fld)
-    return out
+def _reducer_space(rows, basis, lts, fld):
+    """Symbolic preprocessing: a RowSpace of the reducers of rows, the column
+    of each term, and the terms by column.  Each term of rows, or of a
+    reducer taken, that a leading term divides gets one reducer: the
+    monomial multiple of the first such basis element.  The columns are the
+    terms in descending order; the reducers go in smallest pivot first, so
+    no stored row needs back-substitution."""
+    reducers = {}
+    todo = [t for r in rows for t in r]
+    while todo:
+        t = todo.pop()
+        if t not in reducers:
+            reducers[t] = None
+            for g, (lt, _) in zip(basis, lts):
+                if term_divides(lt, t):
+                    reducers[t] = _shifted(g, tuple(b - a for a, b in zip(lt[1], t[1])))
+                    todo.extend(reducers[t])
+                    break
+    terms = sorted(reducers, key=term_key, reverse=True)
+    cols = {t: j for j, t in enumerate(terms)}
+    space = RowSpace(fld)
+    for t in reversed(terms):
+        if reducers[t] is not None:
+            space.add({cols[u]: c for u, c in reducers[t].items()})
+    return space, cols, terms
 
 
-def _monic(v: Vec, fld) -> Vec:
-    c = fld.inv(v[vec_lt(v)])
-    return {t: fld.mul(x, c) for t, x in v.items()}
+def _unscaled(row: dict, scale: int, terms, p: int) -> Vec:
+    """The int row divided by scale, keyed by terms, in descending order.
+    Over F_p the scale is 1: RowSpace keeps pivots 1 and never rescales."""
+    return {terms[j]: x if p else Fraction(x, scale) for j, x in sorted(row.items())}
+
+
+def reduce_vec(v: Vec, basis, lts, fld) -> Vec:
+    """Full normal form of v against a Groebner basis (leading terms in lts).
+
+    v is one more row, with an extra last column set to 1: that column
+    carries the scalar that fraction-free elimination over Q puts on the
+    remainder."""
+    space, cols, terms = _reducer_space([v], basis, lts, fld)
+    last = len(terms)
+    row = {cols[t]: c for t, c in v.items()}
+    row[last] = 1
+    red = space.reduce(row)
+    return _unscaled(red, red.pop(last), terms, fld.char)
 
 
 def _degree_pass(gens, twists, ring: PolyRing):
-    """Buchberger's loop, degree by degree (degree of the leading term).
+    """F4 with the normal strategy, degree by degree.
 
-    Within a degree the S-pairs are reduced before the generators, so a
-    homogeneous generator enlarges the span of the generators taken before it
-    exactly when it does not reduce to zero.  Returns a (not yet reduced)
-    Groebner basis, its leading terms, and the indices of the generators that
-    enlarged the span, in the order taken: by degree, then index.
+    An S-pair's first half is not a row: the reducer of its leading term
+    stands in for it, and differs from it by a multiple of an S-pair of
+    lower degree, or of this degree with its second half among the rows.
+    The S-pair rows go in before the generators, and these in index order,
+    so a generator enlarges the span of those taken before it exactly when
+    RowSpace.add returns a row.  Returns the reduced basis (monic, in the
+    order found) and the indices of the generators that enlarged the span,
+    by degree, then index.
     """
     fld = ring.field
-    G: list[Vec] = []
-    lts: list[tuple[Term, object]] = []
-    enlarged: list[int] = []
-    ideal_case = len(twists) == 1
-    # items (degree, 0, i, j) are S-pairs, (degree, 1, k) generators
-    queue = []
+    G, lts, enlarged = [], [], []
+    gens_at: dict[int, list[int]] = {}
     for k, g in enumerate(gens):
         if g:
-            pos, exp = vec_lt(g)
-            queue.append((sum(exp) + twists[pos], 1, k))
-    heapq.heapify(queue)
-
-    def append(v: Vec) -> None:
-        v = _monic(v, fld)
-        k = len(G)
-        lt = vec_lt(v)
-        for i in range(k):
-            ti = lts[i][0]
-            if ti[0] != lt[0]:
-                continue
-            # coprime-leading-term criterion is only sound for ideals
-            if ideal_case and all(min(a, b) == 0 for a, b in zip(ti[1], lt[1])):
-                continue
-            lcm = tuple(max(a, b) for a, b in zip(ti[1], lt[1]))
-            heapq.heappush(queue, (sum(lcm) + twists[lt[0]], 0, i, k))
-        G.append(v)
-        lts.append((lt, v[lt]))
-
-    while queue:
-        item = heapq.heappop(queue)
-        if item[1]:
-            r = reduce_vec(gens[item[2]], G, lts, fld)
-            if r:
-                enlarged.append(item[2])
-        else:
-            _, _, i, j = item
-            (pi, ei), ci = lts[i]
-            (pj, ej), cj = lts[j]
-            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-            s: Vec = {}
-            _add_scaled(s, G[i], fld.inv(ci), tuple(a - b for a, b in zip(lcm, ei)), fld)
-            _add_scaled(s, G[j], fld.neg(fld.inv(cj)), tuple(a - b for a, b in zip(lcm, ej)), fld)
-            r = reduce_vec(s, G, lts, fld)
-        if r:
-            append(r)
-    return G, lts, enlarged
+            gens_at.setdefault(vec_degree(g, twists), []).append(k)
+    pairs_at: dict[int, dict] = {}  # degree -> {(j, lcm): None}; row x^(lcm - lt_j)·G[j]
+    while gens_at or pairs_at:
+        d = min(gens_at.keys() | pairs_at.keys())
+        halves = [_shifted(G[j], tuple(a - b for a, b in zip(lcm, lts[j][0][1]))) for j, lcm in pairs_at.pop(d, ())]
+        ks = gens_at.pop(d, [])
+        space, cols, terms = _reducer_space(halves + [gens[k] for k in ks], G, lts, fld)
+        old = set(space.rows)
+        for h in halves:
+            space.add({cols[t]: c for t, c in h.items()})
+        for k in ks:
+            if space.add({cols[t]: c for t, c in gens[k].items()}) is not None:
+                enlarged.append(k)
+        for piv in sorted(space.rows.keys() - old):
+            pos, exp = lt = terms[piv]
+            for (ipos, iexp), _ in lts:
+                # the coprime-leading-term criterion is only sound for ideals
+                if ipos == pos and not (len(twists) == 1 and all(min(a, b) == 0 for a, b in zip(iexp, exp))):
+                    lcm = tuple(max(a, b) for a, b in zip(iexp, exp))
+                    pairs_at.setdefault(sum(lcm) + twists[pos], {})[(len(G), lcm)] = None
+            G.append(_unscaled(space.rows[piv], space.rows[piv][piv], terms, fld.char))
+            lts.append((lt, fld.one))
+    return G, enlarged
 
 
 def buchberger(gens, twists, ring: PolyRing) -> list[Vec]:
     """Unique reduced Groebner basis of the span of gens."""
-    fld = ring.field
-    G, lts, _ = _degree_pass(gens, twists, ring)
-    # inter-reduce to the unique reduced basis
-    order = sorted(range(len(G)), key=lambda i: term_key(lts[i][0]))
-    kept: list[int] = []
-    for i in order:
-        if not any(term_divides(lts[j][0], lts[i][0]) for j in kept):
-            kept.append(i)
-    final = []
-    for i in kept:
-        others = [G[j] for j in kept if j != i]
-        other_lts = [lts[j] for j in kept if j != i]
-        r = reduce_vec(G[i], others, other_lts, fld)
-        final.append(_monic(r, fld))
-    final.sort(key=lambda v: term_key(vec_lt(v)), reverse=True)
-    return final
+    G, _ = _degree_pass(gens, twists, ring)
+    return sorted(G, key=lambda v: term_key(vec_lt(v)), reverse=True)
 
 
 @dataclass
@@ -182,19 +168,10 @@ class GroebnerBasis:
 
 
 def columns_as_vectors(M: GradedMatrix) -> list[Vec]:
-    out = []
-    for j in range(M.cols):
-        v: Vec = {}
-        for i in range(M.rows):
-            for e, c in M.entries[i][j].terms.items():
-                v[(i, e)] = c
-        out.append(v)
-    return out
+    return [{(i, e): c for i in range(M.rows) for e, c in M.entries[i][j].terms.items()} for j in range(M.cols)]
 
 
-def vectors_as_columns(
-    ring: PolyRing, twists, vecs, source_twists=None
-) -> GradedMatrix:
+def vectors_as_columns(ring: PolyRing, twists, vecs, source_twists=None) -> GradedMatrix:
     """Pack vectors as the columns of a graded matrix, inferring source twists."""
     if source_twists is None:
         source_twists = [vec_degree(v, twists) for v in vecs]
@@ -235,11 +212,10 @@ def groebner_basis(gens, *, ring=None, twists=None, f: Poly | None = None) -> Gr
 
 def normal_form(v, gb: GroebnerBasis):
     """Canonical remainder of v (a vector or a Poly) modulo gb."""
-    if isinstance(v, Poly):
-        vec = {(0, e): c for e, c in v.terms.items()}
-        red = reduce_vec(vec, gb.basis, gb.lts, gb.ring.field)
-        return gb.ring.from_terms({e: c for (_, e), c in red.items()})
-    return reduce_vec(v, gb.basis, gb.lts, gb.ring.field)
+    if not isinstance(v, Poly):
+        return reduce_vec(v, gb.basis, gb.lts, gb.ring.field)
+    red = reduce_vec({(0, e): c for e, c in v.terms.items()}, gb.basis, gb.lts, gb.ring.field)
+    return gb.ring.from_terms({e: c for (_, e), c in red.items()})
 
 
 class ColumnSpan:
@@ -253,32 +229,24 @@ class ColumnSpan:
     def __init__(self, ring: PolyRing, twists, columns: list[Vec]):
         self.ring = ring
         self.g = len(twists)
-        self.ncols = len(columns)
-        zero_exp = (0,) * ring.nvars
-        comb_twists = list(twists)
-        comb = []
-        for j, col in enumerate(columns):
-            v = dict(col)
-            v[(self.g + j, zero_exp)] = ring.field.one
-            comb_twists.append(vec_degree(col, twists))
-            comb.append(v)
+        one = (0,) * ring.nvars
+        comb = [{**col, (self.g + j, one): ring.field.one} for j, col in enumerate(columns)]
+        comb_twists = list(twists) + [vec_degree(col, twists) for col in columns]
         self.gb = GroebnerBasis(ring, comb_twists, buchberger(comb, comb_twists, ring))
 
-    def _split(self, w: Vec):
-        fld = self.ring.field
-        red = reduce_vec(w, self.gb.basis, self.gb.lts, fld, positions_below=self.g)
-        gpart = {t: c for t, c in red.items() if t[0] < self.g}
-        cpart = {(t[0] - self.g, t[1]): fld.neg(c) for t, c in red.items() if t[0] >= self.g}
-        return gpart, cpart
-
     def member(self, w: Vec) -> bool:
-        gpart, _ = self._split(w)
-        return not gpart
+        return self.lift(w) is not None
 
     def lift(self, w: Vec) -> Vec | None:
-        """Coefficients u (over the columns) with Σ u_j · col_j = w, or None."""
-        gpart, cpart = self._split(w)
-        return None if gpart else cpart
+        """Coefficients u (over the columns) with Σ u_j · col_j = w, or None.
+
+        The normal form of w is its ambient remainder minus a lift (unique up
+        to a syzygy), so w lies in the span iff no ambient term remains."""
+        fld = self.ring.field
+        red = reduce_vec(w, self.gb.basis, self.gb.lts, fld)
+        if any(t[0] < self.g for t in red):
+            return None
+        return {(t[0] - self.g, t[1]): fld.neg(c) for t, c in red.items()}
 
     def syzygies(self, first: int | None = None) -> list[Vec]:
         """Groebner basis of the syzygy module of the columns; with `first`
@@ -316,12 +284,11 @@ def mingens(vecs: list[Vec], twists, ring: PolyRing, *, f: Poly | None = None) -
 
     Takes the vectors by ascending degree, then index, and keeps one iff it
     is not a combination of those kept before it (plus f·e_i when f is
-    given).  One degree-ordered Buchberger pass decides every candidate.
+    given).  One degree-ordered pass decides every candidate; a vector that
+    is not homogeneous raises ValidationError.
     """
-    for v in vecs:
-        vec_degree(v, twists)  # raises on a non-homogeneous vector
     base = _f_unit_vectors(f, twists) if f is not None else []
-    _, _, enlarged = _degree_pass(base + list(vecs), twists, ring)
+    _, enlarged = _degree_pass(base + list(vecs), twists, ring)
     return [vecs[k - len(base)] for k in enlarged if k >= len(base)]
 
 

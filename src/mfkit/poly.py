@@ -30,6 +30,25 @@ def grevlex_key(exp: Exp):
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
+@functools.cache
+def _monomials(n: int, d: int) -> tuple[Exp, ...]:
+    """The n-variable exponent tuples of total degree d, descending in
+    degrevlex; computed once per (n, d)."""
+    if d < 0:
+        return ()
+    exps = []
+    for bars in itertools.combinations(range(d + n - 1), n - 1):
+        prev = -1
+        exp = []
+        for b in bars:
+            exp.append(b - prev - 1)
+            prev = b
+        exp.append(d + n - 2 - prev)
+        exps.append(tuple(exp))
+    exps.sort(key=grevlex_key, reverse=True)
+    return tuple(exps)
+
+
 class PolyRing:
     """A polynomial ring K[x_0, ..., x_n] with all variables in degree 1."""
 
@@ -75,22 +94,9 @@ class PolyRing:
         c = self.field.of(c)
         return Poly(self, {tuple(exp): c} if c else {})
 
-    def monomials_of_degree(self, d: int) -> list[Exp]:
+    def monomials_of_degree(self, d: int) -> tuple[Exp, ...]:
         """All exponent tuples of total degree d, descending in degrevlex."""
-        if d < 0:
-            return []
-        n = self.nvars
-        exps = []
-        for bars in itertools.combinations(range(d + n - 1), n - 1):
-            prev = -1
-            exp = []
-            for b in bars:
-                exp.append(b - prev - 1)
-                prev = b
-            exp.append(d + n - 2 - prev)
-            exps.append(tuple(exp))
-        exps.sort(key=grevlex_key, reverse=True)
-        return exps
+        return _monomials(self.nvars, d)
 
     def parse(self, text: str) -> "Poly":
         return parse_poly(text, self)

@@ -324,6 +324,41 @@ def test_ar_command(capsys, tmp_path, qcurve, qpoints):
     assert payload["doubling_ok"] is True
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        pytest.param(lambda d: d.update(alpha=[["X", "Y"], ["Z", "X"]]), id="alpha"),
+        pytest.param(lambda d: d.update(p1_twists=[2, 3]), id="p1_twists"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom", "{bad}", "{good}"],
+        ["hom", "{good}", "{bad}"],
+        ["iso", "{good}", "{bad}"],
+        ["ar", "{bad}"],
+        ["transpose", "{bad}"],
+        ["duality", "{bad}"],
+        ["twist", "{bad}", "--n", "1"],
+        ["shift", "{bad}", "--k", "1"],
+        ["picard", "{bad}", "--sign", "1"],
+    ],
+    ids=["hom-source", "hom-target", "iso", "ar", "transpose", "duality", "twist", "shift", "picard"],
+)
+def test_commands_refuse_an_invalid_factorisation(capsys, tmp_path, qcurve, qpoints, tamper, argv):
+    d = mk.mf_to_dict(mk.catalog_mf(qcurve, "point", qpoints[0]))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(d))
+    tamper(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    code, payload, err = run_cli(capsys, *(a.format(good=good, bad=bad) for a in argv))
+    assert code == 2
+    assert payload is None
+    assert f"invalid factorisation in {bad}" in err
+
+
 def test_size_bound_command(capsys):
     code, payload, _ = run_cli(
         capsys, "size-bound", "--curve", "0", "1", "--lambda", "2", "--mu", "3"

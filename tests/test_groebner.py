@@ -1,6 +1,8 @@
 """Groebner bases, normal forms, syzygies, spans, and minimal generators."""
 
+import heapq
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,18 +13,18 @@ from mfkit.fields import Field, QQ
 from mfkit.groebner import (
     ColumnSpan,
     GroebnerBasis,
-    _add_scaled,
     _f_unit_vectors,
     buchberger,
     columns_as_vectors,
     mingens,
     reduce_vec,
     term_divides,
+    term_key,
     vec_degree,
     vec_lt,
     vectors_as_columns,
 )
-from mfkit.poly import GradedMatrix, PolyRing
+from mfkit.poly import GradedMatrix, PolyRing, grevlex_key
 
 
 @pytest.fixture(scope="module")
@@ -39,19 +41,139 @@ def poly_vec(p):
     return {(0, e): c for e, c in p.terms.items()}
 
 
+# ---------------------------------------------------------------------------
+# Reference Buchberger: the S-pair heap, the division loop and the
+# inter-reduction that the row-echelon pass replaced, kept as an oracle.
+
+
+def reference_add_scaled(u, v, c, shift, fld) -> None:
+    """u += c * x^shift * v, in place."""
+    for (pos, exp), cv in v.items():
+        key = (pos, tuple(a + b for a, b in zip(exp, shift)))
+        s = fld.add(u.get(key, fld.zero), fld.mul(c, cv))
+        if s:
+            u[key] = s
+        else:
+            u.pop(key, None)
+
+
+def reference_reduce_vec(v, basis, lts, fld, positions_below=None):
+    """Full normal form of v by the division algorithm, first divisor first;
+    with positions_below set, the tail from that position on is left as is."""
+    work = dict(v)
+    out = {}
+    while work:
+        t = max(work, key=term_key)
+        pos, exp = t
+        if positions_below is not None and pos >= positions_below:
+            out.update(work)
+            break
+        hit = None
+        for g, (lt, lc) in zip(basis, lts):
+            gpos, gexp = lt
+            if gpos == pos and all(a <= b for a, b in zip(gexp, exp)):
+                hit = (g, gexp, lc)
+                break
+        if hit is None:
+            out[t] = work.pop(t)
+            continue
+        g, gexp, lc = hit
+        shift = tuple(a - b for a, b in zip(exp, gexp))
+        reference_add_scaled(work, g, fld.neg(fld.div(work[t], lc)), shift, fld)
+    return out
+
+
+def reference_monic(v, fld):
+    c = fld.inv(v[vec_lt(v)])
+    return {t: fld.mul(x, c) for t, x in v.items()}
+
+
+def reference_s_vector(g, h, lt_g, lt_h, fld):
+    (_, eg), cg = lt_g
+    (_, eh), ch = lt_h
+    lcm = tuple(max(a, b) for a, b in zip(eg, eh))
+    s = {}
+    reference_add_scaled(s, g, fld.inv(cg), tuple(a - b for a, b in zip(lcm, eg)), fld)
+    reference_add_scaled(s, h, fld.neg(fld.inv(ch)), tuple(a - b for a, b in zip(lcm, eh)), fld)
+    return s
+
+
+def reference_degree_pass(gens, twists, ring):
+    """Buchberger's loop, degree by degree: within a degree the S-pairs are
+    reduced before the generators.  Returns a (not yet reduced) basis, its
+    leading terms, and the generators that enlarged the span."""
+    fld = ring.field
+    G, lts, enlarged = [], [], []
+    ideal_case = len(twists) == 1
+    # items (degree, 0, i, j) are S-pairs, (degree, 1, k) generators
+    queue = []
+    for k, g in enumerate(gens):
+        if g:
+            pos, exp = vec_lt(g)
+            queue.append((sum(exp) + twists[pos], 1, k))
+    heapq.heapify(queue)
+
+    def append(v):
+        v = reference_monic(v, fld)
+        k = len(G)
+        lt = vec_lt(v)
+        for i in range(k):
+            ti = lts[i][0]
+            if ti[0] != lt[0]:
+                continue
+            if ideal_case and all(min(a, b) == 0 for a, b in zip(ti[1], lt[1])):
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(ti[1], lt[1]))
+            heapq.heappush(queue, (sum(lcm) + twists[lt[0]], 0, i, k))
+        G.append(v)
+        lts.append((lt, v[lt]))
+
+    while queue:
+        item = heapq.heappop(queue)
+        if item[1]:
+            r = reference_reduce_vec(gens[item[2]], G, lts, fld)
+            if r:
+                enlarged.append(item[2])
+        else:
+            _, _, i, j = item
+            r = reference_reduce_vec(reference_s_vector(G[i], G[j], lts[i], lts[j], fld), G, lts, fld)
+        if r:
+            append(r)
+    return G, lts, enlarged
+
+
+def reference_buchberger(gens, twists, ring):
+    """Reduced basis: the degree pass, then inter-reduction."""
+    fld = ring.field
+    G, lts, _ = reference_degree_pass(gens, twists, ring)
+    order = sorted(range(len(G)), key=lambda i: term_key(lts[i][0]))
+    kept = []
+    for i in order:
+        if not any(term_divides(lts[j][0], lts[i][0]) for j in kept):
+            kept.append(i)
+    final = []
+    for i in kept:
+        others = [G[j] for j in kept if j != i]
+        other_lts = [lts[j] for j in kept if j != i]
+        final.append(reference_monic(reference_reduce_vec(G[i], others, other_lts, fld), fld))
+    final.sort(key=lambda v: term_key(vec_lt(v)), reverse=True)
+    return final
+
+
+def reference_mingens(vecs, twists, ring, f=None):
+    base = _f_unit_vectors(f, twists) if f is not None else []
+    _, _, enlarged = reference_degree_pass(base + list(vecs), twists, ring)
+    return [vecs[k - len(base)] for k in enlarged if k >= len(base)]
+
+
 def spairs_reduce_to_zero(gb: GroebnerBasis) -> bool:
     """Post-hoc Buchberger criterion: every same-position S-pair reduces to 0."""
     fld = gb.ring.field
     for i in range(len(gb.basis)):
         for j in range(i + 1, len(gb.basis)):
-            (pi, ei), ci = gb.lts[i]
-            (pj, ej), cj = gb.lts[j]
-            if pi != pj:
+            if gb.lts[i][0][0] != gb.lts[j][0][0]:
                 continue
-            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-            s = {}
-            _add_scaled(s, gb.basis[i], fld.inv(ci), tuple(a - b for a, b in zip(lcm, ei)), fld)
-            _add_scaled(s, gb.basis[j], fld.neg(fld.inv(cj)), tuple(a - b for a, b in zip(lcm, ej)), fld)
+            s = reference_s_vector(gb.basis[i], gb.basis[j], gb.lts[i], gb.lts[j], fld)
             if reduce_vec(s, gb.basis, gb.lts, fld):
                 return False
     return True
@@ -139,21 +261,27 @@ def test_normal_form_is_idempotent_and_linear(R):
 def test_random_combinations_reduce_to_zero(seed):
     R = PolyRing(Field(7))
     rng = random.Random(seed)
-    monos = [m for d in (1, 2) for m in R.monomials_of_degree(d)]
 
-    def rand_poly():
+    def rand_poly(d):
+        """A homogeneous polynomial of degree d (possibly zero)."""
         out = R.zero()
         for _ in range(rng.randrange(1, 4)):
-            out = out + R.monomial(rng.choice(monos), rng.randrange(1, 7))
+            out = out + R.monomial(rng.choice(R.monomials_of_degree(d)), rng.randrange(1, 7))
         return out
 
-    gens = [rand_poly() for _ in range(rng.randrange(1, 4))]
+    gens = [rand_poly(rng.randrange(1, 3)) for _ in range(rng.randrange(1, 4))]
     gb = mk.groebner_basis(gens, ring=R)
     assert spairs_reduce_to_zero(gb)
     combo = R.zero()
     for g in gens:
-        combo = combo + g * rand_poly()
+        combo = combo + g * rand_poly(rng.randrange(0, 4))
     assert mk.normal_form(combo, gb).is_zero()
+
+
+def test_inhomogeneous_generator_is_refused(R):
+    X, Y, Z = R.gens()
+    with pytest.raises(mk.ValidationError, match="not homogeneous"):
+        mk.groebner_basis([X * X - Y * Z, X * Y - Z], ring=R)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +424,7 @@ def test_mingens_matches_per_candidate_loop(seed, fld, over_a):
             e = vec_degree(w, twists)
             if w and e <= d and rng.random() < 0.6:
                 shift = rng.choice(R.monomials_of_degree(d - e))
-                _add_scaled(v, w, fld.of(rng.randrange(1, 5)), shift, fld)
+                reference_add_scaled(v, w, fld.of(rng.randrange(1, 5)), shift, fld)
         return v
 
     def s_vector():
@@ -305,11 +433,7 @@ def test_mingens_matches_per_candidate_loop(seed, fld, over_a):
         (pa, ea), (pb, eb) = vec_lt(a), vec_lt(b)
         if pa != pb:
             return {}
-        lcm = tuple(map(max, ea, eb))
-        v = {}
-        _add_scaled(v, a, fld.inv(a[(pa, ea)]), tuple(x - y for x, y in zip(lcm, ea)), fld)
-        _add_scaled(v, b, fld.neg(fld.inv(b[(pb, eb)])), tuple(x - y for x, y in zip(lcm, eb)), fld)
-        return v
+        return reference_s_vector(a, b, ((pa, ea), a[(pa, ea)]), ((pb, eb), b[(pb, eb)]), fld)
 
     vecs = []
     for _ in range(rng.randrange(1, 7)):
@@ -324,3 +448,116 @@ def test_mingens_matches_per_candidate_loop(seed, fld, over_a):
         spanning.append(v)
     rng.shuffle(vecs)
     assert mingens(vecs, twists, R, f=f) == mingens_per_candidate(vecs, twists, R, f)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the reference Buchberger, and a sympy oracle
+
+
+def random_coefficient(rng, fld):
+    """A field element, possibly 0, with denominators 1–4 (over Q)."""
+    return fld.of(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
+
+
+def random_homogeneous_vec(rng, R, twists, d):
+    """A random vector of degree d for the ambient twists (possibly zero)."""
+    v = {}
+    for pos, t in enumerate(twists):
+        if d >= t and rng.random() < 0.7:
+            monos = R.monomials_of_degree(d - t)
+            for exp in rng.sample(monos, rng.randrange(1, min(3, len(monos)) + 1)):
+                c = random_coefficient(rng, R.field)
+                if c:
+                    v[(pos, exp)] = c
+    return v
+
+
+def random_combination(rng, R, twists, cols, d):
+    """A degree-d combination of the homogeneous vectors cols."""
+    w = {}
+    for col in cols:
+        e = vec_degree(col, twists)
+        if col and e <= d:
+            for _ in range(rng.randrange(3)):
+                shift = rng.choice(R.monomials_of_degree(d - e))
+                reference_add_scaled(w, col, random_coefficient(rng, R.field), shift, R.field)
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([QQ, Field(7), Field(101)]), st.booleans())
+def test_row_echelon_pass_matches_reference_buchberger(seed, fld, over_a):
+    R = PolyRing(fld)
+    rng = random.Random(seed)
+    twists = [rng.randrange(3) for _ in range(rng.randrange(1, 4))]
+    f = R.parse("Y^2*Z - X^3 - Z^3") if over_a else None
+    cols = _f_unit_vectors(f, twists) if over_a else []
+    vecs = []
+    for _ in range(rng.randrange(1, 5)):
+        d = rng.randrange(1, 4)
+        if rng.random() < 0.3:  # redundant for mingens
+            vecs.append(random_combination(rng, R, twists, vecs + cols, d))
+        else:
+            vecs.append(random_homogeneous_vec(rng, R, twists, d))
+    cols = vecs + cols
+
+    gb = mk.groebner_basis(vecs, ring=R, twists=twists, f=f)
+    ref = reference_buchberger(cols, twists, R)
+    # same vectors, same coefficients, same key order
+    assert [list(v.items()) for v in gb.basis] == [list(v.items()) for v in ref]
+    assert mingens(vecs, twists, R, f=f) == reference_mingens(vecs, twists, R, f)
+    for _ in range(3):
+        w = random_homogeneous_vec(rng, R, twists, rng.randrange(5))
+        assert list(mk.normal_form(w, gb).items()) == list(reference_reduce_vec(w, gb.basis, gb.lts, fld).items())
+
+    span = ColumnSpan(R, twists, cols)
+    d = rng.randrange(1, 5)
+    w = random_combination(rng, R, twists, cols, d)
+    for target in (w, random_homogeneous_vec(rng, R, twists, d)):
+        u = span.lift(target)
+        ambient = reference_reduce_vec(target, span.gb.basis, span.gb.lts, fld, positions_below=len(twists))
+        assert (u is None) == any(t[0] < len(twists) for t in ambient)
+        if u is not None:
+            acc = {}
+            for (j, exp), c in u.items():
+                reference_add_scaled(acc, cols[j], c, exp, fld)
+            assert acc == target
+    assert span.lift(w) is not None
+
+
+def sympy_monic_basis(sympy, gens, fld):
+    """sympy's reduced grevlex basis of the ideal of gens (X > Y > Z), monic,
+    as {exponent: coefficient} dicts sorted by leading monomial."""
+    syms = sympy.symbols("X Y Z")
+    exprs = []
+    for p in gens:
+        expr = 0
+        for exp, c in p.terms.items():
+            c = sympy.Rational(c.numerator, c.denominator) if fld.char == 0 else c
+            expr += c * sympy.Mul(*(s**e for s, e in zip(syms, exp)))
+        exprs.append(expr)
+    opts = {"modulus": fld.char} if fld.char else {}
+    out = []
+    for g in sympy.groebner(exprs, *syms, order="grevlex", **opts).polys:
+        terms = {exp: fld.of(Fraction(int(c.p), int(c.q))) for exp, c in g.terms()}
+        lead = terms[max(terms, key=grevlex_key)]
+        out.append({exp: fld.div(c, lead) for exp, c in terms.items()})
+    return sorted(out, key=lambda t: grevlex_key(max(t, key=grevlex_key)), reverse=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([QQ, Field(101)]))
+def test_groebner_basis_matches_sympy(seed, fld):
+    sympy = pytest.importorskip("sympy")
+    R = PolyRing(fld)
+    rng = random.Random(seed)
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        monos = R.monomials_of_degree(rng.randrange(1, 4))
+        p = R.from_terms({e: random_coefficient(rng, fld) for e in rng.sample(monos, rng.randrange(1, 4))})
+        if not p.is_zero():
+            gens.append(p)
+    if not gens:
+        return
+    ours = [{e: c for (_, e), c in v.items()} for v in mk.groebner_basis(gens, ring=R).basis]
+    assert ours == sympy_monic_basis(sympy, gens, fld)

@@ -1,0 +1,36 @@
+"""The benchmark tracer (perfbench/tracer.py) patches mfkit's functions by
+name.  These tests install it on a fresh import, so a rename breaks here and
+not only in a traced benchmark run."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TRACED_RESOLUTION = """
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+import mfkit as mk
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install(mk)
+curve = mk.default_curve()
+X, Y, Z = curve.ring.gens()
+residue_field = mk.Presentation(curve.ring, curve.f, [0], mk.GradedMatrix(curve.ring, [0], [1, 1, 1], [[X, Y, Z]]))
+mk.minimal_resolution(residue_field, 3)
+print(json.dumps(tracer.metrics(1, 0)))
+"""
+
+
+def test_tracer_installs_on_a_fresh_import_and_sees_the_groebner_layer():
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_RESOLUTION], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    metrics = json.loads(run.stdout.splitlines()[-1])
+    assert metrics["groebner.buchberger_calls"] > 0
+    assert metrics["groebner.reductions"] > 0
+    assert metrics["linalg.add_calls"] > 0
