@@ -3,8 +3,9 @@ small matrix factorisations attached to points and line bundles, and the
 curve-level operations (Picard twists, duality, almost-split middles,
 size bounds).
 
-The potential is f = Y²Z - X³ - aXZ² - bZ³ and every catalog entry is
-verified against the factorisation axioms at construction time.
+The potential is f = Y²Z - X³ - aXZ² - bZ³.  Every catalog entry is verified
+against the factorisation axioms at construction time, or is built by the
+shift and twist functors from one that is.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .mf import (
     MatrixFactorization,
     assert_valid_mf,
     cokernel_module,
+    shift_mf,
     transpose_mf,
     trivial_mf,
     twist_mf,
@@ -203,16 +205,15 @@ def catalog_mf(
         beta = [[-(X * X) - aZZ, bZZ - Y * Y], [-Z, -X]]
         return _assemble(curve, [3, 4], [2, 2], alpha, beta, kind)
     if kind == "lb-minus-e":
-        aZZ = (Z * Z).scale(a)
-        bZZ = (Z * Z).scale(b)
-        alpha = [[-(X * X) - aZZ, bZZ - Y * Y], [-Z, -X]]
-        beta = [[X, bZZ - Y * Y], [-Z, X * X + aZZ]]
-        return _assemble(curve, [4, 4], [2, 3], alpha, beta, kind)
+        # O(-e) and O(-p) are their skyscrapers shifted once and twisted by (-2)
+        return twist_mf(shift_mf(catalog_mf(curve, "point-e"), 1), -2)
     if kind == "lb-2e":
         alpha = [[(X * Z).scale(a) - Y * Y + (Z * Z).scale(b), -X], [-(X * X), -Z]]
         beta = [[-Z, X], [X * X, (Z * Z).scale(b) - Y * Y + (X * Z).scale(a)]]
         return _assemble(curve, [5, 4], [3, 3], alpha, beta, kind)
     pt = _require_point(kind, point)
+    if kind == "lb-minus-p":
+        return twist_mf(shift_mf(catalog_mf(curve, "point", pt), 1), -2)
     lam, mu = pt.lam, pt.mu
     pe = pe_poly(curve, pt)
     XmlZ = X - Z.scale(lam)
@@ -222,10 +223,6 @@ def catalog_mf(
         alpha = [[XmlZ, Z * YpmZ], [-YmmZ, pe]]
         beta = [[pe, -(Z * YpmZ)], [YmmZ, XmlZ]]
         return _assemble(curve, [3, 4], [2, 2], alpha, beta, kind)
-    if kind == "lb-minus-p":
-        alpha = [[pe, -(Z * YpmZ)], [YmmZ, XmlZ]]
-        beta = [[XmlZ, Z * YpmZ], [-YmmZ, pe]]
-        return _assemble(curve, [4, 4], [2, 3], alpha, beta, kind)
     if kind == "lb-e-plus-p":
         alpha = [[pe, -YpmZ], [-(Z * YmmZ), -XmlZ]]
         beta = [[XmlZ, -YpmZ], [-(Z * YmmZ), -pe]]

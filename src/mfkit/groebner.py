@@ -17,8 +17,10 @@ reduced basis, and a generator is needed exactly when it enlarges the row
 space, so one pass gives both.  A normal form is one more such row.
 
 A computation is over A exactly when the potential f is passed: f·e_i are
-adjoined to the generators, and reduction modulo f is the normal form
-against f·e_i.  There is no dedicated quotient-ring engine.
+adjoined to the generators (`groebner_basis`, `ColumnSpan`, `mingens` and
+what calls them), and `reduce_mod_f` is the one reduction modulo f, the
+normal form against f·e_i.  The vectors f·e_i live only in this module;
+there is no dedicated quotient-ring engine.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ class GroebnerBasis:
     lts: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        self.lts = [(vec_lt(v), v[vec_lt(v)]) for v in self.basis]
+        self.lts = [(lt, v[lt]) for v in self.basis for lt in (vec_lt(v),)]
 
 
 def columns_as_vectors(M: GradedMatrix) -> list[Vec]:
@@ -223,12 +225,15 @@ class ColumnSpan:
 
     Supports membership, lifting (expressing a vector as a combination of the
     columns), and the syzygy basis, all from one combined basis in which the
-    ambient positions dominate the coefficient positions.
+    ambient positions dominate the coefficient positions.  With f, the span
+    is taken over A = R/(f): f·e_i follow the given columns.
     """
 
-    def __init__(self, ring: PolyRing, twists, columns: list[Vec]):
+    def __init__(self, ring: PolyRing, twists, columns: list[Vec], *, f: Poly | None = None):
         self.ring = ring
         self.g = len(twists)
+        if f is not None:
+            columns = list(columns) + _f_unit_vectors(f, twists)
         one = (0,) * ring.nvars
         comb = [{**col, (self.g + j, one): ring.field.one} for j, col in enumerate(columns)]
         comb_twists = list(twists) + [vec_degree(col, twists) for col in columns]
@@ -269,14 +274,17 @@ def syzygy_basis(M, *, f: Poly | None = None) -> GradedMatrix:
     onto the column coordinates of the syzygies of [M | f·Id], reduced modulo
     f and cut to minimal generators.
     """
-    ring = M.ring
     cols = columns_as_vectors(M)
-    if f is None:
-        return vectors_as_columns(ring, M.source_twists, ColumnSpan(ring, M.target_twists, cols).syzygies())
-    span = ColumnSpan(ring, M.target_twists, cols + _f_unit_vectors(f, M.target_twists))
-    mod_f = GroebnerBasis(ring, M.source_twists, _f_unit_vectors(f, M.source_twists))
-    syz = [normal_form(v, mod_f) for v in span.syzygies(len(cols))]
-    return vectors_as_columns(ring, M.source_twists, mingens(syz, M.source_twists, ring, f=f))
+    span = ColumnSpan(M.ring, M.target_twists, cols, f=f)
+    syz = vectors_as_columns(M.ring, M.source_twists, span.syzygies(len(cols)))
+    return syz if f is None else minimal_generators(reduce_mod_f(syz, f), f=f)
+
+
+def reduce_mod_f(M: GradedMatrix, f: Poly) -> GradedMatrix:
+    """The columns of M reduced modulo f·e_i for every row i, zero ones dropped."""
+    mod_f = GroebnerBasis(M.ring, M.target_twists, _f_unit_vectors(f, M.target_twists))
+    cols = [normal_form(v, mod_f) for v in columns_as_vectors(M)]
+    return vectors_as_columns(M.ring, M.target_twists, [v for v in cols if v])
 
 
 def mingens(vecs: list[Vec], twists, ring: PolyRing, *, f: Poly | None = None) -> list[Vec]:

@@ -433,8 +433,8 @@ def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFacto
         # and the cone is X itself
         return reduce_mf(X)
     source = _fold(direct_sum_mf, [r.source for r in reps])
-    f0 = _fold(GradedMatrix.hstack, [r.f0 for r in reps])
-    f1 = _fold(GradedMatrix.hstack, [r.f1 for r in reps])
+    f0 = GradedMatrix.block([[r.f0 for r in reps]])
+    f1 = GradedMatrix.block([[r.f1 for r in reps]])
     return reduce_mf(cone_mf(MFMorphism(source, X, f0, f1)))
 
 

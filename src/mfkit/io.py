@@ -125,11 +125,11 @@ def mf_from_dict(data) -> MatrixFactorization:
     return MatrixFactorization(ring, f, alpha, beta)
 
 
-def morphism_to_dict(phi: MFMorphism, shift: int = 0) -> dict:
+def morphism_to_dict(phi: MFMorphism) -> dict:
     return {
         "source": mf_to_dict(phi.source),
         "target": mf_to_dict(phi.target),
-        "shift": shift,
+        "shift": 0,
         "f0": _matrix_rows(phi.f0),
         "f1": _matrix_rows(phi.f1),
     }

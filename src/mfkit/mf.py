@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ValidationError
-from .groebner import (
-    ColumnSpan,
-    _f_unit_vectors,
-    columns_as_vectors,
-    mingens,
-    vectors_as_columns,
-)
+from .groebner import ColumnSpan, columns_as_vectors, minimal_generators, vectors_as_columns
 from .poly import GradedMatrix, Poly, PolyRing, exact_divide, graded_inverse, validate_graded_matrix
 from .resolutions import Presentation, Resolution, hilbert_function, minimal_resolution
 
@@ -40,14 +34,6 @@ class MatrixFactorization:
     @property
     def rank(self) -> int:
         return len(self.p0)
-
-    @classmethod
-    def from_strings(cls, ring: PolyRing, f, p0, p1, alpha_rows, beta_rows) -> "MatrixFactorization":
-        fpoly = ring.parse(f) if isinstance(f, str) else f
-        p0, p1 = list(p0), list(p1)
-        alpha = GradedMatrix.from_strings(ring, p1, p0, alpha_rows)
-        beta = GradedMatrix.from_strings(ring, [a - 3 for a in p0], p1, beta_rows)
-        return cls(ring, fpoly, alpha, beta)
 
 
 def verify_mf(M: MatrixFactorization) -> list[str]:
@@ -231,17 +217,16 @@ def detect_periodicity(res: Resolution):
     return None
 
 
-def _solve_beta(ring: PolyRing, f: Poly, alpha: GradedMatrix) -> GradedMatrix:
-    """The unique beta with alpha·beta = f·id, found by lifting f·e_c."""
-    span = ColumnSpan(ring, list(alpha.target_twists), columns_as_vectors(alpha))
+def _solve_beta(alpha: GradedMatrix, f_id: GradedMatrix) -> GradedMatrix:
+    """The unique beta with alpha·beta = f_id = f·id, found by lifting its columns."""
+    span = ColumnSpan(alpha.ring, list(alpha.target_twists), columns_as_vectors(alpha))
     cols = []
-    for w in _f_unit_vectors(f, alpha.target_twists):
+    for w in columns_as_vectors(f_id):
         lift = span.lift(w)
         if lift is None:
             raise InputError("potential multiple of a generator is not in the column span")
         cols.append(lift)
-    beta = vectors_as_columns(ring, [a - 3 for a in alpha.source_twists], cols, source_twists=list(alpha.target_twists))
-    return beta
+    return vectors_as_columns(alpha.ring, [a - 3 for a in alpha.source_twists], cols, source_twists=f_id.target_twists)
 
 
 def extract_mf(P: Presentation, mode: str, s: int | None = None) -> MatrixFactorization:
@@ -284,11 +269,9 @@ def extract_mf(P: Presentation, mode: str, s: int | None = None) -> MatrixFactor
 def _stabilise(ring: PolyRing, f: Poly, res: Resolution, s: int) -> MatrixFactorization:
     """alpha = minimal generators over R of im(d^s) + f·F_{s-1}, beta by lifting."""
     d = res.diffs[s - 1]
-    p1 = list(d.target_twists)
-    candidates = columns_as_vectors(d) + _f_unit_vectors(f, p1)
-    kept = mingens(candidates, p1, ring)
-    alpha = vectors_as_columns(ring, p1, kept)
-    beta = _solve_beta(ring, f, alpha)
+    f_id = GradedMatrix.scalar(f, [t + 3 for t in d.target_twists])
+    alpha = minimal_generators(GradedMatrix.block([[d, f_id]]))
+    beta = _solve_beta(alpha, f_id)
     M = MatrixFactorization(ring, f, alpha, beta)
     assert_valid_mf(M, "stabilised factorisation")
     return M

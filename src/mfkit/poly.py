@@ -280,6 +280,10 @@ MAX_PARSE_DEGREE = 24
 # degree cap bounds each power, not their number.  (X+Y+Z+1)^24 needs ~70,000.
 MAX_PARSE_PRODUCTS = 100_000
 
+# Deepest nesting of parentheses.  Each level is a few frames of the recursive
+# parser, so without a cap deep nesting ends in RecursionError, not ParseError.
+MAX_PARSE_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[-+*/^()]))")
 
 
@@ -288,11 +292,8 @@ def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and not text[pos:].strip():
+        if not m:
             break
-        if not m.group(0).strip():
-            pos = m.end()
-            continue
         if m.group(1):
             try:
                 tokens.append(("int", int(m.group(1))))
@@ -315,6 +316,7 @@ class _Parser:
         self.i = 0
         self.ring = ring
         self.budget = MAX_PARSE_PRODUCTS
+        self.depth = 0
 
     def mul(self, p: Poly, q: Poly) -> Poly:
         """p·q, charged to the parse's budget of term products before it is formed."""
@@ -381,9 +383,13 @@ class _Parser:
         if kind == "name":
             return self.ring.var(val)
         if (kind, val) == ("op", "("):
+            self.depth += 1
+            if self.depth > MAX_PARSE_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PARSE_DEPTH} in polynomial")
             p = self.expr()
             if self.take() != ("op", ")"):
                 raise ParseError("unbalanced parentheses")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected token {val!r} in polynomial")
 
@@ -500,9 +506,6 @@ class GradedMatrix:
             list(twists),
             [[f if i == j else z for j in range(n)] for i in range(n)],
         )
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -623,25 +626,6 @@ class GradedMatrix:
                 for i, r in enumerate(self.entries)
                 if i != row
             ],
-        )
-
-    def select_columns(self, cols) -> "GradedMatrix":
-        return GradedMatrix(
-            self.ring,
-            self.target_twists,
-            [self.source_twists[j] for j in cols],
-            [[row[j] for j in cols] for row in self.entries],
-        )
-
-    @classmethod
-    def hstack(cls, left: "GradedMatrix", right: "GradedMatrix") -> "GradedMatrix":
-        if left.target_twists != right.target_twists:
-            raise ValidationError("hstack needs identical target twists")
-        return cls(
-            left.ring,
-            left.target_twists,
-            left.source_twists + right.source_twists,
-            [r1 + r2 for r1, r2 in zip(left.entries, right.entries)],
         )
 
     @classmethod

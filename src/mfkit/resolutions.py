@@ -16,11 +16,10 @@ from .errors import ValidationError
 from .groebner import (
     ColumnSpan,
     GroebnerBasis,
-    _f_unit_vectors,
     columns_as_vectors,
     groebner_basis,
-    mingens,
-    normal_form,
+    minimal_generators,
+    reduce_mod_f,
     syzygy_basis,
     vec_degree,
     vectors_as_columns,
@@ -54,20 +53,14 @@ class Presentation:
 
 def minimize_presentation(P: Presentation) -> Presentation:
     """Equivalent presentation with no unit entries and minimal relations."""
-    ring, f = P.ring, P.f
     # splitting only drops rows, so f·e_i on P's rows reduce every later column
-    mod_f = GroebnerBasis(ring, P.ambient, _f_unit_vectors(f, P.ambient))
-    cols = [normal_form(v, mod_f) for v in columns_as_vectors(P.relations)]
-    rel = vectors_as_columns(ring, P.ambient, [c for c in cols if c])
+    rel = reduce_mod_f(P.relations, P.f)
     # each unit entry expresses a generator by the others: clear its row,
     # then drop the generator and the relation
     while (pivot := rel.unit_entry()) is not None:
         rel, _ = rel.split_unit(*pivot)
-    ambient = rel.target_twists
-
-    cols = [normal_form(v, mod_f) for v in columns_as_vectors(rel)]
-    cols = mingens(cols, ambient, ring, f=f)
-    return Presentation(ring, f, ambient, vectors_as_columns(ring, ambient, cols))
+    rel = minimal_generators(reduce_mod_f(rel, P.f), f=P.f)
+    return Presentation(P.ring, P.f, rel.target_twists, rel)
 
 
 @dataclass
@@ -78,14 +71,10 @@ class Resolution:
     f: Poly
     twists: list[list[int]]  # F_0 .. F_L
     diffs: list[GradedMatrix]  # d^1 .. d^L, d^k: F_k → F_{k-1}
-    minimal: bool = True
 
     @property
     def length(self) -> int:
         return len(self.diffs)
-
-    def rank(self, k: int) -> int:
-        return len(self.twists[k])
 
 
 def minimal_resolution(P: Presentation, length: int) -> Resolution:
@@ -145,9 +134,7 @@ def present_subquotient(
     ring: PolyRing, f: Poly, twists, u_vecs, v_vecs
 ) -> Presentation:
     """Presentation of (⟨U⟩ + ⟨V⟩)/⟨V⟩ inside ⊕A(-t_i), generators the U-images."""
-    n = len(u_vecs)
-    cols = list(u_vecs) + list(v_vecs) + _f_unit_vectors(f, twists)
-    rels = ColumnSpan(ring, list(twists), cols).syzygies(n)
+    rels = ColumnSpan(ring, list(twists), list(u_vecs) + list(v_vecs), f=f).syzygies(len(u_vecs))
     u_twists = [vec_degree(u, twists) for u in u_vecs]
     rel_matrix = vectors_as_columns(ring, u_twists, rels)
     return minimize_presentation(Presentation(ring, f, u_twists, rel_matrix))
@@ -199,8 +186,7 @@ def hom_presentation(P: Presentation, Q: Presentation) -> Presentation:
         for c in range(f1):
             for q in columns_as_vectors(Q.relations):
                 allowed.append({(c * g0 + pos, exp): coef for (pos, exp), coef in q.items()})
-        cols = phi_cols + allowed + _f_unit_vectors(f, tgt_twists)
-        w_gens = ColumnSpan(ring, tgt_twists, cols).syzygies(f0 * g0)
+        w_gens = ColumnSpan(ring, tgt_twists, phi_cols + allowed, f=f).syzygies(f0 * g0)
 
     trivial = []
     for j in range(f0):

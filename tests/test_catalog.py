@@ -1,5 +1,6 @@
 """Curves, points, the object catalog, and the derived-category operations."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,48 @@ def test_catalog_shapes(curve, points):
         pt = points[0] if kind in mk.POINT_KINDS else None
         M = mk.catalog_mf(curve, kind, pt)
         assert (M.rank, M.p0, M.p1) == (rank, p0, p1), kind
+
+
+def _literal_lb_minus(curve, kind, pt=None):
+    """O(-e) and O(-p) as written out entry by entry, before they were built
+    from point-e and point with the shift and twist functors."""
+    ring, fld = curve.ring, curve.field
+    X, Y, Z = ring.gens()
+    a, b = curve.a, curve.b
+    if kind == "lb-minus-e":
+        aZZ = (Z * Z).scale(a)
+        bZZ = (Z * Z).scale(b)
+        alpha = [[-(X * X) - aZZ, bZZ - Y * Y], [-Z, -X]]
+        beta = [[X, bZZ - Y * Y], [-Z, X * X + aZZ]]
+    else:
+        lam, mu = pt.lam, pt.mu
+        pe = -(X * X) - (X * Z).scale(lam) - (Z * Z).scale(fld.add(a, fld.mul(lam, lam)))
+        XmlZ, YmmZ, YpmZ = X - Z.scale(lam), Y - Z.scale(mu), Y + Z.scale(mu)
+        alpha = [[pe, -(Z * YpmZ)], [YmmZ, XmlZ]]
+        beta = [[XmlZ, Z * YpmZ], [-YmmZ, pe]]
+    return mk.MatrixFactorization(
+        ring,
+        curve.f,
+        mk.GradedMatrix(ring, [2, 3], [4, 4], alpha),
+        mk.GradedMatrix(ring, [1, 1], [2, 3], beta),
+    )
+
+
+@pytest.mark.parametrize(
+    "fld, a, lam, mu",
+    [(Field(101), 0, 0, 1), (Field(101), 2, 3, 7), (Field(7), 0, 2, 3), (QQ, 0, 0, 1), (QQ, -1, -2, 1)],
+)
+def test_line_bundles_minus_a_point_are_shifted_twisted_skyscrapers(fld, a, lam, mu):
+    # b puts (lam, mu) on y^2 = x^3 + a*x + b
+    b = fld.sub(fld.mul(fld.of(mu), fld.of(mu)), fld.add(fld.of(lam**3), fld.mul(fld.of(a), fld.of(lam))))
+    curve = mk.curve_new(fld, a, b)
+    pt = mk.point_on(curve, lam, mu)
+    for kind in ("lb-minus-e", "lb-minus-p"):
+        M, ref = mk.catalog_mf(curve, kind, pt), _literal_lb_minus(curve, kind, pt)
+        assert M == ref, kind
+        assert json.dumps(mk.catalog_entry_dict(kind, curve, pt, M)) == json.dumps(mk.catalog_entry_dict(kind, curve, pt, ref))
+    with pytest.raises(mk.InputError, match="lb-minus-p"):
+        mk.catalog_mf(curve, "lb-minus-p")
 
 
 def test_point_kinds_require_a_point(curve):

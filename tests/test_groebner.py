@@ -17,6 +17,7 @@ from mfkit.groebner import (
     buchberger,
     columns_as_vectors,
     mingens,
+    reduce_mod_f,
     reduce_vec,
     term_divides,
     term_key,
@@ -511,6 +512,15 @@ def test_row_echelon_pass_matches_reference_buchberger(seed, fld, over_a):
         assert list(mk.normal_form(w, gb).items()) == list(reference_reduce_vec(w, gb.basis, gb.lts, fld).items())
 
     span = ColumnSpan(R, twists, cols)
+    # f= appends f·e_i after the given columns, so the basis is the same
+    assert [list(v.items()) for v in ColumnSpan(R, twists, vecs, f=f).gb.basis] == [
+        list(v.items()) for v in span.gb.basis
+    ]
+    if over_a:
+        mod_f = GroebnerBasis(R, twists, _f_unit_vectors(f, twists))
+        want = [reference_reduce_vec(v, mod_f.basis, mod_f.lts, fld) for v in vecs]
+        got = reduce_mod_f(vectors_as_columns(R, twists, vecs), f)
+        assert columns_as_vectors(got) == [v for v in want if v]
     d = rng.randrange(1, 5)
     w = random_combination(rng, R, twists, cols, d)
     for target in (w, random_homogeneous_vec(rng, R, twists, d)):

@@ -74,7 +74,6 @@ def test_residue_field_resolution_twists(curve, residue_presentation):
         [3, 4, 4, 4],
         [5, 5, 5, 6],
     ]
-    assert res.minimal
 
 
 def test_point_module_resolution_twists(curve, point_presentation, points):

@@ -21,6 +21,10 @@ curve = mk.default_curve()
 X, Y, Z = curve.ring.gens()
 residue_field = mk.Presentation(curve.ring, curve.f, [0], mk.GradedMatrix(curve.ring, [0], [1, 1, 1], [[X, Y, Z]]))
 mk.minimal_resolution(residue_field, 3)
+pt = mk.default_points(curve, 1)[0]
+point, line = mk.catalog_mf(curve, "point", pt), mk.catalog_mf(curve, "lb-minus-p", pt)
+mk.hom_space(line, point)
+mk.is_stably_isomorphic(point, point)
 print(json.dumps(tracer.metrics(1, 0)))
 """
 
@@ -34,3 +38,7 @@ def test_tracer_installs_on_a_fresh_import_and_sees_the_groebner_layer():
     assert metrics["groebner.buchberger_calls"] > 0
     assert metrics["groebner.reductions"] > 0
     assert metrics["linalg.add_calls"] > 0
+    # the Hom layer too: the hom_space hooks read StableHom.problem.slots and
+    # strict_basis, and the iso search runs under scale_morphism's wrapper
+    for key in ("homs.hom_space_calls", "homs.unknowns", "homs.equations", "linalg.nullspace_calls", "homs.iso_calls"):
+        assert metrics[key] > 0, key
