@@ -10,7 +10,6 @@ from .poly import (
     GradedMatrix,
     Poly,
     PolyRing,
-    exact_divide,
     format_poly,
     grevlex_key,
     validate_graded_matrix,

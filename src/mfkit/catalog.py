@@ -61,6 +61,8 @@ class WeierstrassCurve:
 
 def curve_new(field: Field, a, b) -> WeierstrassCurve:
     """Smooth Weierstrass cone y²z = x³ + a·xz² + b·z³ over the field."""
+    if field.char == 2:
+        raise InputError("characteristic 2: every curve y^2z = x^3 + axz^2 + bz^3 is singular, at (a : b : 1)")
     a, b = field.of(a), field.of(b)
     four = field.of(4)
     disc = field.add(
@@ -142,6 +144,8 @@ def rational_points(curve: WeierstrassCurve) -> list[CurvePoint]:
 def curve_from_potential(f: Poly) -> WeierstrassCurve:
     """Recover (a, b) from a potential of the shape Y²Z - X³ - aXZ² - bZ³."""
     ring = f.ring
+    if ring.nvars != 3:
+        raise InputError(f"potential must be in three variables X, Y, Z, not {ring.nvars}")
     fld = ring.field
     expected = {(0, 2, 1): fld.one, (3, 0, 0): fld.of(-1)}
     a = b = fld.zero

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, ValidationError
 from .groebner import ColumnSpan, columns_as_vectors, minimal_generators, vectors_as_columns
-from .poly import GradedMatrix, Poly, PolyRing, exact_divide, graded_inverse, validate_graded_matrix
+from .poly import GradedMatrix, Poly, PolyRing, graded_inverse, validate_graded_matrix
 from .resolutions import Presentation, Resolution, hilbert_function, minimal_resolution
 
 
@@ -126,26 +126,17 @@ def direct_sum_mf(M: MatrixFactorization, N: MatrixFactorization) -> MatrixFacto
 def _split_unit(A: GradedMatrix, B: GradedMatrix, i: int, j: int, f: Poly):
     """Split the trivial summand at the unit A[i][j] off the pair (A, B).
 
-    A.split_unit clears row i by column operations; B gets their inverse,
-    row j += Σ g_k·row k.  The row operations m -= g_m·i that would clear
-    column j of A change only that column, which is dropped, so only their
-    inverse on B is done: column i += Σ g_m·column m.
+    A's survivor is the Schur complement A.split_unit(i, j).  The inverse
+    operations on B change only row j and column i, which are dropped, so
+    B's survivor is B.delete(j, i).
     """
-    ring = A.ring
-    uinv = ring.field.inv(A.entries[i][j].constant_value())
-    A_small, gs = A.split_unit(i, j)
-    b = [row[:] for row in B.entries]
-    for k, g in gs.items():
-        b[j] = [x + g * y for x, y in zip(b[j], b[k])]
-    for m, e in enumerate(A.column(j)):
-        if m != i and e.terms:
-            g = e.scale(uinv)
-            for row in b:
-                row[i] = row[i] + g * row[m]
-    quot = f.scale(uinv)
-    if any(x != (quot if k == i else ring.zero()) for k, x in enumerate(b[j])):
+    # after the row operations row j of B is (1/u)·(row i of A·B), and the
+    # column operations change only its entry i, by a sum of its other
+    # entries; so the pair splits exactly when row i of A·B is f·e_i
+    row = GradedMatrix(A.ring, A.target_twists[i : i + 1], A.source_twists, A.entries[i : i + 1]) * B
+    if any(x != (f if k == i else A.ring.zero()) for k, x in enumerate(row.entries[0])):
         raise ValidationError("reduction invariant failed: complementary map not split")
-    return A_small, GradedMatrix(ring, B.target_twists, B.source_twists, b).delete(j, i)
+    return A.split_unit(i, j), B.delete(j, i)
 
 
 def reduce_mf(M: MatrixFactorization) -> MatrixFactorization:
@@ -190,15 +181,15 @@ def mf_from_pair(res: Resolution, s: int) -> MatrixFactorization:
         )
     if hi != [t + 3 for t in lo]:
         raise InputError(f"twists at step {s + 1} are {hi}, expected {[t + 3 for t in lo]}")
-    alpha = res.diffs[s - 1]
-    beta0 = res.diffs[s]
-    u_entries = [
-        [ring.zero() if e.is_zero() else exact_divide(e, f) for e in row]
-        for row in (alpha * beta0).entries
-    ]
-    if not all(e.is_constant() for row in u_entries for e in row):
+    if f.is_zero():
+        raise InputError("periodic pair needs a nonzero potential")
+    alpha, beta0 = res.diffs[s - 1], res.diffs[s]
+    # each entry of α·β₀ must be c·f with c constant, so c is read off one term m of f
+    m, composite = next(iter(f.terms)), (alpha * beta0).entries
+    u = [[ring.field.div(e.coeff(m), f.terms[m]) for e in row] for row in composite]
+    if any(e != f.scale(c) for row, cs in zip(composite, u) for e, c in zip(row, cs)):
         raise InputError("composite d^s∘d^{s+1} is not f times a constant matrix")
-    u_inv = graded_inverse(GradedMatrix(ring, lo, lo, u_entries))
+    u_inv = graded_inverse(GradedMatrix(ring, lo, lo, [[ring.const(c) for c in row] for row in u]))
     if u_inv is None:
         raise InputError("normalisation matrix for d^s∘d^{s+1} is not invertible")
     beta = (beta0 * u_inv).with_twists([t - 3 for t in mid], list(lo))

@@ -143,13 +143,6 @@ class Poly:
             raise ValidationError(f"polynomial is not homogeneous: {self}")
         return degs.pop() if degs else None
 
-    def lt(self):
-        """Leading (exponent, coefficient) under degrevlex; None for zero."""
-        if not self.terms:
-            return None
-        e = max(self.terms, key=grevlex_key)
-        return e, self.terms[e]
-
     def coeff(self, exp: Exp):
         return self.terms.get(tuple(exp), self.ring.field.zero)
 
@@ -244,27 +237,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
-
-
-def exact_divide(p: Poly, q: Poly) -> Poly:
-    """Return p / q when q divides p exactly; raise ValidationError otherwise."""
-    p._check(q)
-    if q.is_zero():
-        raise ValidationError("division by the zero polynomial")
-    ring = p.ring
-    fld = ring.field
-    eq, cq = q.lt()
-    rem = p
-    quot: dict = {}
-    while not rem.is_zero():
-        ep, cp = rem.lt()
-        diff = tuple(a - b for a, b in zip(ep, eq))
-        if any(d < 0 for d in diff):
-            raise ValidationError("division is not exact")
-        c = fld.div(cp, cq)
-        quot[diff] = c
-        rem = rem - ring.monomial(diff, c) * q
-    return ring.from_terms(quot)
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +491,11 @@ class GradedMatrix:
                     return i, j
         return None
 
-    def split_unit(self, i: int, j: int) -> tuple["GradedMatrix", dict]:
+    def split_unit(self, i: int, j: int) -> "GradedMatrix":
         """Split off the trivial summand at the unit entry (i, j).
 
         The column operations col_k -= g_k·col_j, g_k = entry(i, k)/entry(i, j),
-        clear row i; row i and column j are then dropped.  Returns the smaller
-        matrix and the multipliers {k: g_k}.
+        clear row i; row i and column j are then dropped.
         """
         uinv = self.ring.field.inv(self.entries[i][j].constant_value())
         gs = {k: e.scale(uinv) for k, e in enumerate(self.entries[i]) if k != j and e.terms}
@@ -532,10 +503,7 @@ class GradedMatrix:
             [e - gs[k] * row[j] if k in gs and row[j].terms else e for k, e in enumerate(row)]
             for row in self.entries
         ]
-        return GradedMatrix(self.ring, self.target_twists, self.source_twists, cleared).delete(i, j), gs
-
-    def column(self, j: int) -> list[Poly]:
-        return [row[j] for row in self.entries]
+        return GradedMatrix(self.ring, self.target_twists, self.source_twists, cleared).delete(i, j)
 
     def __mul__(self, other: "GradedMatrix") -> "GradedMatrix":
         if self.ring != other.ring:

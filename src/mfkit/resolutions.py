@@ -41,6 +41,8 @@ class Presentation:
         if self.relations.target_twists != self.ambient:
             raise ValidationError("relation matrix target twists must equal the ambient twists")
         assert_graded(self.relations, "relation matrix")
+        if self.f.is_zero() or not self.f.is_homogeneous() or self.f.degree() != 3:
+            raise ValidationError("potential must be nonzero homogeneous of degree 3")
 
     @classmethod
     def free(cls, ring: PolyRing, f: Poly, twists) -> "Presentation":
@@ -53,12 +55,13 @@ class Presentation:
 
 def minimize_presentation(P: Presentation) -> Presentation:
     """Equivalent presentation with no unit entries and minimal relations."""
-    # splitting only drops rows, so f·e_i on P's rows reduce every later column
-    rel = reduce_mod_f(P.relations, P.f)
     # each unit entry expresses a generator by the others: clear its row,
-    # then drop the generator and the relation
+    # then drop the generator and the relation.  Reduction mod f fixes every
+    # constant and commutes with these steps, so reducing once at the end
+    # splits the same units and gives the same matrix as reducing first
+    rel = P.relations
     while (pivot := rel.unit_entry()) is not None:
-        rel, _ = rel.split_unit(*pivot)
+        rel = rel.split_unit(*pivot)
     rel = minimal_generators(reduce_mod_f(rel, P.f), f=P.f)
     return Presentation(P.ring, P.f, rel.target_twists, rel)
 

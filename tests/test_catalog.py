@@ -27,6 +27,14 @@ def test_singular_curves_rejected():
         mk.curve_new(QQ, -3, 2)
 
 
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_every_curve_over_gf2_is_rejected(a, b):
+    # in characteristic 2 every y^2z = x^3 + axz^2 + bz^3 is singular at (a : b : 1),
+    # whatever 4a^3 + 27b^2 is
+    with pytest.raises(mk.InputError, match="characteristic 2"):
+        mk.curve_new(Field(2), a, b)
+
+
 def test_point_membership_is_validated():
     c = mk.default_curve()
     pt = mk.point_on(c, 2, 3)

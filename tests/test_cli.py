@@ -112,6 +112,23 @@ def test_resolve_non_string_relation_is_input_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("f", ["0", "1", "X^2"])
+def test_resolve_presentation_without_a_cubic_potential_is_input_error(tmp_path, capsys, f):
+    d = {
+        "ring": {"vars": ["X", "Y", "Z"], "field": "QQ"},
+        "f": f,
+        "ambient_twists": [0, 0],
+        "relation_twists": [0, 1],
+        "relations": [["1", "X"], ["0", "Y"]],
+    }
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(d))
+    code, payload, err = run_cli(capsys, "resolve", "--module", str(path), "--length", "2")
+    assert code == 2
+    assert payload is None
+    assert "degree 3" in err
+
+
 # ---------------------------------------------------------------------------
 # resolve / extract
 
@@ -208,6 +225,13 @@ def test_catalog_bad_coordinate_is_input_error(capsys, lam):
     code, payload, err = run_cli(
         capsys, "catalog", "--field", "101", "--kind", "point", "--lambda", lam, "--mu", "0"
     )
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error:")
+
+
+def test_catalog_in_characteristic_two_is_input_error(capsys):
+    code, payload, err = run_cli(capsys, "catalog", "--field", "GF(2)", "--kind", "all", "--all-points")
     assert code == 2
     assert payload is None
     assert err.startswith("error:")
@@ -357,6 +381,26 @@ def test_commands_refuse_an_invalid_factorisation(capsys, tmp_path, qcurve, qpoi
     assert code == 2
     assert payload is None
     assert f"invalid factorisation in {bad}" in err
+
+
+@pytest.mark.parametrize("argv", [["picard", "--sign", "-1"], ["duality"], ["ar"]], ids=["picard", "duality", "ar"])
+def test_curve_commands_refuse_a_two_variable_potential(capsys, tmp_path, argv):
+    # a valid factorisation, but of a potential that is not a Weierstrass cubic in X, Y, Z
+    d = {
+        "ring": {"field": "QQ", "vars": ["X", "Y"]},
+        "f": "X^3 + Y^3",
+        "p0_twists": [1],
+        "p1_twists": [0],
+        "alpha": [["X + Y"]],
+        "beta": [["X^2 - X*Y + Y^2"]],
+    }
+    path = tmp_path / "xy.json"
+    path.write_text(json.dumps(d))
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+    code, payload, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert payload is None
+    assert "three variables" in err
 
 
 def test_size_bound_command(capsys):

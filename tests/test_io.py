@@ -1,8 +1,11 @@
 """JSON envelopes: serialisation round trips and input validation."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfkit as mk
 from mfkit.fields import Field, QQ
@@ -15,7 +18,7 @@ from mfkit.io import (
     ring_from_dict,
     ring_to_dict,
 )
-from mfkit.poly import GradedMatrix, PolyRing
+from mfkit.poly import GradedMatrix, PolyRing, parse_poly
 
 
 def through_json(d):
@@ -189,3 +192,72 @@ def test_catalog_entry_without_point(curve):
     e = mk.catalog_entry_dict("lb-2e", curve, None, M)
     assert e["point"] is None
     assert e["verified"] is True
+
+
+# ---------------------------------------------------------------------------
+# the input boundary under mutation: a loader returns or raises ParseError
+
+
+def _valid_envelopes():
+    curve = mk.default_curve()
+    pt = mk.default_points(curve, 1)[0]
+    kp = mk.catalog_mf(curve, "point", pt)
+    X, Y, Z = curve.ring.gens()
+    rel = GradedMatrix(curve.ring, [0], [1, 1], [[Y - Z.scale(pt.mu), X - Z.scale(pt.lam)]])
+    return [
+        (mk.mf_from_dict, mk.mf_to_dict(kp)),
+        (morphism_from_dict, morphism_to_dict(mk.identity_morphism(kp))),
+        (presentation_from_dict, presentation_to_dict(mk.Presentation(curve.ring, curve.f, [0], rel))),
+    ]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(node)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+POLY_ALPHABET = "XYZW0129+-*/^() ._"
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(POLY_ALPHABET, max_size=12)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+ENVELOPES = _valid_envelopes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_envelope_with_one_field_replaced_loads_or_raises_parse_error(data):
+    load, envelope = data.draw(st.sampled_from(ENVELOPES))
+    path = data.draw(st.sampled_from(list(_paths(envelope))))
+    try:
+        load(_replaced(envelope, path, data.draw(JSON_VALUES)))
+    except mk.ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(POLY_ALPHABET + "*", max_size=30))
+def test_polynomial_text_parses_or_raises_parse_error(text):
+    try:
+        parse_poly(text, PolyRing(QQ))
+    except mk.ParseError:
+        pass

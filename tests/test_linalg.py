@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -301,3 +302,29 @@ def test_kernel_matches_field_gauss_jordan(seed, nrows, ncols, density, F):
     n = min(nrows, ncols)
     square = [[r.get(j, F.zero) for j in range(n)] for r in rows[:n]]
     assert inverse(square, F) == reference_inverse(square, F)
+
+
+# ---------------------------------------------------------------------------
+# oracle: sympy's nullspace (test-only dependency)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 7), st.integers(1, 8), st.sampled_from([0.3, 0.6]), st.sampled_from([QQ, Field(101)]))
+def test_nullspace_matches_sympy(seed, nrows, ncols, density, F):
+    # each returns one vector per free column, in column order, with that column
+    # set to 1 (DomainMatrix only with divide_last) and the other free columns 0,
+    # so the vectors themselves agree, not only their spans
+    sympy = pytest.importorskip("sympy")
+    rows = random_rows(random.Random(seed), F, nrows, ncols, density)
+    dense = [[r.get(j, F.zero) for j in range(ncols)] for r in rows]
+    ours = [[v.get(j, F.zero) for j in range(ncols)] for v in nullspace(rows, ncols, F)]
+    if F.char:
+        from sympy.polys.matrices import DomainMatrix
+
+        K = sympy.GF(F.char)
+        kernel = DomainMatrix([[K(x) for x in r] for r in dense], (nrows, ncols), K).nullspace(divide_last=True)
+        theirs = [[int(x) % F.char for x in v] for v in kernel.to_list()]
+    else:
+        kernel = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in dense]).nullspace()
+        theirs = [[Fraction(int(x.p), int(x.q)) for x in v] for v in kernel]
+    assert ours == theirs

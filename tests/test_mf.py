@@ -168,6 +168,19 @@ def test_reduce_shifted_trivial_to_rank_zero(curve):
     assert R.rank == 0
 
 
+@pytest.mark.parametrize("unit_in", ["alpha", "beta"])
+def test_reduce_rejects_a_pair_that_does_not_split(curve, unit_in):
+    ring, f = curve.ring, curve.f
+    X = ring.gens()[0]
+    one, g = GradedMatrix(ring, [0], [0], [[ring.one()]]), f + X**3
+    if unit_in == "alpha":
+        bad = mk.MatrixFactorization(ring, f, one, GradedMatrix(ring, [-3], [0], [[g]]))
+    else:
+        bad = mk.MatrixFactorization(ring, f, GradedMatrix(ring, [0], [3], [[g]]), one)
+    with pytest.raises(mk.ValidationError, match="reduction invariant failed"):
+        mk.reduce_mf(bad)
+
+
 # ---------------------------------------------------------------------------
 # factorisations from periodicity
 
@@ -198,6 +211,19 @@ def test_mf_from_pair_rejects_bad_windows(curve, point_presentation, points):
         mk.mf_from_pair(res, 1)  # ranks 1 and 2 differ
     with pytest.raises(mk.InputError):
         mk.mf_from_pair(res, 4)  # window exceeds resolution length
+
+
+def test_composite_not_a_multiple_of_f_is_input_error(curve):
+    ring, f = curve.ring, curve.f
+    X, Y, Z = ring.gens()
+    d1, d2 = GradedMatrix(ring, [0], [1], [[X]]), GradedMatrix(ring, [1], [3], [[Y * Z]])
+    res = mk.Resolution(ring, f, [[0], [1], [3]], [d1, d2])
+    with pytest.raises(mk.InputError, match="not f times a constant matrix"):
+        mk.mf_from_pair(res, 1)
+    assert mk.detect_periodicity(res) is None
+    # c is read off a term of f, so a zero potential is refused first
+    with pytest.raises(mk.InputError, match="nonzero potential"):
+        mk.mf_from_pair(mk.Resolution(ring, ring.zero(), res.twists, res.diffs), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from mfkit.poly import (
     MAX_PARSE_DEGREE,
     GradedMatrix,
     PolyRing,
-    exact_divide,
     format_poly,
     grevlex_key,
     parse_poly,
@@ -114,13 +113,6 @@ def test_grevlex_order_on_cubics(R):
     assert grevlex_key((3, 0, 0)) > grevlex_key((0, 2, 1))
 
 
-def test_leading_term_respects_order(R):
-    f = R.parse("Y^2*Z - X^3 - Z^3")
-    exp, coeff = f.lt()
-    assert exp == (3, 0, 0)
-    assert coeff == Fraction(-1)
-
-
 def test_degree_and_homogeneity(R):
     f = R.parse("Y^2*Z - X^3")
     assert f.degree() == 3
@@ -159,18 +151,6 @@ def test_ring_axioms_prime_field(data):
     polys = random_polys(R)
     p, q = data.draw(polys), data.draw(polys)
     assert (p + q) * (p - q) == p * p - q * q
-
-
-def test_exact_divide_round_trip(R):
-    f = R.parse("Y^2*Z - X^3 - Z^3")
-    g = R.parse("X^2 - Y*Z")
-    assert exact_divide(f * g, g) == f
-    assert exact_divide(f * g, f) == g
-
-
-def test_exact_divide_rejects_nondivisible(R):
-    with pytest.raises(mk.ValidationError):
-        exact_divide(R.parse("X^2 + Y^2"), R.parse("Z"))
 
 
 def test_power_operator(R):

@@ -25,6 +25,7 @@ pt = mk.default_points(curve, 1)[0]
 point, line = mk.catalog_mf(curve, "point", pt), mk.catalog_mf(curve, "lb-minus-p", pt)
 mk.hom_space(line, point)
 mk.is_stably_isomorphic(point, point)
+mk.reduce_mf(mk.direct_sum_mf(point, mk.trivial_mf(curve.ring, curve.f)))
 print(json.dumps(tracer.metrics(1, 0)))
 """
 
@@ -42,3 +43,6 @@ def test_tracer_installs_on_a_fresh_import_and_sees_the_groebner_layer():
     # strict_basis, and the iso search runs under scale_morphism's wrapper
     for key in ("homs.hom_space_calls", "homs.unknowns", "homs.equations", "linalg.nullspace_calls", "homs.iso_calls"):
         assert metrics[key] > 0, key
+    # reduce_mf's hook counts the rank it splits off, here the trivial summand
+    assert metrics["mf.reduce_calls"] > 0
+    assert metrics["mf.summands_split"] > 0
