@@ -26,7 +26,7 @@ from .catalog import (
     rational_points,
     size_bound_check,
 )
-from .errors import MFKitError, ParseError
+from .errors import InputError, MFKitError, ParseError
 from .homs import cone_mf, hom_space, reduce_mf, is_stably_isomorphic
 from .io import (
     catalog_entry_dict,
@@ -65,8 +65,11 @@ def _say(msg: str) -> None:
 def _emit(payload, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         print(text)
         sys.stdout.flush()
@@ -236,7 +239,13 @@ def cmd_hom(args) -> int:
     return EXIT_OK
 
 
+def _non_negative(flag: str, value: int) -> None:
+    if value < 0:
+        raise InputError(f"{flag} must be >= 0, got {value}")
+
+
 def cmd_iso(args) -> int:
+    _non_negative("--samples", args.samples)
     M = _load_mf(args.left)
     N = _load_mf(args.right)
     seed = _seed_from(args)
@@ -255,6 +264,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_ar(args) -> int:
+    _non_negative("--max-degree", args.max_degree)
     M = _load_mf(args.file)
     middle = ar_middle(M)
     cok = cokernel_module(reduce_mf(M))

@@ -223,10 +223,10 @@ def normal_form(v, gb: GroebnerBasis):
 class ColumnSpan:
     """Elimination Groebner data for the span of given columns of ⊕_i R(-t_i).
 
-    Supports membership, lifting (expressing a vector as a combination of the
-    columns), and the syzygy basis, all from one combined basis in which the
-    ambient positions dominate the coefficient positions.  With f, the span
-    is taken over A = R/(f): f·e_i follow the given columns.
+    Supports lifting (a vector as a combination of the columns, or None
+    outside the span) and the syzygy basis, both from one combined basis in
+    which the ambient positions dominate the coefficient positions.  With f,
+    the span is taken over A = R/(f): f·e_i follow the given columns.
     """
 
     def __init__(self, ring: PolyRing, twists, columns: list[Vec], *, f: Poly | None = None):
@@ -238,9 +238,6 @@ class ColumnSpan:
         comb = [{**col, (self.g + j, one): ring.field.one} for j, col in enumerate(columns)]
         comb_twists = list(twists) + [vec_degree(col, twists) for col in columns]
         self.gb = GroebnerBasis(ring, comb_twists, buchberger(comb, comb_twists, ring))
-
-    def member(self, w: Vec) -> bool:
-        return self.lift(w) is not None
 
     def lift(self, w: Vec) -> Vec | None:
         """Coefficients u (over the columns) with Σ u_j · col_j = w, or None.

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ValidationError
-from .groebner import ColumnSpan, columns_as_vectors, minimal_generators, vectors_as_columns
-from .poly import GradedMatrix, Poly, PolyRing, graded_inverse, validate_graded_matrix
+from .groebner import ColumnSpan, columns_as_vectors, vectors_as_columns
+from .poly import GradedMatrix, Poly, PolyRing, validate_graded_matrix
 from .resolutions import Presentation, Resolution, hilbert_function, minimal_resolution
 
 
@@ -165,13 +165,13 @@ def cokernel_module(M: MatrixFactorization) -> Presentation:
 
 
 def mf_from_pair(res: Resolution, s: int) -> MatrixFactorization:
-    """Factorisation (d^s, d^{s+1}·U^{-1}) from consecutive differentials.
+    """Factorisation (d^s, β) read off the periodic window at step s.
 
-    Requires 1 <= s and s+1 <= length, equal ranks at steps s-1, s, s+1, and
-    twists(F_{s+1}) = twists(F_{s-1}) + 3; the composite d^s∘d^{s+1} equals
-    f·U for a constant matrix U, which must be invertible.
+    Requires 1 <= s and s+1 <= length, equal positive ranks at steps s-1, s,
+    s+1, F_{s+1} ≅ F_{s-1}(-3) (the same twists plus 3, in any order) and a
+    nonzero potential; β is the R-lift of f·id through d^s (see _lift_pair),
+    which must exist.
     """
-    ring, f = res.ring, res.f
     if s < 1 or s + 1 > res.length:
         raise InputError(f"periodic pair needs 1 <= s and s+1 <= {res.length}; got s = {s}")
     lo, mid, hi = res.twists[s - 1], res.twists[s], res.twists[s + 1]
@@ -179,27 +179,20 @@ def mf_from_pair(res: Resolution, s: int) -> MatrixFactorization:
         raise InputError(
             f"ranks {len(lo)}, {len(mid)}, {len(hi)} at steps {s - 1}..{s + 1} are not equal and positive"
         )
-    if hi != [t + 3 for t in lo]:
-        raise InputError(f"twists at step {s + 1} are {hi}, expected {[t + 3 for t in lo]}")
-    if f.is_zero():
+    if sorted(hi) != sorted(t + 3 for t in lo):
+        raise InputError(f"twists at step {s + 1} are {hi}, expected {[t + 3 for t in lo]} up to order")
+    if res.f.is_zero():
         raise InputError("periodic pair needs a nonzero potential")
-    alpha, beta0 = res.diffs[s - 1], res.diffs[s]
-    # each entry of α·β₀ must be c·f with c constant, so c is read off one term m of f
-    m, composite = next(iter(f.terms)), (alpha * beta0).entries
-    u = [[ring.field.div(e.coeff(m), f.terms[m]) for e in row] for row in composite]
-    if any(e != f.scale(c) for row, cs in zip(composite, u) for e, c in zip(row, cs)):
-        raise InputError("composite d^s∘d^{s+1} is not f times a constant matrix")
-    u_inv = graded_inverse(GradedMatrix(ring, lo, lo, [[ring.const(c) for c in row] for row in u]))
-    if u_inv is None:
-        raise InputError("normalisation matrix for d^s∘d^{s+1} is not invertible")
-    beta = (beta0 * u_inv).with_twists([t - 3 for t in mid], list(lo))
-    M = MatrixFactorization(ring, f, alpha, beta)
-    assert_valid_mf(M, "factorisation from resolution pair")
-    return M
+    return _lift_pair(res, s)
 
 
 def detect_periodicity(res: Resolution):
-    """Smallest s with a valid factorisation (d^s, d^{s+1}), or None."""
+    """Smallest s at which mf_from_pair succeeds, with its factorisation, or None.
+
+    A factorisation's cokernel is maximal Cohen-Macaulay, so its resolution
+    is periodic from s = 1; a point module's from s = 2, the residue field's
+    from s = 3.
+    """
     for s in range(1, res.length):
         try:
             return s, mf_from_pair(res, s)
@@ -208,61 +201,54 @@ def detect_periodicity(res: Resolution):
     return None
 
 
-def _solve_beta(alpha: GradedMatrix, f_id: GradedMatrix) -> GradedMatrix:
-    """The unique beta with alpha·beta = f_id = f·id, found by lifting its columns."""
-    span = ColumnSpan(alpha.ring, list(alpha.target_twists), columns_as_vectors(alpha))
-    cols = []
-    for w in columns_as_vectors(f_id):
-        lift = span.lift(w)
-        if lift is None:
-            raise InputError("potential multiple of a generator is not in the column span")
-        cols.append(lift)
-    return vectors_as_columns(alpha.ring, [a - 3 for a in alpha.source_twists], cols, source_twists=f_id.target_twists)
+def _lift_pair(res: Resolution, s: int) -> MatrixFactorization:
+    """(α, β) = (d^s, the R-lift of f·id through d^s), checked.
+
+    α·β = f·id makes a square α injective over R (det α · det β = f^n), so
+    β is unique and β·α = f·id follows.  The lift exists exactly when
+    f·F_{s-1} lies in the R-span of the columns of d^s.
+    """
+    alpha = res.diffs[s - 1]
+    f_id = GradedMatrix.scalar(res.f, [t + 3 for t in alpha.target_twists])
+    span = ColumnSpan(res.ring, list(alpha.target_twists), columns_as_vectors(alpha))
+    cols = [span.lift(w) for w in columns_as_vectors(f_id)]
+    if None in cols:
+        raise InputError(f"f·id does not lift through d^{s}")
+    beta = vectors_as_columns(res.ring, [a - 3 for a in alpha.source_twists], cols, source_twists=f_id.target_twists)
+    M = MatrixFactorization(res.ring, res.f, alpha, beta)
+    assert_valid_mf(M, f"factorisation from d^{s}")
+    return M
 
 
 def extract_mf(P: Presentation, mode: str, s: int | None = None) -> MatrixFactorization:
     """Stabilise a module presentation into a matrix factorisation.
 
-    Modes: "point" (Hilbert function must be constantly 1), "structure-sheaf"
-    (recognises the residue field and the irrelevant-ideal module by their
-    Hilbert functions), and "raw" (periodic pair at the given step s).
+    Every mode reads (d^s, the lift of f·id through d^s) off the minimal
+    resolution of P at a step s: "point" (Hilbert function must be
+    constantly 1; s = 2, twisted by -1), "structure-sheaf" (the residue field
+    at s = 3, or the irrelevant-ideal module at s = 2, recognised by their
+    Hilbert functions), and "raw" (mf_from_pair at the given step s, with its
+    window checks).
     """
-    ring, f = P.ring, P.f
     mode = mode.replace("_", "-")
     if mode == "raw":
         if s is None or s < 1:
             raise InputError("raw extraction needs a step s >= 1")
-        res = minimal_resolution(P, s + 1)
-        return mf_from_pair(res, s)
+        return mf_from_pair(minimal_resolution(P, s + 1), s)
     if mode == "point":
         hf = [hilbert_function(P, i) for i in range(7)]
         if any(v != 1 for v in hf):
             raise InputError(
                 f"cohomology-not-concentrated: point extraction needs Hilbert function 1 in degrees 0..6, got {hf}"
             )
-        res = minimal_resolution(P, 2)
-        M = _stabilise(ring, f, res, 2)
-        return twist_mf(M, -1)
+        return twist_mf(_lift_pair(minimal_resolution(P, 2), 2), -1)
     if mode == "structure-sheaf":
         hf = [hilbert_function(P, i) for i in range(4)]
         if hf == [1, 0, 0, 0]:
-            res = minimal_resolution(P, 3)
-            return _stabilise(ring, f, res, 3)
+            return _lift_pair(minimal_resolution(P, 3), 3)
         if hf == [0, 3, 6, 9]:
-            res = minimal_resolution(P, 2)
-            return _stabilise(ring, f, res, 2)
+            return _lift_pair(minimal_resolution(P, 2), 2)
         raise InputError(
             f"cohomology-not-concentrated: structure-sheaf extraction does not recognise Hilbert function {hf}"
         )
     raise InputError(f"unknown extraction mode {mode!r}")
-
-
-def _stabilise(ring: PolyRing, f: Poly, res: Resolution, s: int) -> MatrixFactorization:
-    """alpha = minimal generators over R of im(d^s) + f·F_{s-1}, beta by lifting."""
-    d = res.diffs[s - 1]
-    f_id = GradedMatrix.scalar(f, [t + 3 for t in d.target_twists])
-    alpha = minimal_generators(GradedMatrix.block([[d, f_id]]))
-    beta = _solve_beta(alpha, f_id)
-    M = MatrixFactorization(ring, f, alpha, beta)
-    assert_valid_mf(M, "stabilised factorisation")
-    return M

@@ -167,6 +167,17 @@ def test_extract_point_matches_catalog(capsys, tmp_path, qcurve, qpoints):
     assert mk.is_stably_isomorphic(M, C).status == "yes"
 
 
+def test_resolve_and_raw_extract_off_the_default_curve(capsys):
+    off = ("--module", "K", "--field", "GF(101)", "--curve", "3", "7")
+    code, payload, _ = run_cli(capsys, "resolve", *off, "--length", "5")
+    assert code == 0
+    assert payload["periodicity"] == 3
+    code, raw, _ = run_cli(capsys, "extract", *off, "--mode", "raw", "--step", "3")
+    assert code == 0
+    assert mk.verify_mf(mk.mf_from_dict(raw)) == []
+    assert raw == payload["periodic_pair"]
+
+
 def test_extract_wrong_mode_is_input_error(capsys):
     code, payload, err = run_cli(
         capsys, "extract", "--module", "K", "--mode", "point"
@@ -349,6 +360,17 @@ def test_ar_command(capsys, tmp_path, qcurve, qpoints):
 
 
 @pytest.mark.parametrize(
+    "argv", [["ar", "{kp}", "--max-degree", "-1"], ["iso", "{kp}", "{kp}", "--samples", "-1"]], ids=["ar", "iso"]
+)
+def test_negative_count_flags_are_input_errors(capsys, tmp_path, qcurve, qpoints, argv):
+    kp = write_mf(tmp_path, "kp.json", mk.catalog_mf(qcurve, "point", qpoints[0]))
+    code, payload, err = run_cli(capsys, *(a.format(kp=kp) for a in argv))
+    assert code == 2
+    assert payload is None
+    assert "must be >= 0" in err
+
+
+@pytest.mark.parametrize(
     "tamper",
     [
         pytest.param(lambda d: d.update(alpha=[["X", "Y"], ["Z", "X"]]), id="alpha"),
@@ -421,6 +443,16 @@ def test_out_flag_writes_file(capsys, tmp_path, qcurve, qpoints):
     assert mk.mf_from_dict(data) == mk.twist_mf(
         mk.catalog_mf(qcurve, "point", qpoints[0]), 1
     )
+
+
+def test_out_flag_to_a_missing_directory_is_input_error(capsys, tmp_path, qcurve, qpoints):
+    src = write_mf(tmp_path, "kp.json", mk.catalog_mf(qcurve, "point", qpoints[0]))
+    out = tmp_path / "missing" / "twisted.json"
+    code, payload, err = run_cli(capsys, "twist", src, "--n", "1", "--out", str(out))
+    assert code == 2
+    assert payload is None
+    assert f"cannot write {out}" in err
+    assert not out.parent.exists()
 
 
 def test_console_entry_point_runs():

@@ -341,7 +341,6 @@ def test_column_span_membership_and_lift(R):
     cols = [poly_vec(X), poly_vec(Y)]
     span = ColumnSpan(R, [0], cols)
     w = poly_vec(X * X + X * Y)
-    assert span.member(w)
     u = span.lift(w)
     assert u is not None
     # Recompute Σ u_j · col_j and compare.
@@ -352,7 +351,6 @@ def test_column_span_membership_and_lift(R):
     for j, terms in per_col.items():
         acc = acc + R.from_terms(terms) * (X if j == 0 else Y)
     assert acc == X * X + X * Y
-    assert not span.member(poly_vec(Z * Z))
     assert span.lift(poly_vec(Z * Z)) is None
 
 

@@ -1,9 +1,11 @@
 """Matrix factorisations: verification, functors on objects, reduction, extraction."""
 
+import json
+
 import pytest
 
 import mfkit as mk
-from mfkit.poly import GradedMatrix
+from mfkit.poly import GradedMatrix, graded_inverse
 
 
 @pytest.fixture(scope="module")
@@ -218,12 +220,89 @@ def test_composite_not_a_multiple_of_f_is_input_error(curve):
     X, Y, Z = ring.gens()
     d1, d2 = GradedMatrix(ring, [0], [1], [[X]]), GradedMatrix(ring, [1], [3], [[Y * Z]])
     res = mk.Resolution(ring, f, [[0], [1], [3]], [d1, d2])
-    with pytest.raises(mk.InputError, match="not f times a constant matrix"):
+    with pytest.raises(mk.InputError, match="does not lift through d"):
         mk.mf_from_pair(res, 1)
     assert mk.detect_periodicity(res) is None
     # c is read off a term of f, so a zero potential is refused first
     with pytest.raises(mk.InputError, match="nonzero potential"):
         mk.mf_from_pair(mk.Resolution(ring, ring.zero(), res.twists, res.diffs), 1)
+
+
+def _curve(field, a, b):
+    return mk.curve_new(field, field.of(a), field.of(b))
+
+
+def _first_point(curve):
+    return mk.rational_points(curve)[0] if curve.field.char else mk.default_points(curve, 1)[0]
+
+
+def _catalog_cokernels(curve):
+    """coker(beta) of the reduced form of every non-trivial catalog kind."""
+    pt = _first_point(curve)
+    return {
+        kind: mk.cokernel_module(mk.reduce_mf(mk.catalog_mf(curve, kind, pt if kind in mk.POINT_KINDS else None)))
+        for kind in mk.CATALOG_KINDS
+        if kind != "trivial"
+    }
+
+
+CURVES = [pytest.param(mk.QQ, 0, 1, id="QQ(0,1)"), pytest.param(mk.Field(101), 3, 7, id="GF(101)(3,7)")]
+
+
+@pytest.mark.parametrize(
+    "field, a, b", [pytest.param(mk.QQ, -2, 1, id="QQ(-2,1)"), pytest.param(mk.Field(101), 3, 7, id="GF(101)(3,7)")]
+)
+def test_residue_field_periodicity_off_the_default_curve(residue_presentation, field, a, b):
+    found = mk.detect_periodicity(mk.minimal_resolution(residue_presentation(_curve(field, a, b)), 4))
+    assert found is not None and found[0] == 3
+    assert mk.verify_mf(found[1]) == []
+
+
+@pytest.mark.parametrize("field, a, b", CURVES)
+def test_a_factorisations_cokernel_is_periodic_from_the_start(field, a, b):
+    # coker(beta) is maximal Cohen-Macaulay, so its resolution is periodic at s = 1
+    for kind, cok in _catalog_cokernels(_curve(field, a, b)).items():
+        found = mk.detect_periodicity(mk.minimal_resolution(cok, 2))
+        assert found is not None and found[0] == 1, kind
+        assert mk.verify_mf(found[1]) == [], kind
+
+
+def reference_pair(res, s):
+    """The constant-U reading of a periodic pair: β = d^{s+1}·U⁻¹, where
+    d^s·d^{s+1} = f·U with U constant and invertible; None where the window
+    or U does not fit."""
+    ring, f = res.ring, res.f
+    lo, mid, hi = res.twists[s - 1], res.twists[s], res.twists[s + 1]
+    if not (len(lo) == len(mid) == len(hi)) or hi != [t + 3 for t in lo]:
+        return None
+    alpha, beta0 = res.diffs[s - 1], res.diffs[s]
+    m, composite = next(iter(f.terms)), (alpha * beta0).entries
+    u = [[ring.field.div(e.coeff(m), f.terms[m]) for e in row] for row in composite]
+    if any(e != f.scale(c) for row, cs in zip(composite, u) for e, c in zip(row, cs)):
+        return None
+    u_inv = graded_inverse(GradedMatrix(ring, lo, lo, [[ring.const(c) for c in row] for row in u]))
+    if u_inv is None:
+        return None
+    return mk.MatrixFactorization(ring, f, alpha, (beta0 * u_inv).with_twists([t - 3 for t in mid], list(lo)))
+
+
+@pytest.mark.parametrize("field, a, b", CURVES)
+def test_mf_from_pair_agrees_with_the_constant_normalisation_wherever_that_applies(
+    residue_presentation, point_presentation, field, a, b
+):
+    curve = _curve(field, a, b)
+    modules = [residue_presentation(curve), point_presentation(_first_point(curve), curve)]
+    modules += _catalog_cokernels(curve).values()
+    agreed = 0
+    for P in modules:
+        res = mk.minimal_resolution(P, 4)
+        for s in range(1, res.length):
+            ref = reference_pair(res, s)
+            if ref is not None:
+                got = mk.mf_from_pair(res, s)
+                assert json.dumps(mk.mf_to_dict(got)) == json.dumps(mk.mf_to_dict(ref))
+                agreed += 1
+    assert agreed >= len(modules)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ tracer.install(mk)
 curve = mk.default_curve()
 X, Y, Z = curve.ring.gens()
 residue_field = mk.Presentation(curve.ring, curve.f, [0], mk.GradedMatrix(curve.ring, [0], [1, 1, 1], [[X, Y, Z]]))
-mk.minimal_resolution(residue_field, 3)
+mk.detect_periodicity(mk.minimal_resolution(residue_field, 4))
+mk.extract_mf(residue_field, "structure-sheaf")
 pt = mk.default_points(curve, 1)[0]
 point, line = mk.catalog_mf(curve, "point", pt), mk.catalog_mf(curve, "lb-minus-p", pt)
 mk.hom_space(line, point)
@@ -38,6 +39,8 @@ def test_tracer_installs_on_a_fresh_import_and_sees_the_groebner_layer():
     metrics = json.loads(run.stdout.splitlines()[-1])
     assert metrics["groebner.buchberger_calls"] > 0
     assert metrics["groebner.reductions"] > 0
+    # the mf layer: extract_mf runs under the mf.extract span
+    assert metrics["mf.extract_s"] > 0
     assert metrics["linalg.add_calls"] > 0
     # the Hom layer too: the hom_space hooks read StableHom.problem.slots and
     # strict_basis, and the iso search runs under scale_morphism's wrapper
