@@ -2,8 +2,10 @@
 envelopes on stdout (or --out) and human-readable notes on stderr.
 
 Exit codes: 0 success, 1 verification failure or isomorphism refutation,
-2 input error, 3 inconclusive isomorphism search, 141 standard output closed
-before the envelope was written (the shell's code for SIGPIPE).
+2 input error, 3 inconclusive isomorphism search, 70 internal error (an
+exception that is not an MFKitError: a fault of mfkit, reported in one line),
+141 standard output closed before the envelope was written (the shell's code
+for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 70  # EX_SOFTWARE of sysexits.h
 EXIT_PIPE = 141
 
 
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", required=True, choices=["point", "structure-sheaf", "structure_sheaf", "raw"]
     )
-    p.add_argument("--step", type=int, help="periodic step for raw mode")
+    p.add_argument("--step", type=int, help="periodic step (raw mode only)")
     _add_out(p)
     p.set_defaults(func=cmd_extract)
 
@@ -435,6 +438,10 @@ def dispatch(argv=None) -> int:
         # interpreter's final flush of what is left in the buffer is silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except Exception as exc:
+        # never 1 ("refuted") and never a traceback
+        _say(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

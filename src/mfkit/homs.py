@@ -13,7 +13,9 @@ f1·alpha_M = alpha_N·f0 and f0·beta_M = beta_N·f1.  Null-homotopic
 morphisms are the boundaries D(h, s) = (h·alpha_M + beta_N·s,
 alpha_N·h + s·beta_M).  Stable Hom is cycles modulo boundaries, computed by
 exact linear algebra on the monomial coefficients of the matrix entries;
-HomProblem builds both systems from the one operator D.
+HomProblem builds both systems from the one operator D.  The dimensions
+are read off two ranks, and a kernel and a basis are built only when read
+(`StableHom`).
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce as _fold
-from operator import add
+from operator import add, itemgetter
 
 from .errors import InputError, ValidationError
-from .linalg import RowSpace, nullspace
+from .linalg import RowSpace, nullspace, row_space
 from .mf import MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf
 from .poly import GradedMatrix, graded_inverse, validate_graded_matrix
 
@@ -143,9 +145,12 @@ class HomProblem:
         if M.ring != N.ring or M.f != N.f:
             raise ValidationError("Hom needs factorisations of the same potential")
         self.M, self.N, self.ring = M, N, M.ring
-        self.slots = _matrix_slots("f0", self.ring, N.p0, M.p0) + _matrix_slots(
+        # monomial-major (descending exponent, then component, i, j by the
+        # stable sort): eliminating in this column order fills in less
+        slots = _matrix_slots("f0", self.ring, N.p0, M.p0) + _matrix_slots(
             "f1", self.ring, N.p1, M.p1
         )
+        self.slots = sorted(slots, key=itemgetter(3), reverse=True)
         self.index = {k: c for c, k in enumerate(self.slots)}
 
     def _differential(self, slots) -> list[dict]:
@@ -223,56 +228,56 @@ class HomProblem:
         return vec
 
 
-@dataclass
 class StableHom:
-    """Strict morphisms modulo null-homotopic ones.  `solutions` are the strict
-    morphisms as coordinate vectors of `problem`; `basis` holds the built
-    strict representatives of a stable basis; `strict_basis` is built on use."""
+    """Strict morphisms M → N modulo null-homotopic ones, as two row spaces
+    in the coordinates of `problem`: the strict equations and the boundaries.
 
-    source: MatrixFactorization
-    target: MatrixFactorization
-    boundary_rank: int
-    solutions: list[dict]
-    basis: list[MFMorphism]
-    problem: HomProblem
+    `strict_dim` is #slots − rank(equations); D∘D = 0 puts the boundaries
+    inside the strict morphisms, so `stable_dim` is `strict_dim` −
+    `boundary_rank`.  Built on first read: `solutions`, the kernel vectors,
+    one per free column, so in the monomial-major slot order; `basis`, the
+    solutions that enlarge the boundary span as they are folded into it in
+    that order, as morphisms (the stable representatives); `strict_basis`,
+    every solution as a morphism.
+    """
 
-    @property
-    def strict_dim(self) -> int:
-        return len(self.solutions)
+    def __init__(self, problem: HomProblem, equations: RowSpace, boundaries: RowSpace):
+        self.problem = problem
+        self.source, self.target = problem.M, problem.N
+        self._equations, self._span = equations, boundaries
+        self.strict_dim = len(problem.slots) - equations.rank
+        self.boundary_rank = boundaries.rank
 
     @property
     def stable_dim(self) -> int:
         return self.strict_dim - self.boundary_rank
 
     @cached_property
+    def solutions(self) -> list[dict]:
+        return nullspace(self._equations, len(self.problem.slots))
+
+    @cached_property
+    def basis(self) -> list[MFMorphism]:
+        # the fold stops once stable_dim solutions have enlarged the span
+        reps = []
+        for v in self.solutions:
+            if len(reps) == self.stable_dim:
+                break
+            if self._span.add(v) is not None:
+                reps.append(self.problem.morphism_from_vector(v))
+        return reps
+
+    @cached_property
     def strict_basis(self) -> list[MFMorphism]:
         return [self.problem.morphism_from_vector(v) for v in self.solutions]
 
 
-def _boundary_span(prob: HomProblem) -> RowSpace:
-    """The null-homotopic morphisms M → N, as a row space in prob's coordinates."""
-    span = RowSpace(prob.ring.field)
-    for b in prob.boundary_vectors():
-        span.add(b)
-    return span
-
-
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
-    """Strict morphism space M → N with its null-homotopic subspace split off.
-    D∘D = 0 makes the stable dimension nullity − boundary rank, so solutions
-    are folded into the boundary span only until that many enlarge it."""
+    """Stable Hom M → N from its strict equations and its boundaries; a
+    kernel and a basis are built only when read (see StableHom)."""
     prob = HomProblem(M, N)
-    sols = nullspace(prob.strict_rows(), len(prob.slots), prob.ring.field)
-    span = _boundary_span(prob)
-    boundary_rank = span.rank
-    stable_dim = len(sols) - boundary_rank
-    reps = []
-    for v in sols:
-        if len(reps) == stable_dim:
-            break
-        if span.add(v) is not None:
-            reps.append(prob.morphism_from_vector(v))
-    return StableHom(M, N, boundary_rank, sols, reps, prob)
+    fld = prob.ring.field
+    return StableHom(prob, row_space(prob.strict_rows(), fld), row_space(prob.boundary_vectors(), fld))
 
 
 def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 0) -> int:
@@ -283,7 +288,7 @@ def is_null_homotopic(phi: MFMorphism) -> bool:
     assert_strict(phi)
     prob = HomProblem(phi.source, phi.target)
     vec = prob.vector_from_morphism(phi)
-    return _boundary_span(prob).contains(vec)
+    return row_space(prob.boundary_vectors(), prob.ring.field).contains(vec)
 
 
 # --- mapping cone ------------------------------------------------------------

@@ -124,11 +124,15 @@ class RowSpace:
         return not self.reduce(vec)
 
 
-def rank(rows: list[dict], field: Field) -> int:
+def row_space(rows: list[dict], field: Field) -> RowSpace:
     space = RowSpace(field)
     for r in rows:
         space.add(r)
-    return space.rank
+    return space
+
+
+def rank(rows: list[dict], field: Field) -> int:
+    return row_space(rows, field).rank
 
 
 def inverse(rows: list[list], field: Field) -> list[list] | None:
@@ -148,14 +152,13 @@ def inverse(rows: list[list], field: Field) -> list[list] | None:
     return [[space.scalar(i, space.rows[i].get(n + k, 0)) for k in range(n)] for i in range(n)]
 
 
-def nullspace(rows: list[dict], ncols: int, field: Field) -> list[dict]:
-    """Basis of {x : row·x = 0 for all rows}, one vector per free column,
-    each keyed by its free column and then by the pivots in insertion order.
-    Built in one transposed pass over the pivot rows."""
-    space = RowSpace(field)
-    for r in rows:
-        space.add(r)
-    basis = {free: {free: field.one} for free in range(ncols) if free not in space.rows}
+def nullspace(space: RowSpace, ncols: int) -> list[dict]:
+    """Basis of the vectors x in ncols coordinates with row·x = 0 for every
+    row of space, one vector per free column, each keyed by its free column
+    and then by the pivots in insertion order.  Built in one transposed pass
+    over the pivot rows."""
+    one = space.field.one
+    basis = {free: {free: one} for free in range(ncols) if free not in space.rows}
     for piv, row in space.rows.items():
         for j, x in row.items():
             vec = basis.get(j)

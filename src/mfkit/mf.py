@@ -228,9 +228,11 @@ def extract_mf(P: Presentation, mode: str, s: int | None = None) -> MatrixFactor
     constantly 1; s = 2, twisted by -1), "structure-sheaf" (the residue field
     at s = 3, or the irrelevant-ideal module at s = 2, recognised by their
     Hilbert functions), and "raw" (mf_from_pair at the given step s, with its
-    window checks).
+    window checks).  A step is refused outside raw mode.
     """
     mode = mode.replace("_", "-")
+    if s is not None and mode != "raw":
+        raise InputError(f"a step applies to raw extraction only, not to mode {mode!r}")
     if mode == "raw":
         if s is None or s < 1:
             raise InputError("raw extraction needs a step s >= 1")

@@ -185,6 +185,20 @@ def test_extract_wrong_mode_is_input_error(capsys):
     assert code == 2
 
 
+def test_extract_step_outside_raw_mode_is_input_error(capsys, tmp_path):
+    # --step means something in raw mode only; another mode refuses it
+    # rather than silently ignoring it
+    out = tmp_path / "o.json"
+    code, payload, err = run_cli(
+        capsys, "extract", "--module", "K", "--mode", "structure-sheaf", "--step", "-4", "--out", str(out)
+    )
+    assert code == 2
+    assert "raw" in err
+    assert not out.exists()
+    code, payload, err = run_cli(capsys, "extract", "--module", "point", "2", "3", "--mode", "point", "--step", "2")
+    assert code == 2 and payload is None
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -480,3 +494,18 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path, qcurve, qpoints):
         err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    # a fault of mfkit, not of the input: one line, exit 70, never 1
+    # ("refuted") and never a traceback
+    import mfkit.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_hom", broken)
+    code, payload, err = run_cli(capsys, "hom", "a.json", "b.json")
+    assert code == cli.EXIT_INTERNAL == 70
+    assert payload is None
+    assert err == "internal error: RuntimeError: boom\n"

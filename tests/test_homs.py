@@ -170,6 +170,9 @@ def test_boundaries_are_strict_morphisms(curve101):
         for N in objs:
             for shift in (-1, 0, 1):
                 H = mk.hom_space(mk.shift_mf(M, shift), N)
+                # strict_dim is #slots − rank of the strict equations; the
+                # kernel, built only now, must have exactly that many vectors
+                assert len(H.solutions) == H.strict_dim
                 prob = H.problem
                 for vec in prob.boundary_vectors():
                     assert mk.verify_morphism(prob.morphism_from_vector(vec)) == []
@@ -179,6 +182,8 @@ def test_boundaries_are_strict_morphisms(curve101):
 
 
 def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
+    # the dimensions come from two ranks: hom_space and stable_hom_dim build
+    # no morphism, and reading basis builds exactly the stable representatives
     built = []
     build = HomProblem.morphism_from_vector
 
@@ -190,7 +195,10 @@ def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
     dims = []
     for M, N in ((kp, kp), (kp, kq), (osheaf, kp), (mk.direct_sum_mf(kp, osheaf), kp)):
         built.clear()
+        assert mk.stable_hom_dim(M, N) >= 0
         H = mk.hom_space(M, N)
+        assert built == []
+        assert len(H.basis) == H.stable_dim
         assert len(built) == H.stable_dim
         dims.append((H.stable_dim, H.strict_dim))
     # a stable Hom of 0, and one whose strict space is larger than its stable one
@@ -354,10 +362,31 @@ def test_twist_functor_realises_point_triangle(curve, points, kp, osheaf):
     assert mk.is_stably_isomorphic(T, tgt).status == "yes"
 
 
-def test_twist_functor_round_trip(curve, kp, osheaf):
-    T = mk.twist_functor(osheaf, kp)
-    back = mk.inverse_twist_functor(osheaf, T)
-    assert mk.is_stably_isomorphic(back, kp).status == "yes"
+def test_twist_functor_round_trip(curve101):
+    # T_O and T_O⁻¹ are inverse equivalences: both composites must be
+    # certified stably isomorphic to X, on every kind, including those whose
+    # reduced images move with the order of the Hom coordinates
+    pt = mk.default_points(curve101, 1)[0]
+    O = mk.catalog_mf(curve101, "structure-sheaf")
+    for kind in mk.CATALOG_KINDS:
+        if kind == "trivial":
+            continue
+        X = mk.catalog_mf(curve101, kind, pt if kind in mk.POINT_KINDS else None)
+        there = mk.inverse_twist_functor(O, mk.twist_functor(O, X))
+        back = mk.twist_functor(O, mk.inverse_twist_functor(O, X))
+        assert mk.is_stably_isomorphic(there, X).status == "yes", kind
+        assert mk.is_stably_isomorphic(back, X).status == "yes", kind
+
+
+def test_rank_nine_twist_image_is_simple_and_spherical(curve101):
+    # T_O(lb-2e-plus-p) is a reduced factorisation of rank 9; a spherical
+    # object on the curve has stable End in shifts 0 and 1 only, each of
+    # dimension 1
+    pt = mk.default_points(curve101, 1)[0]
+    O = mk.catalog_mf(curve101, "structure-sheaf")
+    Y = mk.twist_functor(O, mk.catalog_mf(curve101, "lb-2e-plus-p", pt))
+    assert Y.rank == 9
+    assert [mk.stable_hom_dim(Y, Y, shift=s) for s in range(-3, 4)] == [0, 0, 1, 1, 0, 0, 0]
 
 
 def test_twist_functor_on_stably_trivial_object(curve, osheaf):

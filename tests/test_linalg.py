@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfkit.fields import Field, QQ
-from mfkit.linalg import RowSpace, inverse, nullspace, rank
+from mfkit.linalg import RowSpace, inverse, nullspace, rank, row_space
 from mfkit.poly import GradedMatrix, PolyRing, graded_inverse, validate_graded_matrix
 
 FIELDS = st.sampled_from([QQ, Field(7), Field(101)])
@@ -36,7 +36,7 @@ def mat_vec(rows, vec, field):
 def test_rank_and_nullspace_small():
     rows = dense_to_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]], QQ)
     assert rank(rows, QQ) == 2
-    null = nullspace(rows, 3, QQ)
+    null = nullspace(row_space(rows, QQ), 3)
     assert len(null) == 1
     for row in rows:
         assert all(v == QQ.zero for v in mat_vec([row], null[0], QQ))
@@ -44,7 +44,7 @@ def test_rank_and_nullspace_small():
 
 def test_nullspace_of_identity_is_trivial():
     rows = dense_to_rows([[1, 0], [0, 1]], Field(7))
-    assert nullspace(rows, 2, Field(7)) == []
+    assert nullspace(row_space(rows, Field(7)), 2) == []
     assert rank(rows, Field(7)) == 2
 
 
@@ -74,7 +74,7 @@ def test_rank_nullity_theorem(seed, nrows, ncols):
     dense = [[rng.randrange(101) for _ in range(ncols)] for _ in range(nrows)]
     rows = dense_to_rows(dense, F)
     r = rank(rows, F)
-    null = nullspace(rows, ncols, F)
+    null = nullspace(row_space(rows, F), ncols)
     assert r + len(null) == ncols
     for vec in null:
         assert all(v == F.zero for v in mat_vec(rows, vec, F))
@@ -87,7 +87,7 @@ def test_nullspace_vectors_independent(seed):
     rng = random.Random(seed)
     dense = [[rng.randrange(101) for _ in range(5)] for _ in range(3)]
     rows = dense_to_rows(dense, F)
-    null = nullspace(rows, 5, F)
+    null = nullspace(row_space(rows, F), 5)
     space = RowSpace(F)
     for vec in null:
         assert space.add(dict(vec))
@@ -281,7 +281,7 @@ def test_kernel_matches_field_gauss_jordan(seed, nrows, ncols, density, F):
         assert (space.add(r) is None) == (ref.add(r) is None)
     assert space.rows.keys() == ref.rows.keys()
     assert rank(rows, F) == len(ref.rows)
-    got = nullspace(rows, ncols, F)
+    got = nullspace(space, ncols)
     want = reference_nullspace(rows, ncols, F)
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
     for piv, row in space.rows.items():
@@ -317,7 +317,7 @@ def test_nullspace_matches_sympy(seed, nrows, ncols, density, F):
     sympy = pytest.importorskip("sympy")
     rows = random_rows(random.Random(seed), F, nrows, ncols, density)
     dense = [[r.get(j, F.zero) for j in range(ncols)] for r in rows]
-    ours = [[v.get(j, F.zero) for j in range(ncols)] for v in nullspace(rows, ncols, F)]
+    ours = [[v.get(j, F.zero) for j in range(ncols)] for v in nullspace(row_space(rows, F), ncols)]
     if F.char:
         from sympy.polys.matrices import DomainMatrix
 

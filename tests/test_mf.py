@@ -223,7 +223,8 @@ def test_composite_not_a_multiple_of_f_is_input_error(curve):
     with pytest.raises(mk.InputError, match="does not lift through d"):
         mk.mf_from_pair(res, 1)
     assert mk.detect_periodicity(res) is None
-    # c is read off a term of f, so a zero potential is refused first
+    # β lifts f·id through d^s, which means nothing for f = 0, so a zero
+    # potential is refused before any lift is tried
     with pytest.raises(mk.InputError, match="nonzero potential"):
         mk.mf_from_pair(mk.Resolution(ring, ring.zero(), res.twists, res.diffs), 1)
 
