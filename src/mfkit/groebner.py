@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .linalg import RowSpace
+from .linalg import row_space
 from .poly import Exp, GradedMatrix, Poly, PolyRing, grevlex_key
 
 Term = tuple[int, Exp]
@@ -66,8 +66,8 @@ def _reducer_space(rows, basis, lts, fld):
     of each term, and the terms by column.  Each term of rows, or of a
     reducer taken, that a leading term divides gets one reducer: the
     monomial multiple of the first such basis element.  The columns are the
-    terms in descending order; the reducers go in smallest pivot first, so
-    no stored row needs back-substitution."""
+    terms in descending order, so each reducer's leading column is its own
+    term's and `row_space` needs no back-substitution."""
     reducers = {}
     todo = [t for r in rows for t in r]
     while todo:
@@ -81,10 +81,7 @@ def _reducer_space(rows, basis, lts, fld):
                     break
     terms = sorted(reducers, key=term_key, reverse=True)
     cols = {t: j for j, t in enumerate(terms)}
-    space = RowSpace(fld)
-    for t in reversed(terms):
-        if reducers[t] is not None:
-            space.add({cols[u]: c for u, c in reducers[t].items()})
+    space = row_space([{cols[u]: c for u, c in r.items()} for r in reducers.values() if r], fld)
     return space, cols, terms
 
 

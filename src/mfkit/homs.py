@@ -184,12 +184,12 @@ class HomProblem:
 
     def strict_rows(self) -> list[dict]:
         """Equations of the even cycles D(f0, f1) = 0: the transpose of D on
-        the morphism slots, one row per image coordinate in sorted order."""
+        the morphism slots, one row per image coordinate, in no set order."""
         rows: dict = {}
         for col, img in enumerate(self._differential(self.slots)):
             for key, c in img.items():
                 rows.setdefault(key, {})[col] = c
-        return [rows[key] for key in sorted(rows)]
+        return list(rows.values())
 
     def boundary_vectors(self) -> list[dict]:
         """Images D(h), D(s) of the homotopy slots h: P1(M) → P0(N) and

@@ -2,7 +2,9 @@
 
 Vectors are dicts {column index: nonzero coefficient} of field elements.
 `RowSpace` is the one eliminator: it keeps its rows in fully reduced echelon
-form and stores every entry as a plain int.
+form and stores every entry as a plain int.  `row_space` adds a batch largest
+leading column first, as F4 does (Faugère–Lachartre, PASCO 2010): that makes
+back-substitution rare and, the reduced form being unique, changes nothing else.
 
 - Over F_p the entries lie in [0, p), each pivot is 1, and the arithmetic is
   inline `% p`.
@@ -125,14 +127,14 @@ class RowSpace:
 
 
 def row_space(rows: list[dict], field: Field) -> RowSpace:
+    """The span of rows, added largest leading column first (empty rows
+    dropped), so a new pivot seldom lies in a stored row.  The reduced form
+    is unique, so the order changes only the cost; a caller that needs its
+    own order calls `add` row by row."""
     space = RowSpace(field)
-    for r in rows:
+    for r in sorted(filter(None, rows), key=lambda r: -min(r)):
         space.add(r)
     return space
-
-
-def rank(rows: list[dict], field: Field) -> int:
-    return row_space(rows, field).rank
 
 
 def inverse(rows: list[list], field: Field) -> list[list] | None:
@@ -155,8 +157,8 @@ def inverse(rows: list[list], field: Field) -> list[list] | None:
 def nullspace(space: RowSpace, ncols: int) -> list[dict]:
     """Basis of the vectors x in ncols coordinates with row·x = 0 for every
     row of space, one vector per free column, each keyed by its free column
-    and then by the pivots in insertion order.  Built in one transposed pass
-    over the pivot rows."""
+    and then by the pivots in insertion order (mostly descending for a
+    `row_space`).  Built in one transposed pass over the pivot rows."""
     one = space.field.one
     basis = {free: {free: one} for free in range(ncols) if free not in space.rows}
     for piv, row in space.rows.items():

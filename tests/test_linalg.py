@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfkit.fields import Field, QQ
-from mfkit.linalg import RowSpace, inverse, nullspace, rank, row_space
+from mfkit.linalg import RowSpace, inverse, nullspace, row_space
 from mfkit.poly import GradedMatrix, PolyRing, graded_inverse, validate_graded_matrix
 
 FIELDS = st.sampled_from([QQ, Field(7), Field(101)])
@@ -35,8 +35,9 @@ def mat_vec(rows, vec, field):
 
 def test_rank_and_nullspace_small():
     rows = dense_to_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]], QQ)
-    assert rank(rows, QQ) == 2
-    null = nullspace(row_space(rows, QQ), 3)
+    space = row_space(rows, QQ)
+    assert space.rank == 2
+    null = nullspace(space, 3)
     assert len(null) == 1
     for row in rows:
         assert all(v == QQ.zero for v in mat_vec([row], null[0], QQ))
@@ -44,8 +45,9 @@ def test_rank_and_nullspace_small():
 
 def test_nullspace_of_identity_is_trivial():
     rows = dense_to_rows([[1, 0], [0, 1]], Field(7))
-    assert nullspace(row_space(rows, Field(7)), 2) == []
-    assert rank(rows, Field(7)) == 2
+    space = row_space(rows, Field(7))
+    assert nullspace(space, 2) == []
+    assert space.rank == 2
 
 
 def test_rowspace_membership_and_rank():
@@ -73,9 +75,9 @@ def test_rank_nullity_theorem(seed, nrows, ncols):
     rng = random.Random(seed)
     dense = [[rng.randrange(101) for _ in range(ncols)] for _ in range(nrows)]
     rows = dense_to_rows(dense, F)
-    r = rank(rows, F)
-    null = nullspace(row_space(rows, F), ncols)
-    assert r + len(null) == ncols
+    space = row_space(rows, F)
+    null = nullspace(space, ncols)
+    assert space.rank + len(null) == ncols
     for vec in null:
         assert all(v == F.zero for v in mat_vec(rows, vec, F))
 
@@ -103,7 +105,7 @@ def test_inverse_exists_iff_full_rank(seed, n, F):
         dense[-1] = [a + 2 * b for a, b in zip(dense[0], dense[1])]
     U = [[F.of(v) for v in row] for row in dense]
     inv = inverse(U, F)
-    if rank(dense_to_rows(dense, F), F) < n:
+    if row_space(dense_to_rows(dense, F), F).rank < n:
         assert inv is None
         return
     assert inv is not None
@@ -142,7 +144,7 @@ def test_graded_inverse_is_two_sided_iff_constant_part_invertible(seed, src, F):
         for b, row in zip(tgt, mat.entries)
     ]
     inv = graded_inverse(mat)
-    if rank(const, F) < len(src):
+    if row_space(const, F).rank < len(src):
         assert inv is None
         return
     assert inv is not None
@@ -280,7 +282,8 @@ def test_kernel_matches_field_gauss_jordan(seed, nrows, ncols, density, F):
     for r in rows:
         assert (space.add(r) is None) == (ref.add(r) is None)
     assert space.rows.keys() == ref.rows.keys()
-    assert rank(rows, F) == len(ref.rows)
+    batch = row_space(rows, F)
+    assert batch.rank == len(ref.rows)
     got = nullspace(space, ncols)
     want = reference_nullspace(rows, ncols, F)
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
@@ -302,6 +305,24 @@ def test_kernel_matches_field_gauss_jordan(seed, nrows, ncols, density, F):
     n = min(nrows, ncols)
     square = [[r.get(j, F.zero) for j in range(n)] for r in rows[:n]]
     assert inverse(square, F) == reference_inverse(square, F)
+
+    # the fully reduced form is unique (over Q up to the stored primitive,
+    # positive-pivot scaling), so row_space's own insertion order changes only
+    # the cost: the same rows, pivot by pivot, and the same kernel vectors
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    other = row_space(shuffled, F)
+    assert batch.rows == other.rows == space.rows
+    assert nullspace(batch, ncols) == nullspace(other, ncols) == got
+
+
+def test_row_space_skips_empty_rows_and_adds_largest_leading_column_first(monkeypatch):
+    added = []
+    add = RowSpace.add
+    monkeypatch.setattr(RowSpace, "add", lambda self, vec: added.append(vec) or add(self, vec))
+    space = row_space([{}, {0: 3, 2: 1}, {2: 1}, {}, {1: 1}, {}], Field(7))
+    assert added == [{2: 1}, {1: 1}, {0: 3, 2: 1}]
+    assert space.rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
 
 
 # ---------------------------------------------------------------------------
