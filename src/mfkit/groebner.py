@@ -68,13 +68,16 @@ def _reducer_space(rows, basis, lts, fld):
     monomial multiple of the first such basis element.  The columns are the
     terms in descending order, so each reducer's leading column is its own
     term's and `row_space` needs no back-substitution."""
+    at_pos: dict[int, list] = {}  # position -> [(leading term, element)] in basis order
+    for g, (lt, _) in zip(basis, lts):
+        at_pos.setdefault(lt[0], []).append((lt, g))
     reducers = {}
     todo = [t for r in rows for t in r]
     while todo:
         t = todo.pop()
         if t not in reducers:
             reducers[t] = None
-            for g, (lt, _) in zip(basis, lts):
+            for lt, g in at_pos.get(t[0], ()):
                 if term_divides(lt, t):
                     reducers[t] = _shifted(g, tuple(b - a for a, b in zip(lt[1], t[1])))
                     todo.extend(reducers[t])

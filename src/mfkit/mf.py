@@ -37,7 +37,14 @@ class MatrixFactorization:
 
 
 def verify_mf(M: MatrixFactorization) -> list[str]:
-    """Report every axiom violation; an empty list means M is a factorisation."""
+    """Report every axiom violation; an empty list means M is a factorisation.
+
+    After the potential, rank, twist and degree checks, alpha·beta decides:
+    R is a domain and f ≠ 0, so alpha·beta = f·I gives det alpha·det beta =
+    fⁿ ≠ 0, alpha is invertible over Frac(R), beta = f·alpha⁻¹ and
+    beta·alpha = f·I (Eisenbud, Trans. AMS 260 (1980), §5).  beta·alpha is
+    formed only when alpha·beta fails, to report both products' violations.
+    """
     problems: list[str] = []
     ring = M.ring
     if M.f.is_zero() or not M.f.is_homogeneous() or M.f.degree() != 3:
@@ -56,11 +63,14 @@ def verify_mf(M: MatrixFactorization) -> list[str]:
     if problems:
         return problems
     n = len(p0)
-    ba = (M.beta * M.alpha).entries
+    zero = ring.zero()
     ab = (M.alpha * M.beta).entries
+    if all(ab[i][j] == (M.f if i == j else zero) for i in range(n) for j in range(n)):
+        return problems
+    ba = (M.beta * M.alpha).entries
     for i in range(n):
         for j in range(n):
-            want = M.f if i == j else ring.zero()
+            want = M.f if i == j else zero
             if ba[i][j] != want:
                 problems.append(f"(beta*alpha)[{i}][{j}] != {'f' if i == j else '0'}")
             if ab[i][j] != want:

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, JSON payloads, and wiring."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -478,6 +480,21 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload[0]["kind"] == "trivial"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package and its CLI need nothing outside the standard library
+    probe = (
+        "import sys; before = set(sys.modules); import mfkit, mfkit.cli; "
+        "print(sorted(n for n in set(sys.modules) - before "
+        "if n.split('.')[0] not in sys.stdlib_module_names and n.split('.')[0] != 'mfkit'))"
+    )
+    src = str(Path(mk.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_closed_stdout_pipe_exits_quietly(tmp_path, qcurve, qpoints):

@@ -14,6 +14,7 @@ from mfkit.groebner import (
     ColumnSpan,
     GroebnerBasis,
     _f_unit_vectors,
+    _reducer_space,
     buchberger,
     columns_as_vectors,
     mingens,
@@ -25,6 +26,7 @@ from mfkit.groebner import (
     vec_lt,
     vectors_as_columns,
 )
+from mfkit.linalg import row_space
 from mfkit.poly import GradedMatrix, PolyRing, grevlex_key
 
 
@@ -531,6 +533,53 @@ def test_row_echelon_pass_matches_reference_buchberger(seed, fld, over_a):
                 reference_add_scaled(acc, cols[j], c, exp, fld)
             assert acc == target
     assert span.lift(w) is not None
+
+
+def whole_basis_reducer_space(rows, basis, lts, fld):
+    """_reducer_space by scanning the whole basis for each term: the reducer
+    of a term is the multiple of the first element whose leading term divides it."""
+    reducers = {}
+    todo = [t for r in rows for t in r]
+    while todo:
+        t = todo.pop()
+        if t in reducers:
+            continue
+        divisors = [(lt, g) for g, (lt, _) in zip(basis, lts) if term_divides(lt, t)]
+        reducers[t] = None
+        if divisors:
+            lt, g = divisors[0]
+            shift = [b - a for a, b in zip(lt[1], t[1])]
+            reducers[t] = {(p, tuple(a + b for a, b in zip(e, shift))): c for (p, e), c in g.items()}
+            todo.extend(reducers[t])
+    terms = sorted(reducers, key=term_key, reverse=True)
+    cols = {t: j for j, t in enumerate(terms)}
+    space = row_space([{cols[u]: c for u, c in r.items()} for r in reducers.values() if r], fld)
+    return space, cols, terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([QQ, Field(101)]), st.booleans())
+def test_reducer_space_matches_whole_basis_scan(seed, fld, reduced):
+    # leading terms at several positions; an unreduced basis also has
+    # elements whose leading terms divide one another, so "first in basis
+    # order" decides the reducer
+    R = PolyRing(fld)
+    rng = random.Random(seed)
+    twists = [rng.randrange(3) for _ in range(rng.randrange(2, 4))]
+    gens = []
+    for _ in range(rng.randrange(2, 7)):
+        low = rng.randrange(len(twists))  # no terms above this position
+        v = random_homogeneous_vec(rng, R, twists, rng.randrange(1, 4))
+        gens.append({t: c for t, c in v.items() if t[0] >= low})
+    gens = [v for v in gens if v]
+    basis = mk.groebner_basis(gens, ring=R, twists=twists).basis if reduced and gens else gens
+    lts = [(lt, v[lt]) for v in basis for lt in (vec_lt(v),)]
+    rows = [random_homogeneous_vec(rng, R, twists, rng.randrange(2, 6)) for _ in range(3)]
+    space, cols, terms = _reducer_space(rows, basis, lts, fld)
+    ref, ref_cols, ref_terms = whole_basis_reducer_space(rows, basis, lts, fld)
+    assert terms == ref_terms
+    assert cols == ref_cols
+    assert space.rows == ref.rows
 
 
 def sympy_monic_basis(sympy, gens, fld):

@@ -374,8 +374,17 @@ def test_twist_functor_round_trip(curve101):
         X = mk.catalog_mf(curve101, kind, pt if kind in mk.POINT_KINDS else None)
         there = mk.inverse_twist_functor(O, mk.twist_functor(O, X))
         back = mk.twist_functor(O, mk.inverse_twist_functor(O, X))
-        assert mk.is_stably_isomorphic(there, X).status == "yes", kind
+        res = mk.is_stably_isomorphic(there, X)
+        assert res.status == "yes", kind
         assert mk.is_stably_isomorphic(back, X).status == "yes", kind
+        # the search checks backward∘forward = id only; forward∘backward = id
+        # must follow, since the components are square
+        for first, then in ((res.forward, res.backward), (res.backward, res.forward)):
+            comp = mk.compose_morphisms(then, first)
+            M = first.source
+            assert comp.target == M, kind
+            assert comp.f0.same_entries(GradedMatrix.identity(M.ring, M.p0)), kind
+            assert comp.f1.same_entries(GradedMatrix.identity(M.ring, M.p1)), kind
 
 
 def test_rank_nine_twist_image_is_simple_and_spherical(curve101):

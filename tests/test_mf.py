@@ -60,6 +60,66 @@ def test_wrong_degree_entry_is_reported(curve, kp):
     assert any("(0,0)" in m for m in msgs)
 
 
+def two_product_violations(M):
+    """The product part of the report as forming both products gives it:
+    each (i, j) in order, (beta*alpha) before (alpha*beta)."""
+    ba, ab = (M.beta * M.alpha).entries, (M.alpha * M.beta).entries
+    out = []
+    for i in range(M.rank):
+        for j in range(M.rank):
+            want = M.f if i == j else M.ring.zero()
+            for name, prod in (("beta*alpha", ba), ("alpha*beta", ab)):
+                if prod[i][j] != want:
+                    out.append(f"({name})[{i}][{j}] != {'f' if i == j else '0'}")
+    return out
+
+
+def with_entry(G, i, j, value):
+    entries = [list(row) for row in G.entries]
+    entries[i][j] = value
+    return GradedMatrix(G.ring, G.target_twists, G.source_twists, entries)
+
+
+def test_failed_products_are_reported_as_both_products_give_them(curve, kp, osheaf):
+    # each pair passes the potential, rank, twist and degree checks, so the
+    # whole report is the products' violations, in the order the report had
+    # when both products were always formed
+    X, Y, Z = curve.ring.gens()
+    D = mk.direct_sum_mf(kp, osheaf)
+    pairs = {
+        "alpha entry": (with_entry(kp.alpha, 0, 0, kp.alpha.entries[0][0] + X), kp.beta),
+        "beta entry": (kp.alpha, with_entry(kp.beta, 1, 0, kp.beta.entries[1][0] + Y)),
+        # a block B: P1(O) → P0(kp)(3) above the diagonal of beta; alpha·beta
+        # is then f·I plus alpha_kp·B, which lies off the diagonal
+        "off-diagonal": (D.alpha, with_entry(D.beta, 0, kp.rank, X * X)),
+    }
+    cases = {what: mk.MatrixFactorization(curve.ring, curve.f, a, b) for what, (a, b) in pairs.items()}
+    for what, bad in cases.items():
+        want = two_product_violations(bad)
+        assert any(m.startswith("(alpha*beta)") for m in want), what
+        assert mk.verify_mf(bad) == want, what
+    ab = (cases["off-diagonal"].alpha * cases["off-diagonal"].beta).entries
+    assert all(ab[i][i] == curve.f for i in range(D.rank))
+
+
+@pytest.mark.parametrize("char", [0, 101])
+def test_valid_factorisations_pass_and_satisfy_both_products(char):
+    # the oracle for the one-product rule: on every catalog kind, its shifts,
+    # twists and pairwise direct sums, verify_mf accepts and beta·alpha = f·I
+    cv = mk.default_curve(mk.Field(char) if char else mk.QQ)
+    pt = mk.default_points(cv, 1)[0]
+    kinds = [mk.catalog_mf(cv, k, pt if k in mk.POINT_KINDS else None) for k in mk.CATALOG_KINDS]
+    objects = list(kinds)
+    for M in kinds:
+        objects += [mk.shift_mf(M, 1), mk.shift_mf(M, -1), mk.twist_mf(M, 1), mk.twist_mf(M, -2)]
+    objects += [mk.direct_sum_mf(A, B) for k, A in enumerate(kinds) for B in kinds[k:]]
+    for M in objects:
+        assert mk.verify_mf(M) == []
+        ba = (M.beta * M.alpha).entries
+        n = M.rank
+        assert all(ba[i][j] == (cv.f if i == j else cv.ring.zero()) for i in range(n) for j in range(n))
+
+
 def test_nonhomogeneous_potential_rejected(curve):
     ring = curve.ring
     X, Y, Z = ring.gens()
