@@ -16,6 +16,19 @@ exact linear algebra on the monomial coefficients of the matrix entries;
 HomProblem builds both systems from the one operator D.  The dimensions
 are read off two ranks, and a kernel and a basis are built only when read
 (`StableHom`).
+
+Half of each system suffices, because M and N are factorisations
+(alpha·beta = f·I with f ≠ 0, so alpha_N is invertible over the fraction
+field; Eisenbud, Trans. AMS 260 (1980), §5):
+
+- the alpha-square implies the beta-square: if f1·alpha_M = alpha_N·f0,
+  then alpha_N·(f0·beta_M − beta_N·f1) = f1·alpha_M·beta_M − f·f1 = 0.
+  So the strict equations are the alpha-square's rows alone; over a field
+  they have the same kernel, hence the same row space, as both squares;
+- a cycle is determined by its f0: f0 = 0 gives f1·alpha_M = 0, so f1 = 0.
+  So boundaries, and the cycles tested against them, are compared in f0
+  coordinates only, and every rank and span decision is the same as in full
+  morphism coordinates.
 """
 
 from __future__ import annotations
@@ -133,9 +146,8 @@ def _matrix_slots(tag: str, ring, tgt: list[int], src: list[int], extra: int = 0
     return slots
 
 
-# component tag <-> (a, b) for a component P_a(M) → P_b(N) of Hom(M, N)
+# component tag -> (a, b) for a component P_a(M) → P_b(N) of Hom(M, N)
 _ENDS = {"f0": (0, 0), "f1": (1, 1), "h": (1, 0), "s": (0, 1)}
-_COMPONENT = {ends: tag for tag, ends in _ENDS.items()}
 
 
 class HomProblem:
@@ -153,50 +165,68 @@ class HomProblem:
         self.slots = sorted(slots, key=itemgetter(3), reverse=True)
         self.index = {k: c for c, k in enumerate(self.slots)}
 
-    def _differential(self, slots) -> list[dict]:
-        """D(X) = d_N·X − (−1)^|X| X·d_M for X = x^exp at entry (i, j) of
-        each slot's component, as {(component, i, j, monomial): coefficient}.
+    def _differential(self, slots, part: str) -> list[dict]:
+        """The `part` component of D(X) = d_N·X − (−1)^|X| X·d_M for
+        X = x^exp at entry (i, j) of each slot's component, as
+        {(part, i, j, monomial): coefficient}; `part` has the other parity.
 
         Left multiplication by d_N (alpha_N out of P0, beta_N out of P1)
         flips the target index b; right multiplication by d_M (beta_M into
-        P0, alpha_M into P1) flips the source index a.  No two terms of one
-        image share a key, so images need no accumulation.
+        P0, alpha_M into P1) flips the source index a.  So each slot reaches
+        `part` through one side only, and the other side is never formed.
+        No two terms of one image share a key, so images need no
+        accumulation.
         """
         M, N = self.M, self.N
         out_of = (N.alpha, N.beta)
         # −(−1)^|X|·d_M, looked up by whether X is odd
         into = {True: (M.beta, M.alpha), False: (-M.beta, -M.alpha)}
+        part_a = _ENDS[part][0]
         images = []
         for tag, i, j, exp in slots:
             a, b = _ENDS[tag]
-            odd = a != b
             img = {}
-            left = _COMPONENT[a, 1 - b]
-            for k, row in enumerate(out_of[b].entries):
-                for pexp, c in row[i].terms.items():
-                    img[left, k, j, tuple(map(add, exp, pexp))] = c
-            right = _COMPONENT[1 - a, b]
-            for k, e in enumerate(into[odd][a].entries[j]):
-                for pexp, c in e.terms.items():
-                    img[right, i, k, tuple(map(add, exp, pexp))] = c
+            if a == part_a:  # part is (a, 1 − b): the left side d_N·X
+                for k, row in enumerate(out_of[b].entries):
+                    for pexp, c in row[i].terms.items():
+                        img[part, k, j, tuple(map(add, exp, pexp))] = c
+            else:  # part is (1 − a, b): the right side X·d_M
+                for k, e in enumerate(into[a != b][a].entries[j]):
+                    for pexp, c in e.terms.items():
+                        img[part, i, k, tuple(map(add, exp, pexp))] = c
             images.append(img)
         return images
 
     def strict_rows(self) -> list[dict]:
-        """Equations of the even cycles D(f0, f1) = 0: the transpose of D on
-        the morphism slots, one row per image coordinate, in no set order."""
+        """Equations of the even cycles: the s component of D(f0, f1) = 0,
+        that is f1·alpha_M = alpha_N·f0 (the beta-square follows; see the
+        module docstring), transposed on the morphism slots, one row per
+        image coordinate, in no set order."""
         rows: dict = {}
-        for col, img in enumerate(self._differential(self.slots)):
+        for col, img in enumerate(self._differential(self.slots, "s")):
             for key, c in img.items():
                 rows.setdefault(key, {})[col] = c
         return list(rows.values())
 
-    def boundary_vectors(self) -> list[dict]:
+    def boundary_vectors(self, parts: tuple[str, ...] = ("f0", "f1")) -> list[dict]:
         """Images D(h), D(s) of the homotopy slots h: P1(M) → P0(N) and
-        s: P0(M) → P1(N) in morphism coordinates; nonzero ones only."""
+        s: P0(M) → P1(N) in morphism coordinates, or in those of the
+        components `parts` only; nonzero ones only."""
         M, N, ring, index = self.M, self.N, self.ring, self.index
         odd = _matrix_slots("h", ring, N.p0, M.p1) + _matrix_slots("s", ring, N.p1, M.p0, extra=3)
-        return [{index[k]: c for k, c in img.items()} for img in self._differential(odd) if img]
+        images = zip(*(self._differential(odd, part) for part in parts))
+        vectors = ({index[k]: c for img in imgs for k, c in img.items()} for imgs in images)
+        return [v for v in vectors if v]
+
+    def f0_part(self, vec: dict) -> dict:
+        """The f0 coordinates of vec, which determine a strict morphism."""
+        slots = self.slots
+        return {col: c for col, c in vec.items() if slots[col][0] == "f0"}
+
+    def boundary_space(self) -> RowSpace:
+        """The span of the boundaries in f0 coordinates (module docstring):
+        a strict morphism is null-homotopic iff its `f0_part` lies in it."""
+        return row_space(self.boundary_vectors(("f0",)), self.ring.field)
 
     def morphism_from_vector(self, vec: dict) -> MFMorphism:
         M, N, ring = self.M, self.N, self.ring
@@ -230,15 +260,19 @@ class HomProblem:
 
 class StableHom:
     """Strict morphisms M → N modulo null-homotopic ones, as two row spaces
-    in the coordinates of `problem`: the strict equations and the boundaries.
+    in the coordinates of `problem`: the strict equations (the alpha-square
+    alone, which implies the beta-square) and the boundaries in f0
+    coordinates (which determine a cycle); see the module docstring.
 
     `strict_dim` is #slots − rank(equations); D∘D = 0 puts the boundaries
     inside the strict morphisms, so `stable_dim` is `strict_dim` −
-    `boundary_rank`.  Built on first read: `solutions`, the kernel vectors,
-    one per free column, so in the monomial-major slot order; `basis`, the
-    solutions that enlarge the boundary span as they are folded into it in
-    that order, as morphisms (the stable representatives); `strict_basis`,
-    every solution as a morphism.
+    `boundary_rank`, and projecting to f0, injective on cycles, keeps that
+    rank.  Built on first read: `solutions`, the kernel vectors, one per
+    free column, so in the monomial-major slot order; `basis`, the solutions
+    whose f0 parts enlarge the boundary span as they are folded into it in
+    that order, as morphisms (the stable representatives: by injectivity,
+    the same solutions enlarge the span in full coordinates);
+    `strict_basis`, every solution as a morphism.
     """
 
     def __init__(self, problem: HomProblem, equations: RowSpace, boundaries: RowSpace):
@@ -263,7 +297,7 @@ class StableHom:
         for v in self.solutions:
             if len(reps) == self.stable_dim:
                 break
-            if self._span.add(v) is not None:
+            if self._span.add(self.problem.f0_part(v)) is not None:
                 reps.append(self.problem.morphism_from_vector(v))
         return reps
 
@@ -274,10 +308,13 @@ class StableHom:
 
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
     """Stable Hom M → N from its strict equations and its boundaries; a
-    kernel and a basis are built only when read (see StableHom)."""
+    kernel and a basis are built only when read (see StableHom).
+
+    M and N must be factorisations of one potential f ≠ 0 (alpha·beta = f·I):
+    the half systems rest on it.  `catalog_mf`, `cone_mf` and the CLI's
+    loader check it."""
     prob = HomProblem(M, N)
-    fld = prob.ring.field
-    return StableHom(prob, row_space(prob.strict_rows(), fld), row_space(prob.boundary_vectors(), fld))
+    return StableHom(prob, row_space(prob.strict_rows(), prob.ring.field), prob.boundary_space())
 
 
 def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 0) -> int:
@@ -285,10 +322,11 @@ def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 
 
 
 def is_null_homotopic(phi: MFMorphism) -> bool:
+    """Whether phi is a boundary, tested in f0 coordinates; phi is checked
+    strict first, since f0 determines only a cycle."""
     assert_strict(phi)
     prob = HomProblem(phi.source, phi.target)
-    vec = prob.vector_from_morphism(phi)
-    return row_space(prob.boundary_vectors(), prob.ring.field).contains(vec)
+    return prob.boundary_space().contains(prob.f0_part(prob.vector_from_morphism(phi)))
 
 
 # --- mapping cone ------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 import mfkit as mk
 from mfkit.homs import HomProblem
-from mfkit.linalg import RowSpace
+from mfkit.linalg import RowSpace, nullspace, row_space
 from mfkit.poly import GradedMatrix, graded_inverse
 
 from fixtures import CONE_CASES, CONE_SHAPES, cone_generator, cone_target
@@ -179,6 +179,78 @@ def test_boundaries_are_strict_morphisms(curve101):
                     checked += 1
                 assert H.basis == folded_representatives(H)
     assert checked > 0
+
+
+def full_strict_space(prob):
+    """Both squares of D(f0, f1) = 0 as a row space: the transpose of the
+    two components of D on the morphism slots."""
+    rows: dict = {}
+    for part in ("s", "h"):
+        for col, img in enumerate(prob._differential(prob.slots, part)):
+            for key, c in img.items():
+                rows.setdefault(key, {})[col] = c
+    return row_space(list(rows.values()), prob.ring.field)
+
+
+def full_boundary_space(prob):
+    """The boundaries in full morphism coordinates as a row space."""
+    return row_space(prob.boundary_vectors(), prob.ring.field)
+
+
+def catalog_pairs(char, lam, mu):
+    """(M[s], N) for every ordered pair of catalog kinds and s in -1..1."""
+    curve = mk.default_curve(mk.Field(char))
+    pt = mk.point_on(curve, curve.field.of(lam), curve.field.of(mu))
+    objs = [
+        mk.catalog_mf(curve, kind, pt if kind in mk.POINT_KINDS else None)
+        for kind in mk.CATALOG_KINDS
+    ]
+    return [(mk.shift_mf(M, s), N) for M in objs for N in objs for s in (-1, 0, 1)]
+
+
+def assert_half_systems_match_full(M, N):
+    # the alpha-square alone has the row space of both squares, and f0
+    # coordinates see the boundaries and the fold as full coordinates do
+    H = mk.hom_space(M, N)
+    prob = H.problem
+    strict, boundaries = full_strict_space(prob), full_boundary_space(prob)
+    assert H._equations.rows == strict.rows
+    assert H.boundary_rank == boundaries.rank
+    solutions = nullspace(strict, len(prob.slots))
+    assert H.solutions == solutions
+    reps = [v for v in solutions if boundaries.add(v) is not None]
+    assert H.basis == [prob.morphism_from_vector(v) for v in reps]
+
+
+@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
+def test_half_hom_systems_match_the_full_ones(char, lam, mu):
+    for M, N in catalog_pairs(char, lam, mu):
+        assert_half_systems_match_full(M, N)
+
+
+def test_half_hom_systems_match_the_full_ones_at_rank_nine(curve101):
+    pt = mk.default_points(curve101, 1)[0]
+    O = mk.catalog_mf(curve101, "structure-sheaf")
+    Y = mk.twist_functor(O, mk.catalog_mf(curve101, "lb-2e-plus-p", pt))
+    assert Y.rank == 9
+    for shift in (-1, 0, 1):
+        assert_half_systems_match_full(mk.shift_mf(Y, shift), Y)
+
+
+@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
+def test_null_homotopy_agrees_with_full_coordinates(char, lam, mu):
+    # is_null_homotopic compares f0 parts only; full-coordinate containment
+    # in the boundary span must give the same answer: true on every
+    # boundary, false on every stable representative
+    for M, N in catalog_pairs(char, lam, mu):
+        H = mk.hom_space(M, N)
+        prob = H.problem
+        boundaries = full_boundary_space(prob)
+        for vec in prob.boundary_vectors():
+            assert mk.is_null_homotopic(prob.morphism_from_vector(vec))
+        for rep in H.basis:
+            assert not boundaries.contains(prob.vector_from_morphism(rep))
+            assert not mk.is_null_homotopic(rep)
 
 
 def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
