@@ -2,33 +2,31 @@
 cones, stable-isomorphism testing, and the twist functor along a fixed
 factorisation.
 
-Hom(M, N) is a Z/2-graded complex.  Its even part holds pairs (f0, f1) of
-maps P0(M) → P0(N) and P1(M) → P1(N), its odd part pairs (h, s) of maps
-h: P1(M) → P0(N) and s: P0(M) → P1(N)(-3), and its one differential is
+Hom(M, N) is a Z/2-graded complex with differential D(X) = d_N·X −
+(−1)^|X| X·d_M, d = alpha on P0 and beta on P1.  Its even part holds pairs
+(f0, f1) of maps P0(M) → P0(N) and P1(M) → P1(N); its odd part is the even
+part of Hom(M, N[−1]): pairs of homotopies s: P0(M) → P1(N)(−3) = P0(N[−1])
+and h: P1(M) → P0(N) = P1(N[−1]).  Strict morphisms are the even cycles,
+null-homotopic ones the boundaries D(h, s) = (h·alpha_M + beta_N·s,
+alpha_N·h + s·beta_M), and stable Hom is their quotient, computed by exact
+linear algebra on the monomial coefficients of the matrix entries.
 
-    D(X) = d_N·X − (−1)^|X| X·d_M,   d = alpha on P0 and beta on P1.
+One system, the alpha-square (f0, f1) ↦ alpha_N·f0 − f1·alpha_M, serves
+both, since alpha·beta = f·I with f ≠ 0 makes alpha invertible over the
+fraction field (Eisenbud, Trans. AMS 260 (1980), §5):
 
-Strict morphisms are the even cycles: D(f0, f1) = 0 says
-f1·alpha_M = alpha_N·f0 and f0·beta_M = beta_N·f1.  Null-homotopic
-morphisms are the boundaries D(h, s) = (h·alpha_M + beta_N·s,
-alpha_N·h + s·beta_M).  Stable Hom is cycles modulo boundaries, computed by
-exact linear algebra on the monomial coefficients of the matrix entries;
-HomProblem builds both systems from the one operator D.  The dimensions
-are read off two ranks, and a kernel and a basis are built only when read
-(`StableHom`).
+- its kernel is the strict morphisms: f1·alpha_M = alpha_N·f0 gives
+  alpha_N·(f0·beta_M − beta_N·f1) = f1·alpha_M·beta_M − f·f1 = 0, so the
+  beta-square follows;
+- f0 determines a cycle (f0 = 0 gives f1·alpha_M = 0, so f1 = 0), so
+  boundaries are compared by f0 alone, and the f0 of D(h, s) is, up to the
+  sign of h, the alpha-square of (s, h) in Hom(M, N[−1]), whose alpha is
+  beta_N.
 
-Half of each system suffices, because M and N are factorisations
-(alpha·beta = f·I with f ≠ 0, so alpha_N is invertible over the fraction
-field; Eisenbud, Trans. AMS 260 (1980), §5):
-
-- the alpha-square implies the beta-square: if f1·alpha_M = alpha_N·f0,
-  then alpha_N·(f0·beta_M − beta_N·f1) = f1·alpha_M·beta_M − f·f1 = 0.
-  So the strict equations are the alpha-square's rows alone; over a field
-  they have the same kernel, hence the same row space, as both squares;
-- a cycle is determined by its f0: f0 = 0 gives f1·alpha_M = 0, so f1 = 0.
-  So boundaries, and the cycles tested against them, are compared in f0
-  coordinates only, and every rank and span decision is the same as in full
-  morphism coordinates.
+So the boundary rank of Hom(M, N) is the strict-equation rank of
+Hom(M, N[−1]), and of Hom(M[1], N), whose alpha-square on (h, −s) is the f1
+of D(h, s), which also determines a cycle: a profile over consecutive
+shifts needs one elimination per shift (`_twist_reps`).
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce as _fold
+from math import comb
 from operator import add, itemgetter
 
 from .errors import InputError, ValidationError
@@ -131,92 +130,80 @@ def add_morphisms(phi: MFMorphism, psi: MFMorphism) -> MFMorphism:
 
 # --- stable Hom via coefficient linear algebra ------------------------------
 
-
-def _matrix_slots(tag: str, ring, tgt: list[int], src: list[int], extra: int = 0):
-    """Unknown coefficient slots for a graded matrix of maps, entry degree
-    src[j] - tgt[i] - extra; entries of negative degree carry no slots."""
-    slots = []
-    for i, t in enumerate(tgt):
-        for j, s in enumerate(src):
-            d = s - t - extra
-            if d < 0:
-                continue
-            for exp in ring.monomials_of_degree(d):
-                slots.append((tag, i, j, exp))
-    return slots
+# Hom systems larger than this are refused before any slot is built; the
+# rank-18 self-Hom at shift -3, the largest met in tests and scale probes,
+# has 11,664
+MAX_HOM_SLOTS = 150_000
 
 
-# component tag -> (a, b) for a component P_a(M) → P_b(N) of Hom(M, N)
-_ENDS = {"f0": (0, 0), "f1": (1, 1), "h": (1, 0), "s": (0, 1)}
+def _hom_slots(M: MatrixFactorization, N: MatrixFactorization) -> list:
+    """The slots (tag, i, j, exponent) of f0: P0(M) → P0(N) and
+    f1: P1(M) → P1(N), one per monomial of each entry of degree d ≥ 0,
+    monomial-major (descending exponent, then tag, i, j): eliminating in
+    this column order fills in less.  Their number, Σ C(d + n − 1, n − 1),
+    is checked against MAX_HOM_SLOTS first."""
+    ring = M.ring
+    entries = [
+        (tag, i, j, s - t)
+        for tag, tgt, src in (("f0", N.p0, M.p0), ("f1", N.p1, M.p1))
+        for i, t in enumerate(tgt)
+        for j, s in enumerate(src)
+        if s >= t
+    ]
+    count = sum(comb(d + ring.nvars - 1, ring.nvars - 1) for *_, d in entries)
+    if count > MAX_HOM_SLOTS:
+        raise InputError(f"Hom system needs {count} unknowns, more than {MAX_HOM_SLOTS}")
+    slots = [(tag, i, j, exp) for tag, i, j, d in entries for exp in ring.monomials_of_degree(d)]
+    return sorted(slots, key=itemgetter(3), reverse=True)
+
+
+def _alpha_square(M: MatrixFactorization, N: MatrixFactorization, slots) -> list[dict]:
+    """The images of the slots of Hom(M, N) under the alpha-square
+    (f0, f1) ↦ alpha_N·f0 − f1·alpha_M, keyed ("f0", row, column, monomial)
+    as the f0 slots of Hom(M, N[1]), whose P0 is P1(N): an f0 slot at
+    (i, j) reaches column j through column i of alpha_N, an f1 slot row i
+    through row j of −alpha_M.  No two terms of one image share a key."""
+    neg = M.ring.field.neg
+    cols = [[(k, e, c) for k, row in enumerate(N.alpha.entries) for e, c in row[i].terms.items()]
+            for i in range(len(N.p0))]
+    rows = [[(k, e, neg(c)) for k, p in enumerate(row) for e, c in p.terms.items()]
+            for row in M.alpha.entries]
+    return [
+        {("f0", k, j, tuple(map(add, exp, e))): c for k, e, c in cols[i]} if tag == "f0"
+        else {("f0", i, k, tuple(map(add, exp, e))): c for k, e, c in rows[j]}
+        for tag, i, j, exp in slots
+    ]
 
 
 class HomProblem:
-    """Coefficient coordinates for morphisms M → N and their homotopies."""
+    """Coefficient coordinates for morphisms M → N."""
 
     def __init__(self, M: MatrixFactorization, N: MatrixFactorization):
         if M.ring != N.ring or M.f != N.f:
             raise ValidationError("Hom needs factorisations of the same potential")
         self.M, self.N, self.ring = M, N, M.ring
-        # monomial-major (descending exponent, then component, i, j by the
-        # stable sort): eliminating in this column order fills in less
-        slots = _matrix_slots("f0", self.ring, N.p0, M.p0) + _matrix_slots(
-            "f1", self.ring, N.p1, M.p1
-        )
-        self.slots = sorted(slots, key=itemgetter(3), reverse=True)
+        self.slots = _hom_slots(M, N)
         self.index = {k: c for c, k in enumerate(self.slots)}
 
-    def _differential(self, slots, part: str) -> list[dict]:
-        """The `part` component of D(X) = d_N·X − (−1)^|X| X·d_M for
-        X = x^exp at entry (i, j) of each slot's component, as
-        {(part, i, j, monomial): coefficient}; `part` has the other parity.
-
-        Left multiplication by d_N (alpha_N out of P0, beta_N out of P1)
-        flips the target index b; right multiplication by d_M (beta_M into
-        P0, alpha_M into P1) flips the source index a.  So each slot reaches
-        `part` through one side only, and the other side is never formed.
-        No two terms of one image share a key, so images need no
-        accumulation.
-        """
-        M, N = self.M, self.N
-        out_of = (N.alpha, N.beta)
-        # −(−1)^|X|·d_M, looked up by whether X is odd
-        into = {True: (M.beta, M.alpha), False: (-M.beta, -M.alpha)}
-        part_a = _ENDS[part][0]
-        images = []
-        for tag, i, j, exp in slots:
-            a, b = _ENDS[tag]
-            img = {}
-            if a == part_a:  # part is (a, 1 − b): the left side d_N·X
-                for k, row in enumerate(out_of[b].entries):
-                    for pexp, c in row[i].terms.items():
-                        img[part, k, j, tuple(map(add, exp, pexp))] = c
-            else:  # part is (1 − a, b): the right side X·d_M
-                for k, e in enumerate(into[a != b][a].entries[j]):
-                    for pexp, c in e.terms.items():
-                        img[part, i, k, tuple(map(add, exp, pexp))] = c
-            images.append(img)
-        return images
-
     def strict_rows(self) -> list[dict]:
-        """Equations of the even cycles: the s component of D(f0, f1) = 0,
-        that is f1·alpha_M = alpha_N·f0 (the beta-square follows; see the
-        module docstring), transposed on the morphism slots, one row per
-        image coordinate, in no set order."""
+        """Equations of the strict morphisms: the alpha-square
+        alpha_N·f0 = f1·alpha_M (the beta-square follows; see the module
+        docstring), transposed on the slots, one row per image coordinate,
+        in no set order."""
         rows: dict = {}
-        for col, img in enumerate(self._differential(self.slots, "s")):
+        for col, img in enumerate(_alpha_square(self.M, self.N, self.slots)):
             for key, c in img.items():
                 rows.setdefault(key, {})[col] = c
         return list(rows.values())
 
-    def boundary_vectors(self, parts: tuple[str, ...] = ("f0", "f1")) -> list[dict]:
-        """Images D(h), D(s) of the homotopy slots h: P1(M) → P0(N) and
-        s: P0(M) → P1(N) in morphism coordinates, or in those of the
-        components `parts` only; nonzero ones only."""
-        M, N, ring, index = self.M, self.N, self.ring, self.index
-        odd = _matrix_slots("h", ring, N.p0, M.p1) + _matrix_slots("s", ring, N.p1, M.p0, extra=3)
-        images = zip(*(self._differential(odd, part) for part in parts))
-        vectors = ({index[k]: c for img in imgs for k, c in img.items()} for imgs in images)
-        return [v for v in vectors if v]
+    def boundary_vectors(self) -> list[dict]:
+        """The boundaries in f0 coordinates: the alpha-square images of the
+        slots of Hom(M, N[−1]), whose f0 and f1 are the homotopies
+        P0(M) → P1(N)(−3) and P1(M) → P0(N) (module docstring)."""
+        N1 = shift_mf(self.N, -1)
+        index = self.index
+        images = _alpha_square(self.M, N1, _hom_slots(self.M, N1))
+        return [{index[k]: c for k, c in img.items()} for img in images]
 
     def f0_part(self, vec: dict) -> dict:
         """The f0 coordinates of vec, which determine a strict morphism."""
@@ -226,7 +213,7 @@ class HomProblem:
     def boundary_space(self) -> RowSpace:
         """The span of the boundaries in f0 coordinates (module docstring):
         a strict morphism is null-homotopic iff its `f0_part` lies in it."""
-        return row_space(self.boundary_vectors(("f0",)), self.ring.field)
+        return row_space(self.boundary_vectors(), self.ring.field)
 
     def morphism_from_vector(self, vec: dict) -> MFMorphism:
         M, N, ring = self.M, self.N, self.ring
@@ -260,19 +247,20 @@ class HomProblem:
 
 class StableHom:
     """Strict morphisms M → N modulo null-homotopic ones, as two row spaces
-    in the coordinates of `problem`: the strict equations (the alpha-square
-    alone, which implies the beta-square) and the boundaries in f0
-    coordinates (which determine a cycle); see the module docstring.
+    in the coordinates of `problem`: the strict equations, and the
+    boundaries in f0 coordinates, the alpha-square images of
+    Hom(M, N[−1]) (module docstring).
 
     `strict_dim` is #slots − rank(equations); D∘D = 0 puts the boundaries
     inside the strict morphisms, so `stable_dim` is `strict_dim` −
-    `boundary_rank`, and projecting to f0, injective on cycles, keeps that
-    rank.  Built on first read: `solutions`, the kernel vectors, one per
-    free column, so in the monomial-major slot order; `basis`, the solutions
-    whose f0 parts enlarge the boundary span as they are folded into it in
-    that order, as morphisms (the stable representatives: by injectivity,
-    the same solutions enlarge the span in full coordinates);
-    `strict_basis`, every solution as a morphism.
+    `boundary_rank`, and `boundary_rank` is the strict-equation rank of
+    Hom(M[1], N) and of Hom(M, N[−1]).  Built on first read: `solutions`,
+    the kernel vectors, one per free column, so in the monomial-major slot
+    order; `basis`, the solutions whose f0 parts enlarge the boundary span
+    as they are folded into it in that order, as morphisms (the stable
+    representatives: f0 determines a cycle, so the same solutions enlarge
+    the span in full coordinates); `strict_basis`, every solution as a
+    morphism.
     """
 
     def __init__(self, problem: HomProblem, equations: RowSpace, boundaries: RowSpace):
@@ -311,7 +299,7 @@ def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
     kernel and a basis are built only when read (see StableHom).
 
     M and N must be factorisations of one potential f ≠ 0 (alpha·beta = f·I):
-    the half systems rest on it.  `catalog_mf`, `cone_mf` and the CLI's
+    the alpha-square system rests on it.  `catalog_mf`, `cone_mf` and the CLI's
     loader check it."""
     prob = HomProblem(M, N)
     return StableHom(prob, row_space(prob.strict_rows(), prob.ring.field), prob.boundary_space())
@@ -448,22 +436,28 @@ def is_stably_isomorphic(
 def _twist_reps(C: MatrixFactorization, X: MatrixFactorization, into_c: bool) -> list[MFMorphism]:
     """Stable representatives of ⊕_i Hom(C[i], X), or of ⊕_i Hom(X, C[i])
     when into_c, for i in -3..3.  Guard: stable Hom vanishes at i = ±3 and
-    lives on at most two adjacent shifts."""
-    spaces = {}
-    for i in range(-3, 4):
+    lives on at most two adjacent shifts.
+
+    The strict rows are eliminated once per shift, -3..4, or -4..3 when
+    into_c: the boundary rank at i is the strict-equation rank at the
+    neighbouring shift, of Hom(C[i + 1], X), or of Hom(X, C[i − 1]) when
+    into_c (module docstring).  Boundaries are spanned only where a basis
+    is read, at the support shifts."""
+    step = -1 if into_c else 1
+    systems = {}
+    for i in (*range(-3, 4), 4 * step):
         Ci = shift_mf(C, i)
-        spaces[i] = hom_space(X, Ci) if into_c else hom_space(Ci, X)
-    dims = {i: H.stable_dim for i, H in spaces.items()}
+        prob = HomProblem(X, Ci) if into_c else HomProblem(Ci, X)
+        systems[i] = prob, row_space(prob.strict_rows(), prob.ring.field)
+    rank = {i: equations.rank for i, (_, equations) in systems.items()}
+    dims = {i: len(systems[i][0].slots) - rank[i] - rank[i + step] for i in range(-3, 4)}
     if dims[-3] != 0 or dims[3] != 0:
-        raise InputError(
-            f"twist functor guard failed: nonzero stable Hom at shift ±3 ({dims})"
-        )
+        raise InputError(f"twist functor guard failed: nonzero stable Hom at shift ±3 ({dims})")
     support = [i for i in range(-2, 3) if dims[i] > 0]
     if len(support) > 2 or (len(support) == 2 and support[1] - support[0] != 1):
-        raise InputError(
-            f"twist functor guard failed: stable Hom supported at shifts {support}"
-        )
-    return [phi for i in support for phi in spaces[i].basis]
+        raise InputError(f"twist functor guard failed: stable Hom supported at shifts {support}")
+    spaces = (StableHom(*systems[i], systems[i][0].boundary_space()) for i in support)
+    return [phi for H in spaces for phi in H.basis]
 
 
 def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFactorization:

@@ -17,6 +17,7 @@ import functools
 import itertools
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import ParseError, ValidationError
 from .fields import Field
@@ -195,8 +196,10 @@ class Poly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(e, 0) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                if e in out:
+                    c += out[e]
                 if char:
                     c %= char
                 if c:
@@ -511,18 +514,15 @@ class GradedMatrix:
         if self.cols != other.rows:
             raise ValidationError("matrix shapes do not compose")
         z = self.ring.zero()
+        cols = list(zip(*other.entries)) or [()] * other.cols
         out = []
-        for i in range(self.rows):
-            row = []
-            for k in range(other.cols):
-                acc = z
-                for j in range(self.cols):
-                    e = self.entries[i][j]
-                    g = other.entries[j][k]
-                    if e.terms and g.terms:
-                        acc = acc + e * g
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            nonzero = [(j, e) for j, e in enumerate(row) if e.terms]
+            out_row = []
+            for col in cols:
+                products = [e * col[j] for j, e in nonzero if col[j].terms]
+                out_row.append(sum(products[1:], products[0]) if products else z)
+            out.append(out_row)
         return GradedMatrix(self.ring, self.target_twists, other.source_twists, out)
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":

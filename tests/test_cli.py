@@ -289,6 +289,25 @@ def test_hom_command(capsys, tmp_path, qcurve, qpoints):
     assert payload["stable_dim"] == 1
 
 
+def test_hom_refuses_an_oversized_system_before_building_it(
+    capsys, tmp_path, monkeypatch, qcurve, qpoints
+):
+    # Hom(kp[-2000], kp) would have 36,036,009 unknowns; they are counted
+    # from the twists and refused with exit 2 before one slot is enumerated
+    # (enumerating one would end as an internal error, exit 70)
+    path = write_mf(tmp_path, "kp.json", mk.catalog_mf(qcurve, "point", qpoints[0]))
+
+    def refuse(ring, d):
+        raise AssertionError(f"monomials of degree {d} enumerated")
+
+    monkeypatch.setattr(mk.PolyRing, "monomials_of_degree", refuse)
+    code, payload, err = run_cli(capsys, "hom", path, path, "--shift", "-2000")
+    assert code == 2
+    assert payload is None
+    limit = mk.homs.MAX_HOM_SLOTS
+    assert err.splitlines() == [f"error: Hom system needs 36036009 unknowns, more than {limit}"]
+
+
 def test_iso_command_yes(capsys, tmp_path, qcurve, qpoints):
     kp = mk.catalog_mf(qcurve, "point", qpoints[0])
     padded = mk.direct_sum_mf(kp, mk.trivial_mf(qcurve.ring, qcurve.f))

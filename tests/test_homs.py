@@ -1,10 +1,13 @@
 """Morphisms, stable Hom spaces, cones, isomorphism search, twist functors."""
 
+import functools
+
 import pytest
 
 import mfkit as mk
+from mfkit import homs
 from mfkit.homs import HomProblem
-from mfkit.linalg import RowSpace, nullspace, row_space
+from mfkit.linalg import nullspace, row_space
 from mfkit.poly import GradedMatrix, graded_inverse
 
 from fixtures import CONE_CASES, CONE_SHAPES, cone_generator, cone_target
@@ -146,13 +149,69 @@ def test_serre_duality_and_riemann_roch_on_all_pairs(char, lam, mu):
             assert dim[x, y, 0] - dim[x, y, -1] == rx * dy - ry * dx, (x, y)
 
 
-def folded_representatives(H):
+# An independent oracle for the Hom systems: the differential D applied by
+# GradedMatrix products to monomial morphisms and homotopies, in the
+# problem's slot coordinates, sharing no code with HomProblem's systems
+
+
+def monomial_maps(ring, tgt, src):
+    """Every graded map ⊕ R(−src) → ⊕ R(−tgt) with one monomial entry."""
+    zero = ring.zero()
+    for i, t in enumerate(tgt):
+        for j, s in enumerate(src):
+            for exp in ring.monomials_of_degree(s - t) if s >= t else ():
+                entries = [[zero] * len(src) for _ in tgt]
+                entries[i][j] = ring.monomial(exp)
+                yield GradedMatrix(ring, list(tgt), list(src), entries)
+
+
+def boundary_morphisms(M, N):
+    """D(h, s) = (h·alpha_M + beta_N·s, alpha_N·h + s·beta_M) on every
+    monomial homotopy h: P1(M) → P0(N) or s: P0(M) → P1(N)(−3), the other
+    being zero; nonzero images only."""
+    ring = M.ring
+    images = [(h * M.alpha, N.alpha * h) for h in monomial_maps(ring, N.p0, M.p1)]
+    images += [(N.beta * s, s * M.beta) for s in monomial_maps(ring, [b + 3 for b in N.p1], M.p0)]
+    return [
+        mk.MFMorphism(M, N, f0.with_twists(N.p0, M.p0), f1.with_twists(N.p1, M.p1))
+        for f0, f1 in images
+        if not (f0.is_zero() and f1.is_zero())
+    ]
+
+
+def full_strict_space(prob):
+    """Both squares of D(f0, f1), alpha_N·f0 − f1·alpha_M and
+    f0·beta_M − beta_N·f1, on every monomial morphism (f0, 0) or (0, f1),
+    transposed on the slots, as a row space."""
+    M, N, ring = prob.M, prob.N, prob.ring
+    zero0, zero1 = GradedMatrix.zero(ring, N.p0, M.p0), GradedMatrix.zero(ring, N.p1, M.p1)
+    minus_alpha_M, minus_beta_N = -M.alpha, -N.beta
+    images = [(f0, zero1, N.alpha * f0, f0 * M.beta) for f0 in monomial_maps(ring, N.p0, M.p0)]
+    images += [
+        (zero0, f1, f1 * minus_alpha_M, minus_beta_N * f1) for f1 in monomial_maps(ring, N.p1, M.p1)
+    ]
+    assert len(images) == len(prob.slots)
+    rows: dict = {}
+    for f0, f1, *squares in images:
+        [col] = prob.vector_from_morphism(mk.MFMorphism(M, N, f0, f1))
+        for square, mat in enumerate(squares):
+            for i, row in enumerate(mat.entries):
+                for j, e in enumerate(row):
+                    for exp, c in e.terms.items():
+                        rows.setdefault((square, i, j, exp), {})[col] = c
+    return row_space(list(rows.values()), ring.field)
+
+
+def full_boundary_space(prob, boundaries):
+    """The span of boundaries in full morphism coordinates."""
+    return row_space([prob.vector_from_morphism(phi) for phi in boundaries], prob.ring.field)
+
+
+def folded_representatives(H, boundaries):
     """The stable representatives by folding every strict solution, in
-    order, into the boundary span and keeping those that enlarge it."""
+    order, into the full boundary span and keeping those that enlarge it."""
     prob = H.problem
-    span = RowSpace(prob.ring.field)
-    for b in prob.boundary_vectors():
-        span.add(b)
+    span = full_boundary_space(prob, boundaries)
     return [phi for phi in H.strict_basis if span.add(prob.vector_from_morphism(phi)) is not None]
 
 
@@ -169,53 +228,49 @@ def test_boundaries_are_strict_morphisms(curve101):
     for M in objs:
         for N in objs:
             for shift in (-1, 0, 1):
-                H = mk.hom_space(mk.shift_mf(M, shift), N)
+                Ms = mk.shift_mf(M, shift)
+                H = mk.hom_space(Ms, N)
                 # strict_dim is #slots − rank of the strict equations; the
                 # kernel, built only now, must have exactly that many vectors
                 assert len(H.solutions) == H.strict_dim
-                prob = H.problem
-                for vec in prob.boundary_vectors():
-                    assert mk.verify_morphism(prob.morphism_from_vector(vec)) == []
+                boundaries = boundary_morphisms(Ms, N)
+                for phi in boundaries:
+                    assert mk.verify_morphism(phi) == []
                     checked += 1
-                assert H.basis == folded_representatives(H)
+                assert H.basis == folded_representatives(H, boundaries)
     assert checked > 0
 
 
-def full_strict_space(prob):
-    """Both squares of D(f0, f1) = 0 as a row space: the transpose of the
-    two components of D on the morphism slots."""
-    rows: dict = {}
-    for part in ("s", "h"):
-        for col, img in enumerate(prob._differential(prob.slots, part)):
-            for key, c in img.items():
-                rows.setdefault(key, {})[col] = c
-    return row_space(list(rows.values()), prob.ring.field)
-
-
-def full_boundary_space(prob):
-    """The boundaries in full morphism coordinates as a row space."""
-    return row_space(prob.boundary_vectors(), prob.ring.field)
-
-
-def catalog_pairs(char, lam, mu):
-    """(M[s], N) for every ordered pair of catalog kinds and s in -1..1."""
+def catalog_objects(char, lam, mu):
+    """Every catalog kind over GF(char), or Q when char is 0, at (lam, mu)."""
     curve = mk.default_curve(mk.Field(char))
     pt = mk.point_on(curve, curve.field.of(lam), curve.field.of(mu))
-    objs = [
+    return [
         mk.catalog_mf(curve, kind, pt if kind in mk.POINT_KINDS else None)
         for kind in mk.CATALOG_KINDS
     ]
-    return [(mk.shift_mf(M, s), N) for M in objs for N in objs for s in (-1, 0, 1)]
 
 
-def assert_half_systems_match_full(M, N):
-    # the alpha-square alone has the row space of both squares, and f0
-    # coordinates see the boundaries and the fold as full coordinates do
+@functools.cache
+def catalog_pairs(char, lam, mu):
+    """(M[s], N, the oracle's boundaries) for every ordered pair of catalog
+    kinds and s in -1..1."""
+    objs = catalog_objects(char, lam, mu)
+    pairs = [(mk.shift_mf(M, s), N) for M in objs for N in objs for s in (-1, 0, 1)]
+    return [(M, N, boundary_morphisms(M, N)) for M, N in pairs]
+
+
+def assert_half_systems_match_full(M, N, oracle):
+    # the alpha-square alone has the row space of both squares, the
+    # boundaries in f0 coordinates are the f0 parts of the oracle's, and f0
+    # coordinates see the fold as full coordinates do
     H = mk.hom_space(M, N)
     prob = H.problem
-    strict, boundaries = full_strict_space(prob), full_boundary_space(prob)
+    strict, boundaries = full_strict_space(prob), full_boundary_space(prob, oracle)
     assert H._equations.rows == strict.rows
     assert H.boundary_rank == boundaries.rank
+    f0_parts = [prob.f0_part(prob.vector_from_morphism(phi)) for phi in oracle]
+    assert H._span.rows == row_space(f0_parts, prob.ring.field).rows  # before basis folds into it
     solutions = nullspace(strict, len(prob.slots))
     assert H.solutions == solutions
     reps = [v for v in solutions if boundaries.add(v) is not None]
@@ -224,17 +279,53 @@ def assert_half_systems_match_full(M, N):
 
 @pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
 def test_half_hom_systems_match_the_full_ones(char, lam, mu):
-    for M, N in catalog_pairs(char, lam, mu):
-        assert_half_systems_match_full(M, N)
+    for M, N, oracle in catalog_pairs(char, lam, mu):
+        assert_half_systems_match_full(M, N, oracle)
 
 
-def test_half_hom_systems_match_the_full_ones_at_rank_nine(curve101):
+@pytest.fixture(scope="module")
+def rank_nine(curve101):
+    """T_O(lb-2e-plus-p) over GF(101): a reduced factorisation of rank 9."""
     pt = mk.default_points(curve101, 1)[0]
     O = mk.catalog_mf(curve101, "structure-sheaf")
     Y = mk.twist_functor(O, mk.catalog_mf(curve101, "lb-2e-plus-p", pt))
     assert Y.rank == 9
+    return Y
+
+
+def test_half_hom_systems_match_the_full_ones_at_rank_nine(rank_nine):
     for shift in (-1, 0, 1):
-        assert_half_systems_match_full(mk.shift_mf(Y, shift), Y)
+        M = mk.shift_mf(rank_nine, shift)
+        assert_half_systems_match_full(M, rank_nine, boundary_morphisms(M, rank_nine))
+
+
+def equation_rank(M, N):
+    prob = HomProblem(M, N)
+    return row_space(prob.strict_rows(), prob.ring.field).rank
+
+
+def assert_boundary_ranks_are_neighbour_ranks(M, N, shifts):
+    # the odd part of Hom(M, N) is the even part of Hom(M, N[-1]), and its
+    # f1 part is the alpha-square of Hom(M[1], N): the boundary rank at s is
+    # the strict-equation rank at the neighbouring shift
+    N_below = mk.shift_mf(N, -1)
+    for s in shifts:
+        Ms = mk.shift_mf(M, s)
+        boundary_rank = HomProblem(Ms, N).boundary_space().rank
+        assert boundary_rank == equation_rank(mk.shift_mf(M, s + 1), N), s
+        assert boundary_rank == equation_rank(Ms, N_below), s
+
+
+@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
+def test_boundary_rank_is_the_neighbouring_strict_rank(char, lam, mu):
+    objs = catalog_objects(char, lam, mu)
+    for M in objs:
+        for N in objs:
+            assert_boundary_ranks_are_neighbour_ranks(M, N, range(-2, 3))
+
+
+def test_boundary_rank_is_the_neighbouring_strict_rank_at_rank_nine(rank_nine):
+    assert_boundary_ranks_are_neighbour_ranks(rank_nine, rank_nine, range(-2, 3))
 
 
 @pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
@@ -242,12 +333,12 @@ def test_null_homotopy_agrees_with_full_coordinates(char, lam, mu):
     # is_null_homotopic compares f0 parts only; full-coordinate containment
     # in the boundary span must give the same answer: true on every
     # boundary, false on every stable representative
-    for M, N in catalog_pairs(char, lam, mu):
+    for M, N, oracle in catalog_pairs(char, lam, mu):
         H = mk.hom_space(M, N)
         prob = H.problem
-        boundaries = full_boundary_space(prob)
-        for vec in prob.boundary_vectors():
-            assert mk.is_null_homotopic(prob.morphism_from_vector(vec))
+        boundaries = full_boundary_space(prob, oracle)
+        for phi in oracle:
+            assert mk.is_null_homotopic(phi)
         for rep in H.basis:
             assert not boundaries.contains(prob.vector_from_morphism(rep))
             assert not mk.is_null_homotopic(rep)
@@ -275,6 +366,23 @@ def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
         dims.append((H.stable_dim, H.strict_dim))
     # a stable Hom of 0, and one whose strict space is larger than its stable one
     assert dims[1][0] == 0 and dims[3][0] < dims[3][1]
+
+
+def test_hom_problem_counts_its_slots_before_building_them(monkeypatch, kp, osheaf):
+    # the closed-form count is the number of slots built: a bound one below
+    # it refuses the system, a bound equal to it does not; the rank-18
+    # self-Hom at shift -3, the largest system met in the tests and scale
+    # probes, has 11,664 slots, and the bound leaves ten times that
+    assert homs.MAX_HOM_SLOTS >= 10 * 11_664
+    cases = ((mk.shift_mf(kp, -3), kp), (osheaf, mk.shift_mf(kp, 2)), (mk.shift_mf(kp, -9), osheaf))
+    for M, N in cases:
+        n = len(HomProblem(M, N).slots)
+        monkeypatch.setattr(homs, "MAX_HOM_SLOTS", n)
+        assert len(HomProblem(M, N).slots) == n
+        monkeypatch.setattr(homs, "MAX_HOM_SLOTS", n - 1)
+        with pytest.raises(mk.InputError, match=f"needs {n} unknowns"):
+            HomProblem(M, N)
+        monkeypatch.undo()
 
 
 def test_hom_space_structure(kp):
@@ -459,14 +567,11 @@ def test_twist_functor_round_trip(curve101):
             assert comp.f1.same_entries(GradedMatrix.identity(M.ring, M.p1)), kind
 
 
-def test_rank_nine_twist_image_is_simple_and_spherical(curve101):
+def test_rank_nine_twist_image_is_simple_and_spherical(rank_nine):
     # T_O(lb-2e-plus-p) is a reduced factorisation of rank 9; a spherical
     # object on the curve has stable End in shifts 0 and 1 only, each of
     # dimension 1
-    pt = mk.default_points(curve101, 1)[0]
-    O = mk.catalog_mf(curve101, "structure-sheaf")
-    Y = mk.twist_functor(O, mk.catalog_mf(curve101, "lb-2e-plus-p", pt))
-    assert Y.rank == 9
+    Y = rank_nine
     assert [mk.stable_hom_dim(Y, Y, shift=s) for s in range(-3, 4)] == [0, 0, 1, 1, 0, 0, 0]
 
 
