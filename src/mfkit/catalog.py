@@ -147,25 +147,11 @@ def curve_from_potential(f: Poly) -> WeierstrassCurve:
     if ring.nvars != 3:
         raise InputError(f"potential must be in three variables X, Y, Z, not {ring.nvars}")
     fld = ring.field
-    expected = {(0, 2, 1): fld.one, (3, 0, 0): fld.of(-1)}
-    a = b = fld.zero
-    for exp, coef in f.terms.items():
-        if exp in expected:
-            if coef != expected[exp]:
-                raise InputError("potential is not in Weierstrass shape")
-        elif exp == (1, 0, 2):
-            a = fld.neg(coef)
-        elif exp == (0, 0, 3):
-            b = fld.neg(coef)
-        else:
-            raise InputError(f"potential has an unexpected monomial X^{exp[0]}Y^{exp[1]}Z^{exp[2]}")
-    for key in expected:
-        if key not in f.terms:
-            raise InputError("potential is not in Weierstrass shape")
-    curve = curve_new(fld, a, b)
-    if curve.f != f:
+    a, b = fld.neg(f.coeff((1, 0, 2))), fld.neg(f.coeff((0, 0, 3)))
+    # the shape is checked before curve_new checks smoothness
+    if ring != PolyRing(fld) or WeierstrassCurve(ring, a, b).f != f:
         raise InputError("potential is not in Weierstrass shape")
-    return curve
+    return curve_new(fld, a, b)
 
 
 def _require_point(kind: str, point: CurvePoint | None) -> CurvePoint:

@@ -250,13 +250,13 @@ class ColumnSpan:
             return None
         return {(t[0] - self.g, t[1]): fld.neg(c) for t, c in red.items()}
 
-    def syzygies(self, first: int | None = None) -> list[Vec]:
-        """Groebner basis of the syzygy module of the columns; with `first`
-        set, each syzygy cut to the first columns, empty ones dropped."""
+    def syzygies(self, first: int) -> list[Vec]:
+        """Groebner basis of the syzygy module of the columns, each syzygy
+        cut to the first `first` columns, empty ones dropped."""
         out = []
         for v in self.gb.basis:
             if all(t[0] >= self.g for t in v):
-                syz = {(t[0] - self.g, t[1]): c for t, c in v.items() if first is None or t[0] - self.g < first}
+                syz = {(t[0] - self.g, t[1]): c for t, c in v.items() if t[0] - self.g < first}
                 if syz:
                     out.append(syz)
         return out

@@ -24,9 +24,9 @@ fraction field (Eisenbud, Trans. AMS 260 (1980), §5):
   beta_N.
 
 So the boundary rank of Hom(M, N) is the strict-equation rank of
-Hom(M, N[−1]), and of Hom(M[1], N), whose alpha-square on (h, −s) is the f1
-of D(h, s), which also determines a cycle: a profile over consecutive
-shifts needs one elimination per shift (`_twist_reps`).
+Hom(M[1], N), whose alpha-square on (h, −s) is the f1 of D(h, s), which
+also determines a cycle, and of Hom(M, N[−1]).  Boundaries are counted only
+so; their span is built only for representatives and null-homotopy tests.
 """
 
 from __future__ import annotations
@@ -246,29 +246,26 @@ class HomProblem:
 
 
 class StableHom:
-    """Strict morphisms M → N modulo null-homotopic ones, as two row spaces
-    in the coordinates of `problem`: the strict equations, and the
-    boundaries in f0 coordinates, the alpha-square images of
-    Hom(M, N[−1]) (module docstring).
+    """Strict morphisms M → N modulo null-homotopic ones, in the
+    coordinates of `problem`: the eliminated strict equations, and the
+    boundary rank, the strict rank of Hom(M[1], N) (module docstring).
 
     `strict_dim` is #slots − rank(equations); D∘D = 0 puts the boundaries
     inside the strict morphisms, so `stable_dim` is `strict_dim` −
-    `boundary_rank`, and `boundary_rank` is the strict-equation rank of
-    Hom(M[1], N) and of Hom(M, N[−1]).  Built on first read: `solutions`,
-    the kernel vectors, one per free column, so in the monomial-major slot
-    order; `basis`, the solutions whose f0 parts enlarge the boundary span
-    as they are folded into it in that order, as morphisms (the stable
-    representatives: f0 determines a cycle, so the same solutions enlarge
-    the span in full coordinates); `strict_basis`, every solution as a
-    morphism.
+    `boundary_rank`.  Built on first read: `solutions`, the kernel vectors,
+    one per free column, so in the monomial-major slot order; `basis`, the
+    solutions whose f0 parts enlarge `problem.boundary_space()` as they are
+    folded into it in that order, as morphisms (the stable representatives:
+    f0 determines a cycle, so the same solutions enlarge the span in full
+    coordinates); `strict_basis`, every solution as a morphism.
     """
 
-    def __init__(self, problem: HomProblem, equations: RowSpace, boundaries: RowSpace):
+    def __init__(self, problem: HomProblem, equations: RowSpace, boundary_rank: int):
         self.problem = problem
         self.source, self.target = problem.M, problem.N
-        self._equations, self._span = equations, boundaries
+        self._equations = equations
         self.strict_dim = len(problem.slots) - equations.rank
-        self.boundary_rank = boundaries.rank
+        self.boundary_rank = boundary_rank
 
     @property
     def stable_dim(self) -> int:
@@ -281,11 +278,11 @@ class StableHom:
     @cached_property
     def basis(self) -> list[MFMorphism]:
         # the fold stops once stable_dim solutions have enlarged the span
-        reps = []
+        span, reps = self.problem.boundary_space(), []
         for v in self.solutions:
             if len(reps) == self.stable_dim:
                 break
-            if self._span.add(self.problem.f0_part(v)) is not None:
+            if span.add(self.problem.f0_part(v)) is not None:
                 reps.append(self.problem.morphism_from_vector(v))
         return reps
 
@@ -294,15 +291,20 @@ class StableHom:
         return [self.problem.morphism_from_vector(v) for v in self.solutions]
 
 
+def _strict_system(M: MatrixFactorization, N: MatrixFactorization) -> tuple[HomProblem, RowSpace]:
+    """The coordinates of Hom(M, N) and its eliminated strict equations."""
+    prob = HomProblem(M, N)
+    return prob, row_space(prob.strict_rows(), prob.ring.field)
+
+
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
-    """Stable Hom M → N from its strict equations and its boundaries; a
-    kernel and a basis are built only when read (see StableHom).
+    """Stable Hom M → N from the strict ranks of Hom(M, N) and Hom(M[1], N);
+    a kernel, a basis and the boundary span are built only when read.
 
     M and N must be factorisations of one potential f ≠ 0 (alpha·beta = f·I):
     the alpha-square system rests on it.  `catalog_mf`, `cone_mf` and the CLI's
     loader check it."""
-    prob = HomProblem(M, N)
-    return StableHom(prob, row_space(prob.strict_rows(), prob.ring.field), prob.boundary_space())
+    return StableHom(*_strict_system(M, N), _strict_system(shift_mf(M, 1), N)[1].rank)
 
 
 def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 0) -> int:
@@ -439,25 +441,22 @@ def _twist_reps(C: MatrixFactorization, X: MatrixFactorization, into_c: bool) ->
     lives on at most two adjacent shifts.
 
     The strict rows are eliminated once per shift, -3..4, or -4..3 when
-    into_c: the boundary rank at i is the strict-equation rank at the
-    neighbouring shift, of Hom(C[i + 1], X), or of Hom(X, C[i − 1]) when
-    into_c (module docstring).  Boundaries are spanned only where a basis
-    is read, at the support shifts."""
+    into_c: the boundary rank at i is the strict rank at i + 1, or at i − 1
+    when into_c (module docstring), and boundaries are spanned only at the
+    support shifts, where a basis is read."""
     step = -1 if into_c else 1
     systems = {}
     for i in (*range(-3, 4), 4 * step):
         Ci = shift_mf(C, i)
-        prob = HomProblem(X, Ci) if into_c else HomProblem(Ci, X)
-        systems[i] = prob, row_space(prob.strict_rows(), prob.ring.field)
-    rank = {i: equations.rank for i, (_, equations) in systems.items()}
-    dims = {i: len(systems[i][0].slots) - rank[i] - rank[i + step] for i in range(-3, 4)}
+        systems[i] = _strict_system(X, Ci) if into_c else _strict_system(Ci, X)
+    spaces = {i: StableHom(*systems[i], systems[i + step][1].rank) for i in range(-3, 4)}
+    dims = {i: H.stable_dim for i, H in spaces.items()}
     if dims[-3] != 0 or dims[3] != 0:
         raise InputError(f"twist functor guard failed: nonzero stable Hom at shift ±3 ({dims})")
     support = [i for i in range(-2, 3) if dims[i] > 0]
     if len(support) > 2 or (len(support) == 2 and support[1] - support[0] != 1):
         raise InputError(f"twist functor guard failed: stable Hom supported at shifts {support}")
-    spaces = (StableHom(*systems[i], systems[i][0].boundary_space()) for i in support)
-    return [phi for H in spaces for phi in H.basis]
+    return [phi for i in support for phi in spaces[i].basis]
 
 
 def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFactorization:

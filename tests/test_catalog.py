@@ -89,6 +89,12 @@ def test_curve_recovery_from_potential():
         mk.curve_from_potential(X**3)
     with pytest.raises(mk.InputError):
         mk.curve_from_potential(mk.default_curve().f + X * Y * Z)
+    # a Weierstrass cubic in variables other than X, Y, Z, and one whose
+    # Y^2Z coefficient is not 1
+    U, V, W = mk.PolyRing(QQ, ("a", "b", "c")).gens()
+    for f in (V * V * W - U**3 - W**3, (Y * Y * Z).scale(2) - X**3 - Z**3):
+        with pytest.raises(mk.InputError, match="Weierstrass shape"):
+            mk.curve_from_potential(f)
 
 
 # ---------------------------------------------------------------------------

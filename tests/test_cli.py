@@ -395,14 +395,26 @@ def test_ar_command(capsys, tmp_path, qcurve, qpoints):
 
 
 @pytest.mark.parametrize(
-    "argv", [["ar", "{kp}", "--max-degree", "-1"], ["iso", "{kp}", "{kp}", "--samples", "-1"]], ids=["ar", "iso"]
+    "argv, message",
+    [
+        (["ar", "{kp}", "--max-degree", "-1"], "must be >= 0"),
+        (["iso", "{kp}", "{kp}", "--samples", "-1"], "must be >= 0"),
+        (["ar", "{kp}", "--max-degree", "101"], "--max-degree must be <= 100, got 101"),
+    ],
+    ids=["ar", "iso", "ar-above-bound"],
 )
-def test_negative_count_flags_are_input_errors(capsys, tmp_path, qcurve, qpoints, argv):
+def test_negative_count_flags_are_input_errors(monkeypatch, capsys, tmp_path, qcurve, qpoints, argv, message):
     kp = write_mf(tmp_path, "kp.json", mk.catalog_mf(qcurve, "point", qpoints[0]))
+
+    def refuse(M, d):
+        raise AssertionError(f"Hilbert function computed in degree {d}")
+
+    # a broken bound fails as exit 70 at once instead of running the degree loop
+    monkeypatch.setattr(mk.cli, "hilbert_function", refuse)
     code, payload, err = run_cli(capsys, *(a.format(kp=kp) for a in argv))
     assert code == 2
     assert payload is None
-    assert "must be >= 0" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(

@@ -360,7 +360,7 @@ def test_column_span_syzygies_annihilate(R):
     X, Y, Z = R.gens()
     cols = columns_as_vectors(GradedMatrix(R, [0], [1, 1, 1], [[X, Y, Z]]))
     span = ColumnSpan(R, [0], cols)
-    syz = span.syzygies()
+    syz = span.syzygies(len(cols))
     assert syz
     M = GradedMatrix(R, [0], [1, 1, 1], [[X, Y, Z]])
     S = vectors_as_columns(R, [1, 1, 1], syz)

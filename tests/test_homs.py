@@ -270,7 +270,7 @@ def assert_half_systems_match_full(M, N, oracle):
     assert H._equations.rows == strict.rows
     assert H.boundary_rank == boundaries.rank
     f0_parts = [prob.f0_part(prob.vector_from_morphism(phi)) for phi in oracle]
-    assert H._span.rows == row_space(f0_parts, prob.ring.field).rows  # before basis folds into it
+    assert prob.boundary_space().rows == row_space(f0_parts, prob.ring.field).rows
     solutions = nullspace(strict, len(prob.slots))
     assert H.solutions == solutions
     reps = [v for v in solutions if boundaries.add(v) is not None]
@@ -345,24 +345,32 @@ def test_null_homotopy_agrees_with_full_coordinates(char, lam, mu):
 
 
 def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
-    # the dimensions come from two ranks: hom_space and stable_hom_dim build
-    # no morphism, and reading basis builds exactly the stable representatives
-    built = []
-    build = HomProblem.morphism_from_vector
+    # the dimensions come from two strict ranks: hom_space and stable_hom_dim
+    # build no morphism and no boundary, and reading basis builds the
+    # boundary span once and exactly the stable representatives
+    built, spans = [], []
+    build, boundaries = HomProblem.morphism_from_vector, HomProblem.boundary_vectors
 
     def counted(self, vec):
         built.append(vec)
         return build(self, vec)
 
+    def counted_boundaries(self):
+        spans.append(self)
+        return boundaries(self)
+
     monkeypatch.setattr(HomProblem, "morphism_from_vector", counted)
+    monkeypatch.setattr(HomProblem, "boundary_vectors", counted_boundaries)
     dims = []
     for M, N in ((kp, kp), (kp, kq), (osheaf, kp), (mk.direct_sum_mf(kp, osheaf), kp)):
         built.clear()
+        spans.clear()
         assert mk.stable_hom_dim(M, N) >= 0
         H = mk.hom_space(M, N)
-        assert built == []
+        assert built == [] and spans == []
         assert len(H.basis) == H.stable_dim
         assert len(built) == H.stable_dim
+        assert spans == [H.problem]
         dims.append((H.stable_dim, H.strict_dim))
     # a stable Hom of 0, and one whose strict space is larger than its stable one
     assert dims[1][0] == 0 and dims[3][0] < dims[3][1]

@@ -24,7 +24,7 @@ mk.detect_periodicity(mk.minimal_resolution(residue_field, 4))
 mk.extract_mf(residue_field, "structure-sheaf")
 pt = mk.default_points(curve, 1)[0]
 point, line = mk.catalog_mf(curve, "point", pt), mk.catalog_mf(curve, "lb-minus-p", pt)
-mk.hom_space(line, point)
+mk.hom_space(line, point).basis
 mk.is_stably_isomorphic(point, point)
 mk.reduce_mf(mk.direct_sum_mf(point, mk.trivial_mf(curve.ring, curve.f)))
 print(json.dumps(tracer.metrics(1, 0)))
@@ -43,8 +43,13 @@ def test_tracer_installs_on_a_fresh_import_and_sees_the_groebner_layer():
     assert metrics["mf.extract_s"] > 0
     assert metrics["linalg.add_calls"] > 0
     # the Hom layer too: the hom_space hooks read StableHom.problem.slots and
-    # strict_basis, and the iso search runs under scale_morphism's wrapper
-    for key in ("homs.hom_space_calls", "homs.unknowns", "homs.equations", "linalg.nullspace_calls", "homs.iso_calls"):
+    # strict_basis, the iso search runs under scale_morphism's wrapper, and
+    # reading a basis builds its boundary span through boundary_vectors (the
+    # point's self-Hom has no boundary slot, Hom(line, point) has one)
+    for key in (
+        "homs.hom_space_calls", "homs.unknowns", "homs.equations", "homs.boundary_vectors",
+        "linalg.nullspace_calls", "homs.iso_calls",
+    ):
         assert metrics[key] > 0, key
     # reduce_mf's hook counts the rank it splits off, here the trivial summand
     assert metrics["mf.reduce_calls"] > 0
