@@ -99,8 +99,11 @@ def reduce_vec(v: Vec, basis, lts, fld) -> Vec:
 
     v is one more row, with an extra last column set to 1: that column
     carries the scalar that fraction-free elimination over Q puts on the
-    remainder."""
+    remainder.  When no leading term divides a term of v, v is its own
+    normal form, returned in the same descending term order."""
     space, cols, terms = _reducer_space([v], basis, lts, fld)
+    if not space.rows:
+        return {t: v[t] for t in terms}
     last = len(terms)
     row = {cols[t]: c for t, c in v.items()}
     row[last] = 1

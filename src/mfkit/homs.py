@@ -157,22 +157,25 @@ def _hom_slots(M: MatrixFactorization, N: MatrixFactorization) -> list:
     return sorted(slots, key=itemgetter(3), reverse=True)
 
 
-def _alpha_square(M: MatrixFactorization, N: MatrixFactorization, slots) -> list[dict]:
-    """The images of the slots of Hom(M, N) under the alpha-square
-    (f0, f1) ↦ alpha_N·f0 − f1·alpha_M, keyed ("f0", row, column, monomial)
-    as the f0 slots of Hom(M, N[1]), whose P0 is P1(N): an f0 slot at
-    (i, j) reaches column j through column i of alpha_N, an f1 slot row i
-    through row j of −alpha_M.  No two terms of one image share a key."""
+def _alpha_square(M: MatrixFactorization, N: MatrixFactorization, slots):
+    """The alpha-square (f0, f1) ↦ alpha_N·f0 − f1·alpha_M on the slots of
+    Hom(M, N), as triples (slot column, key, coefficient), slot by slot.  A
+    key (row, column, monomial) names a coefficient of the image, a map
+    P0(M) → P1(N): an f0 slot at (i, j) reaches column j through column i of
+    alpha_N, an f1 slot row i through row j of −alpha_M.  The keys of one
+    slot are distinct."""
     neg = M.ring.field.neg
     cols = [[(k, e, c) for k, row in enumerate(N.alpha.entries) for e, c in row[i].terms.items()]
             for i in range(len(N.p0))]
     rows = [[(k, e, neg(c)) for k, p in enumerate(row) for e, c in p.terms.items()]
             for row in M.alpha.entries]
-    return [
-        {("f0", k, j, tuple(map(add, exp, e))): c for k, e, c in cols[i]} if tag == "f0"
-        else {("f0", i, k, tuple(map(add, exp, e))): c for k, e, c in rows[j]}
-        for tag, i, j, exp in slots
-    ]
+    for col, (tag, i, j, exp) in enumerate(slots):
+        if tag == "f0":
+            for k, e, c in cols[i]:
+                yield col, (k, j, tuple(map(add, exp, e))), c
+        else:
+            for k, e, c in rows[j]:
+                yield col, (i, k, tuple(map(add, exp, e))), c
 
 
 class HomProblem:
@@ -188,22 +191,25 @@ class HomProblem:
     def strict_rows(self) -> list[dict]:
         """Equations of the strict morphisms: the alpha-square
         alpha_N·f0 = f1·alpha_M (the beta-square follows; see the module
-        docstring), transposed on the slots, one row per image coordinate,
-        in no set order."""
+        docstring), its triples grouped by key, one row per image
+        coefficient, in order of first appearance, columns ascending."""
         rows: dict = {}
-        for col, img in enumerate(_alpha_square(self.M, self.N, self.slots)):
-            for key, c in img.items():
-                rows.setdefault(key, {})[col] = c
+        for col, key, c in _alpha_square(self.M, self.N, self.slots):
+            rows.setdefault(key, {})[col] = c
         return list(rows.values())
 
     def boundary_vectors(self) -> list[dict]:
         """The boundaries in f0 coordinates: the alpha-square images of the
         slots of Hom(M, N[−1]), whose f0 and f1 are the homotopies
-        P0(M) → P1(N)(−3) and P1(M) → P0(N) (module docstring)."""
+        P0(M) → P1(N)(−3) and P1(M) → P0(N) (module docstring).  The image
+        P0(M) → P1(N[−1]) = P0(N) is an f0 of Hom(M, N), so each key names
+        an f0 slot here."""
         N1 = shift_mf(self.N, -1)
-        index = self.index
-        images = _alpha_square(self.M, N1, _hom_slots(self.M, N1))
-        return [{index[k]: c for k, c in img.items()} for img in images]
+        slots = _hom_slots(self.M, N1)
+        index, vecs = self.index, [{} for _ in slots]
+        for col, (i, j, exp), c in _alpha_square(self.M, N1, slots):
+            vecs[col][index["f0", i, j, exp]] = c
+        return vecs
 
     def f0_part(self, vec: dict) -> dict:
         """The f0 coordinates of vec, which determine a strict morphism."""

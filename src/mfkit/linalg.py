@@ -2,9 +2,13 @@
 
 Vectors are dicts {column index: nonzero coefficient} of field elements.
 `RowSpace` is the one eliminator: it keeps its rows in fully reduced echelon
-form and stores every entry as a plain int.  `row_space` adds a batch largest
-leading column first, as F4 does (Faugère–Lachartre, PASCO 2010): that makes
-back-substitution rare and, the reduced form being unique, changes nothing else.
+form and stores every entry as a plain int.  A stored row has entries only at
+or right of its pivot, so a new pivot left of the smallest stored pivot lies
+in no stored row, and `add` then skips back-substitution without looking at
+the stored rows.  `row_space` adds a batch largest leading column first, as
+F4 does (Faugère–Lachartre, PASCO 2010): every new pivot whose leading entry
+survives reduction then takes that skip, and the reduced form being unique,
+the order changes nothing else.
 
 - Over F_p the entries lie in [0, p), each pivot is 1, and the arithmetic is
   inline `% p`.
@@ -22,7 +26,7 @@ to a nonzero scalar over Q; its support, and so `contains`, is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .fields import Field
 
@@ -77,6 +81,7 @@ class RowSpace:
     def __init__(self, field: Field):
         self.field = field
         self.rows: dict[int, dict[int, int]] = {}  # pivot column -> row
+        self._least = inf  # smallest stored pivot
 
     def _ints(self, vec: dict) -> dict:
         """vec as ints: reduced mod p, or over Q times the lcm of its denominators."""
@@ -98,18 +103,25 @@ class RowSpace:
         return v
 
     def add(self, vec: dict) -> dict | None:
-        """Insert vec; return its reduced form if it enlarged the space, else None."""
+        """Insert vec; return its reduced form if it enlarged the space, else None.
+
+        The new pivot is back-substituted into the stored rows only when it
+        lies right of the smallest stored pivot: a stored row has no entry
+        left of its own pivot, so otherwise no stored row can contain it."""
         p = self.field.char
         v = self.reduce(vec)
         if not v:
             return None
         piv = min(v)
         _normalise(v, piv, p)
-        for q, row in self.rows.items():
-            if piv in row:
-                _eliminate(row, v, piv, p)
-                if not p:
-                    _normalise(row, q, p)
+        if piv < self._least:
+            self._least = piv
+        else:
+            for q, row in self.rows.items():
+                if piv in row:
+                    _eliminate(row, v, piv, p)
+                    if not p:
+                        _normalise(row, q, p)
         self.rows[piv] = v
         return v
 

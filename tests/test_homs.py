@@ -299,6 +299,47 @@ def test_half_hom_systems_match_the_full_ones_at_rank_nine(rank_nine):
         assert_half_systems_match_full(M, rank_nine, boundary_morphisms(M, rank_nine))
 
 
+def alpha_square_by_matrices(prob):
+    """For each slot of prob, α_N·f0 − f1·α_M on its elementary morphism by
+    GradedMatrix arithmetic, as {(row, column, monomial): coefficient}."""
+    M, N, one = prob.M, prob.N, prob.ring.field.one
+    images = []
+    for col in range(len(prob.slots)):
+        phi = prob.morphism_from_vector({col: one})
+        img = N.alpha * phi.f0 - phi.f1 * M.alpha
+        images.append({(i, j, exp): c for i, row in enumerate(img.entries)
+                       for j, e in enumerate(row) for exp, c in e.terms.items()})
+    return images
+
+
+@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
+def test_alpha_square_triples_match_matrix_arithmetic(char, lam, mu):
+    # the triples of every slot are the coefficients of the matrix product,
+    # and strict_rows and boundary_vectors are their transposes: grouped by
+    # key in order of first appearance, and grouped by slot through index
+    kinds = dict(zip(mk.CATALOG_KINDS, catalog_objects(char, lam, mu)))
+    objs = [kinds[k] for k in ("point", "lb-2e-plus-p", "structure-sheaf", "trivial")]
+    for M in objs:
+        for N in objs:
+            prob, below = HomProblem(M, N), HomProblem(M, mk.shift_mf(N, -1))
+            triples = {}
+            for p in (prob, below):
+                triples[p] = list(homs._alpha_square(p.M, p.N, p.slots))
+                by_slot = [{} for _ in p.slots]
+                for col, key, c in triples[p]:
+                    assert key not in by_slot[col]
+                    by_slot[col][key] = c
+                assert by_slot == alpha_square_by_matrices(p)
+            rows: dict = {}
+            for col, key, c in triples[prob]:
+                rows.setdefault(key, {})[col] = c
+            assert repr(prob.strict_rows()) == repr(list(rows.values()))
+            vecs = [{} for _ in below.slots]
+            for col, key, c in triples[below]:
+                vecs[col][prob.index[("f0", *key)]] = c
+            assert repr(prob.boundary_vectors()) == repr(vecs)
+
+
 def equation_rank(M, N):
     prob = HomProblem(M, N)
     return row_space(prob.strict_rows(), prob.ring.field).rank

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfkit import linalg
 from mfkit.fields import Field, QQ
 from mfkit.linalg import RowSpace, inverse, nullspace, row_space
 from mfkit.poly import GradedMatrix, PolyRing, graded_inverse, validate_graded_matrix
@@ -323,6 +324,53 @@ def test_row_space_skips_empty_rows_and_adds_largest_leading_column_first(monkey
     space = row_space([{}, {0: 3, 2: 1}, {2: 1}, {}, {1: 1}, {}], Field(7))
     assert added == [{2: 1}, {1: 1}, {0: 3, 2: 1}]
     assert space.rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+
+
+@pytest.mark.parametrize("F", [QQ, Field(101)])
+def test_add_back_substitutes_only_a_pivot_right_of_a_stored_pivot(monkeypatch, F):
+    # every vector add reduces and stores is a Probed dict, and every space is
+    # recorded, so the stored rows add looks into and those it eliminates
+    # into are both seen
+    looked, cleared, spaces = [], [], []
+
+    class Probed(dict):
+        def __contains__(self, j):
+            looked.append(j)
+            return dict.__contains__(self, j)
+
+    init, ints, eliminate = RowSpace.__init__, RowSpace._ints, linalg._eliminate
+
+    def counted(v, row, piv, p):
+        if any(v is r for s in spaces for r in s.rows.values()):
+            cleared.append(piv)
+        eliminate(v, row, piv, p)
+
+    monkeypatch.setattr(RowSpace, "__init__", lambda self, field: spaces.append(self) or init(self, field))
+    monkeypatch.setattr(RowSpace, "_ints", lambda self, vec: Probed(ints(self, vec)))
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+
+    def as_field(space):
+        return {q: {j: space.scalar(q, x) for j, x in row.items()} for q, row in space.rows.items()}
+
+    # distinct leading columns, added largest first: every leading entry
+    # survives reduction, so no stored row can hold the new pivot
+    rng = random.Random(5)
+    batch = [{i: random_entry(rng, F), **{j: random_entry(rng, F) for j in range(i + 1, 8) if rng.random() < 0.6}}
+             for i in range(6)]
+    space, ref = row_space(batch, F), FieldRowSpace(F)
+    for r in sorted(batch, key=lambda r: -min(r)):
+        ref.add(r)
+    assert space.rank == 6
+    assert looked == [] and cleared == []
+    assert as_field(space) == ref.rows
+
+    # pivot 1 lands right of the stored pivot 0, whose row holds column 1
+    space, ref = RowSpace(F), FieldRowSpace(F)
+    for r in ({0: F.one, 1: F.one, 2: F.one}, {1: F.one, 2: F.of(2)}):
+        space.add(r)
+        ref.add(r)
+    assert cleared == [1]
+    assert as_field(space) == ref.rows == {0: {0: F.one, 2: F.neg(F.one)}, 1: {1: F.one, 2: F.of(2)}}
 
 
 # ---------------------------------------------------------------------------
