@@ -50,6 +50,24 @@ def _monomials(n: int, d: int) -> tuple[Exp, ...]:
     return tuple(exps)
 
 
+def _add_products(out: dict, t1: dict, t2: dict, char: int) -> None:
+    """Add every product of a term of t1 and a term of t2 into the term dict
+    out, coefficients reduced mod char (if nonzero), dropping terms that
+    cancel.  The one term loop of polynomial and matrix products."""
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            if e in out:
+                c += out[e]
+            if char:
+                c %= char
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+
+
 class PolyRing:
     """A polynomial ring K[x_0, ..., x_n] with all variables in degree 1."""
 
@@ -191,21 +209,8 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        fld = self.ring.field
-        char = fld.char
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                if e in out:
-                    c += out[e]
-                if char:
-                    c %= char
-                if c:
-                    out[e] = c
-                else:
-                    out.pop(e, None)
+        _add_products(out, self.terms, other.terms, self.ring.field.char)
         return Poly(self.ring, out)
 
     def __rmul__(self, other):
@@ -259,126 +264,219 @@ MAX_PARSE_PRODUCTS = 100_000
 # parser, so without a cap deep nesting ends in RecursionError, not ParseError.
 MAX_PARSE_DEPTH = 100
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[-+*/^()]))")
+# One token per match: an integer, a variable name, an operator (`**` is read
+# as `^`) or, in the last group, any other character, which is refused.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[-+*/^()])|(\S))")
+_OPS = frozenset("+-*/^()")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """The tokens of text: ints, variable names and operator characters."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
-        if m.group(1):
+    for m in _TOKEN.finditer(text):
+        num, name, op, stray = m.groups()
+        if num:
             try:
-                tokens.append(("int", int(m.group(1))))
+                tokens.append(int(num))
             except ValueError as exc:  # more digits than int() converts
                 raise ParseError(str(exc)) from exc
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
+        elif name:
+            tokens.append(name)
+        elif op:
+            tokens.append("^" if op == "**" else op)
         else:
-            op = "^" if m.group(3) == "**" else m.group(3)
-            tokens.append(("op", op))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in polynomial")
+            raise ParseError(f"unexpected character {stray!r} in polynomial")
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, ring: PolyRing):
-        self.tokens = tokens
+    """Recursive descent over the tokens, ending in a None sentinel.
+
+    A value with at most one term is a pair (coefficient, exponent tuple),
+    the zero pair having coefficient zero; products, powers, signs and
+    division by constants of pairs work on the pair.  A value with more
+    than one term is a term dict that no other value shares; a sum gathers
+    its terms into one dict as Poly.__add__ would, so the result's terms
+    come in the same order as with Poly arithmetic.  The degree caps and
+    the budget of term products are charged as for Poly operands, a
+    nonzero pair counting 1 term and the zero pair 0.
+    """
+
+    __slots__ = ("tokens", "i", "ring", "char", "zero", "one", "budget", "depth")
+
+    def __init__(self, tokens: list, ring: PolyRing):
+        self.tokens = tokens + [None]
         self.i = 0
         self.ring = ring
+        fld = ring.field
+        self.char = fld.char
+        exp0 = (0,) * ring.nvars
+        self.zero = (fld.zero, exp0)
+        self.one = (fld.one, exp0)
         self.budget = MAX_PARSE_PRODUCTS
         self.depth = 0
 
-    def mul(self, p: Poly, q: Poly) -> Poly:
-        """p·q, charged to the parse's budget of term products before it is formed."""
-        self.budget -= len(p.terms) * len(q.terms)
+    def charge(self, products: int) -> None:
+        """Spend term products from the parse's budget before they are formed."""
+        self.budget -= products
         if self.budget < 0:
             raise ParseError(f"polynomial text needs more than {MAX_PARSE_PRODUCTS} term products")
-        return p * q
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
+    def normal(self, terms: dict):
+        """The value of a term dict: a pair unless it has two or more terms."""
+        if len(terms) > 1:
+            return terms
+        for e, c in terms.items():
+            return c, e
+        return self.zero
 
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+    @staticmethod
+    def terms(v) -> dict:
+        if type(v) is dict:
+            return v
+        return {v[1]: v[0]} if v[0] else {}
 
-    def expr(self) -> Poly:
-        p = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+    @staticmethod
+    def degree(v) -> int:
+        """Total degree, 0 for zero (Poly.degree() or 0)."""
+        if type(v) is dict:
+            return max(map(sum, v))
+        return sum(v[1]) if v[0] else 0
 
-    def term(self) -> Poly:
-        p = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            q = self.factor()
+    def mul(self, v, w):
+        if type(v) is tuple and type(w) is tuple:
+            if not (v[0] and w[0]):
+                return self.zero
+            self.charge(1)
+            c = v[0] * w[0]
+            return (c % self.char if self.char else c), tuple(map(add, v[1], w[1]))
+        t1, t2 = self.terms(v), self.terms(w)
+        self.charge(len(t1) * len(t2))
+        out: dict = {}
+        _add_products(out, t1, t2, self.char)
+        return self.normal(out)
+
+    def power(self, v, n: int):
+        """v^n as n products from one, each charged as a product."""
+        out = self.one
+        for _ in range(n):
+            out = self.mul(out, v)
+        return out
+
+    def scale(self, v, c):
+        char = self.char
+        if type(v) is tuple:
+            return (v[0] * c % char if char else v[0] * c), v[1]
+        return {e: a * c % char if char else a * c for e, a in v.items()}
+
+    def expr(self):
+        v = self.term()
+        tokens = self.tokens
+        if tokens[self.i] not in ("+", "-"):
+            return v
+        # the terms of a sum gather in one dict, in Poly.__add__'s order
+        out = self.terms(v)
+        char = self.char
+        while tokens[self.i] in ("+", "-"):
+            minus = tokens[self.i] == "-"
+            self.i += 1
+            w = self.term()
+            for e, c in self.terms(self.scale(w, -1) if minus else w).items():
+                if e in out:
+                    c += out[e]
+                    if char:
+                        c %= char
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+        return self.normal(out)
+
+    def term(self):
+        v = self.factor()
+        tokens = self.tokens
+        while tokens[self.i] in ("*", "/"):
+            op = tokens[self.i]
+            self.i += 1
+            w = self.factor()
             if op == "*":
-                if (p.degree() or 0) + (q.degree() or 0) > MAX_PARSE_DEGREE:
+                if self.degree(v) + self.degree(w) > MAX_PARSE_DEGREE:
                     raise ParseError(f"product of degree above {MAX_PARSE_DEGREE} in polynomial")
-                p = self.mul(p, q)
+                v = self.mul(v, w)
+            elif type(w) is dict or not w[0] or any(w[1]):
+                raise ParseError("division only by nonzero constants")
             else:
-                if not q.is_constant() or q.is_zero():
-                    raise ParseError("division only by nonzero constants")
-                try:
-                    p = p.scale(self.ring.field.inv(q.constant_value()))
-                except ZeroDivisionError as exc:
-                    raise ParseError(str(exc)) from exc
-        return p
+                v = self.scale(v, self.ring.field.inv(w[0]))
+        return v
 
-    def factor(self) -> Poly:
-        sign = 1
-        while self.peek() == ("op", "-") or self.peek() == ("op", "+"):
-            _, op = self.take()
-            if op == "-":
-                sign = -sign
-        p = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            kind, val = self.take()
-            if kind != "int":
+    def factor(self):
+        tokens = self.tokens
+        minus = False
+        while tokens[self.i] in ("-", "+"):
+            minus ^= tokens[self.i] == "-"
+            self.i += 1
+        v = self.atom()
+        if tokens[self.i] == "^":
+            n = tokens[self.i + 1]
+            self.i += 2
+            if type(n) is not int:
                 raise ParseError("exponent must be a nonnegative integer")
-            if val > MAX_PARSE_DEGREE or (p.degree() or 0) * val > MAX_PARSE_DEGREE:
+            if n > MAX_PARSE_DEGREE or self.degree(v) * n > MAX_PARSE_DEGREE:
                 raise ParseError(f"power of degree or exponent above {MAX_PARSE_DEGREE} in polynomial")
-            p = functools.reduce(self.mul, [p] * val, self.ring.one())
-        return p if sign == 1 else -p
+            v = self.power(v, n)
+        return self.scale(v, -1) if minus else v
 
-    def atom(self) -> Poly:
-        kind, val = self.take()
-        if kind == "int":
-            return self.ring.const(val)
-        if kind == "name":
-            return self.ring.var(val)
-        if (kind, val) == ("op", "("):
+    def atom(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        if type(tok) is int:
+            return (tok % self.char if self.char else Fraction(tok)), self.zero[1]
+        if tok == "(":
             self.depth += 1
             if self.depth > MAX_PARSE_DEPTH:
                 raise ParseError(f"parentheses nested deeper than {MAX_PARSE_DEPTH} in polynomial")
-            p = self.expr()
-            if self.take() != ("op", ")"):
+            v = self.expr()
+            if self.tokens[self.i] != ")":
                 raise ParseError("unbalanced parentheses")
+            self.i += 1
             self.depth -= 1
-            return p
-        raise ParseError(f"unexpected token {val!r} in polynomial")
+            return v
+        if tok is None or tok in _OPS:
+            raise ParseError(f"unexpected token {tok!r} in polynomial")
+        ring = self.ring
+        if tok not in ring._index:
+            raise ParseError(f"unknown variable {tok!r} in ring {ring.vars}")
+        exp = [0] * ring.nvars
+        exp[ring._index[tok]] = 1
+        return self.one[0], tuple(exp)
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:
-    """Parse `+ - * / ^`-arithmetic over integers, rationals p/q, and ring variables."""
+    """Parse `+ - * / ^`-arithmetic over integers, rationals p/q, and ring variables.
+
+    `^` (or `**`) takes a nonnegative integer exponent and binds tighter than
+    a unary sign: -X^2 is -(X^2).  Refused with ParseError: a stray
+    character, an unknown variable, division by anything but a nonzero
+    constant, a product or power above degree MAX_PARSE_DEGREE, more than
+    MAX_PARSE_PRODUCTS term products, nesting deeper than MAX_PARSE_DEPTH.
+    One-term values are multiplied as (coefficient, exponent tuple) pairs,
+    and only the result is built as a Poly (see _Parser).  The budget is
+    charged as for Poly operands: m·n products for a product of values with
+    m and n terms (a nonzero pair has 1, zero has 0), and v^k as k such
+    products starting from one.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text")
     parser = _Parser(tokens, ring)
-    p = parser.expr()
+    v = parser.expr()
     if parser.i != len(tokens):
-        raise ParseError(f"trailing input after polynomial: {tokens[parser.i:]}")
-    return p
+        rest = [
+            ("int" if type(t) is int else "op" if t in _OPS else "name", t)
+            for t in tokens[parser.i:]
+        ]
+        raise ParseError(f"trailing input after polynomial: {rest}")
+    return Poly(ring, parser.terms(v))
 
 
 def _format_monomial(ring: PolyRing, exp: Exp) -> str:
@@ -513,17 +611,21 @@ class GradedMatrix:
             raise ValidationError("matrices over different rings")
         if self.cols != other.rows:
             raise ValidationError("matrix shapes do not compose")
-        z = self.ring.zero()
-        cols = list(zip(*other.entries)) or [()] * other.cols
+        ring = self.ring
+        char = ring.field.char
+        cols = [[e.terms for e in col] for col in zip(*other.entries)] or [()] * other.cols
         out = []
         for row in self.entries:
-            nonzero = [(j, e) for j, e in enumerate(row) if e.terms]
+            nonzero = [(j, e.terms) for j, e in enumerate(row) if e.terms]
             out_row = []
             for col in cols:
-                products = [e * col[j] for j, e in nonzero if col[j].terms]
-                out_row.append(sum(products[1:], products[0]) if products else z)
+                acc: dict = {}
+                for j, t in nonzero:
+                    if col[j]:
+                        _add_products(acc, t, col[j], char)
+                out_row.append(Poly(ring, acc))
             out.append(out_row)
-        return GradedMatrix(self.ring, self.target_twists, other.source_twists, out)
+        return GradedMatrix(ring, self.target_twists, other.source_twists, out)
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -679,17 +781,13 @@ def validate_graded_matrix(M: GradedMatrix) -> list[tuple[int, int, str]]:
             if e.is_zero():
                 continue
             want = M.source_twists[j] - M.target_twists[i]
-            if not e.is_homogeneous():
+            degs = {sum(exp) for exp in e.terms}
+            if len(degs) > 1:
                 bad.append((i, j, f"entry ({i},{j}) is not homogeneous: {e}"))
-            elif e.homogeneous_degree() != want:
-                bad.append(
-                    (
-                        i,
-                        j,
-                        f"entry ({i},{j}) has degree {e.homogeneous_degree()}, "
-                        f"expected {want}",
-                    )
-                )
+            else:
+                (d,) = degs
+                if d != want:
+                    bad.append((i, j, f"entry ({i},{j}) has degree {d}, expected {want}"))
     return bad
 
 

@@ -257,7 +257,8 @@ def test_envelope_with_one_field_replaced_loads_or_raises_parse_error(data):
 @settings(max_examples=300, deadline=None)
 @given(st.text(POLY_ALPHABET + "*", max_size=30))
 def test_polynomial_text_parses_or_raises_parse_error(text):
-    try:
-        parse_poly(text, PolyRing(QQ))
-    except mk.ParseError:
-        pass
+    for ring in (PolyRing(QQ), PolyRing(Field(101))):
+        try:
+            parse_poly(text, ring)
+        except mk.ParseError:
+            pass

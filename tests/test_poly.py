@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfkit as mk
+from mfkit.errors import ValidationError
 from mfkit.fields import Field, QQ
 from mfkit.poly import (
     MAX_PARSE_DEGREE,
+    MAX_PARSE_PRODUCTS,
     GradedMatrix,
+    Poly,
     PolyRing,
     format_poly,
     grevlex_key,
@@ -85,6 +88,17 @@ def test_parse_caps_degree_and_exponent(R):
             parse_poly(bad, R)
 
 
+def test_parse_charges_one_term_values_like_polys(R):
+    # X^23*Y costs 24 term products: 23 for the power from one, 1 for `*`
+    fits = MAX_PARSE_PRODUCTS // 24
+    text = " + ".join(["X^23*Y"] * fits)
+    assert parse_poly(text, R) == R.monomial((23, 1, 0), fits)
+    with pytest.raises(mk.ParseError, match="term products"):
+        parse_poly(text + " + X^23*Y", R)
+    # a zero operand has no terms, so only the 23 of the power are charged
+    assert parse_poly(" + ".join(["0*X^23*Y"] * (fits + 1)), R).is_zero()
+
+
 def test_parse_accepts_fraction_and_prime_coefficients():
     R = PolyRing(QQ)
     p = parse_poly("2/3*X*Y - Z^2", R)
@@ -96,6 +110,125 @@ def test_parse_accepts_fraction_and_prime_coefficients():
 
 def test_ring_parse_is_exposed(R):
     assert R.parse("X + Y") == parse_poly("X + Y", R)
+
+
+# Expression trees for the parser oracle: ("int", n), ("var", name),
+# (op, left, right) for op in + - *, ("/", tree, integer divisor),
+# ("neg" | "pos" | "()", tree) and ("^", base, exponent, spelling).
+EXPR_TREES = st.recursive(
+    st.integers(0, 200).map(lambda n: ("int", n)) | st.sampled_from("XYZ").map(lambda v: ("var", v)),
+    lambda inner: st.tuples(st.sampled_from("+-*"), inner, inner)
+    | st.tuples(st.just("/"), inner, st.integers(0, 202))
+    | st.tuples(st.sampled_from(["neg", "pos", "()"]), inner)
+    | st.tuples(st.just("^"), inner, st.integers(0, 3), st.sampled_from(["^", "**"])),
+    max_leaves=10,
+)
+
+
+def render(tree, prec=0) -> str:
+    """Text that parses to exactly this tree; parentheses only where the
+    grammar needs them (precedence 1 sum, 2 product, 3 signed factor,
+    4 power, 5 atom)."""
+    kind = tree[0]
+    if kind == "int":
+        text, own = str(tree[1]), 5
+    elif kind == "var":
+        text, own = tree[1], 5
+    elif kind == "()":
+        text, own = f"({render(tree[1])})", 5
+    elif kind in ("neg", "pos"):
+        text, own = ("-" if kind == "neg" else "+") + render(tree[1], 3), 3
+    elif kind == "^":
+        text, own = f"{render(tree[1], 5)}{tree[3]}{tree[2]}", 4
+    elif kind == "/":
+        text, own = f"{render(tree[1], 2)}/{tree[2]}", 2
+    elif kind == "*":
+        text, own = f"{render(tree[1], 2)}*{render(tree[2], 3)}", 2
+    else:
+        text, own = f"{render(tree[1], 1)} {kind} {render(tree[2], 2)}", 1
+    return text if own >= prec else f"({text})"
+
+
+class Refused(Exception):
+    """The parser must refuse this tree with ParseError."""
+
+
+def evaluate(tree, R) -> Poly:
+    """The tree in Poly arithmetic, with the parser's refusals."""
+    kind = tree[0]
+    if kind == "int":
+        return R.const(tree[1])
+    if kind == "var":
+        return R.var(tree[1])
+    if kind in ("()", "pos"):
+        return evaluate(tree[1], R)
+    if kind == "neg":
+        return -evaluate(tree[1], R)
+    if kind == "/":
+        p = evaluate(tree[1], R)
+        if not R.field.of(tree[2]):
+            raise Refused
+        return p * R.const(Fraction(1, tree[2]))
+    if kind == "^":
+        p, n = evaluate(tree[1], R), tree[2]
+        if (p.degree() or 0) * n > MAX_PARSE_DEGREE:
+            raise Refused
+        out = R.one()
+        for _ in range(n):
+            out = out * p
+        return out
+    p, q = evaluate(tree[1], R), evaluate(tree[2], R)
+    if kind == "*":
+        if (p.degree() or 0) + (q.degree() or 0) > MAX_PARSE_DEGREE:
+            raise Refused
+        return p * q
+    return p + q if kind == "+" else p - q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ, Field(101)]), EXPR_TREES)
+def test_parser_matches_poly_arithmetic_on_expression_trees(field, tree):
+    R = PolyRing(field)
+    text = render(tree)
+    try:
+        want = evaluate(tree, R)
+    except Refused:
+        with pytest.raises(mk.ParseError):
+            parse_poly(text, R)
+        return
+    got = parse_poly(text, R)
+    # same terms in the same insertion order, not only an equal Poly
+    assert list(got.terms.items()) == list(want.terms.items()), text
+
+
+@pytest.mark.parametrize(
+    "char, text, terms",
+    [
+        (0, "X + X", [((1, 0, 0), 2)]),
+        (0, "X + Y + X", [((1, 0, 0), 2), ((0, 1, 0), 1)]),
+        (0, "X - X", []),
+        (0, "0*X + Y", [((0, 1, 0), 1)]),
+        (0, "Y*X*X^2", [((3, 1, 0), 1)]),
+        (101, "150*X", [((1, 0, 0), 49)]),
+        (0, "--X", [((1, 0, 0), 1)]),
+        (0, "2/3*X", [((1, 0, 0), Fraction(2, 3))]),
+        (101, "2/3*X", [((1, 0, 0), 68)]),
+        (0, "Z + X - Z + Y - X + Z", [((0, 1, 0), 1), ((0, 0, 1), 1)]),
+        (101, "-X^2", [((2, 0, 0), 100)]),
+        (0, "(X - X)^0 + 0^0", [((0, 0, 0), 2)]),
+    ],
+)
+def test_parser_fixed_cases(char, text, terms):
+    got = parse_poly(text, PolyRing(Field(char)))
+    assert list(got.terms.items()) == terms
+    assert all(type(c) is (Fraction if char == 0 else int) for c in got.terms.values())
+
+
+def test_parser_refuses_division_by_zero_mod_p():
+    R = PolyRing(Field(101))
+    for bad in ("X/101", "1/(X-X)", "X/(Y - Y)", "X/Y"):
+        with pytest.raises(mk.ParseError, match="division only by nonzero constants"):
+            parse_poly(bad, R)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +317,44 @@ def test_graded_matrix_multiplication_twists(R):
     assert C.source_twists == [2, 2]
     assert C.entries[0][0] == X * Y + Y * X
     assert validate_graded_matrix(C) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, Field(101)]), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_matrix_product_is_the_entrywise_sum_of_products(field, m, k, n, data):
+    R = PolyRing(field)
+    polys = random_polys(R, max_deg=2)
+    A = GradedMatrix(R, [0] * m, [1] * k, [[data.draw(polys) for _ in range(k)] for _ in range(m)])
+    B = GradedMatrix(R, [1] * k, [2] * n, [[data.draw(polys) for _ in range(n)] for _ in range(k)])
+    C = A * B
+    assert (C.target_twists, C.source_twists) == ([0] * m, [2] * n)
+    for i in range(m):
+        for j in range(n):
+            want = R.zero()
+            for t in range(k):
+                want = want + A.entries[i][t] * B.entries[t][j]
+            assert C.entries[i][j] == want
+
+
+@pytest.mark.parametrize("char", [0, 101])
+def test_matrix_product_cancellation_empty_shapes_and_errors(char):
+    R = PolyRing(Field(char))
+    X, Y, Z = R.gens()
+    # (X, Y)·(Y, −X)ᵀ cancels across its two summands
+    C = GradedMatrix(R, [0], [1, 1], [[X, Y]]) * GradedMatrix(R, [1, 1], [2], [[Y], [-X]])
+    assert C.entries == [[R.zero()]] and C.entries[0][0].terms == {}
+    C = GradedMatrix(R, [0, 0], [], [[], []]) * GradedMatrix.zero(R, [], [1, 2, 3])
+    assert C.entries == [[R.zero()] * 3] * 2
+    assert (C.target_twists, C.source_twists) == ([0, 0], [1, 2, 3])
+    C = GradedMatrix.zero(R, [], [1, 1]) * GradedMatrix.zero(R, [1, 1], [4, 5, 6])
+    assert C.entries == [] and (C.rows, C.cols) == (0, 3)
+    assert C.source_twists == [4, 5, 6]
+    A = GradedMatrix(R, [0], [1, 1], [[X, Y]])
+    with pytest.raises(ValidationError, match="shapes do not compose"):
+        A * A
+    other = PolyRing(Field(7 if char else 101))
+    with pytest.raises(ValidationError, match="different rings"):
+        A * GradedMatrix(other, [1, 1], [2], [[other.var("X")], [other.var("Y")]])
 
 
 def test_graded_matrix_block_and_hstack(R):
