@@ -10,6 +10,7 @@ shift and twist functors from one that is.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -43,7 +44,7 @@ CATALOG_KINDS = (
 POINT_KINDS = ("point", "lb-minus-p", "lb-e-plus-p", "lb-2e-plus-p")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeierstrassCurve:
     ring: PolyRing
     a: object
@@ -53,23 +54,19 @@ class WeierstrassCurve:
     def field(self) -> Field:
         return self.ring.field
 
-    @property
+    @functools.cached_property
     def f(self) -> Poly:
+        """The potential, built on first read; the curve is immutable."""
         X, Y, Z = self.ring.gens()
         return Y * Y * Z - X * X * X - (X * Z * Z).scale(self.a) - (Z * Z * Z).scale(self.b)
 
 
 def curve_new(field: Field, a, b) -> WeierstrassCurve:
     """Smooth Weierstrass cone y²z = x³ + a·xz² + b·z³ over the field."""
+    a, b = field.of(a), field.of(b)
     if field.char == 2:
         raise InputError("characteristic 2: every curve y^2z = x^3 + axz^2 + bz^3 is singular, at (a : b : 1)")
-    a, b = field.of(a), field.of(b)
-    four = field.of(4)
-    disc = field.add(
-        field.mul(four, field.mul(a, field.mul(a, a))),
-        field.mul(field.of(27), field.mul(b, b)),
-    )
-    if disc == field.zero:
+    if not field.of(4 * a**3 + 27 * b**2):
         raise InputError("singular curve: 4a^3 + 27b^2 = 0")
     ring = PolyRing(field)
     return WeierstrassCurve(ring, a, b)
@@ -84,25 +81,22 @@ class CurvePoint:
 def point_on(curve: WeierstrassCurve, lam, mu) -> CurvePoint:
     fld = curve.field
     lam, mu = fld.of(lam), fld.of(mu)
-    lhs = fld.mul(mu, mu)
-    rhs = fld.add(
-        fld.mul(lam, fld.mul(lam, lam)), fld.add(fld.mul(curve.a, lam), curve.b)
-    )
-    if lhs != rhs:
+    if fld.of(mu**2 - lam**3 - curve.a * lam - curve.b):
         raise InputError(f"({lam}, {mu}) does not satisfy mu^2 = lam^3 + a*lam + b")
     return CurvePoint(lam, mu)
 
 
 def pe_poly(curve: WeierstrassCurve, pt: CurvePoint) -> Poly:
-    """P_E = -X² - λ·XZ - (a+λ²)·Z², with (X-λZ)·P_E + Z(Y²-μ²Z²) = f."""
-    ring, fld = curve.ring, curve.field
-    X, Y, Z = ring.gens()
+    """P_E = -X² - λ·XZ - (a+λ²)·Z², with (X-λZ)·P_E + Z(Y²-μ²Z²) = f.
+
+    The identity holds exactly when the point is on the curve, since
+    (X-λZ)·P_E + Z(Y²-μ²Z²) - f = (λ³ + aλ + b - μ²)·Z³.
+    """
     lam, mu = pt.lam, pt.mu
-    pe = -(X * X) - (X * Z).scale(lam) - (Z * Z).scale(fld.add(curve.a, fld.mul(lam, lam)))
-    check = (X - Z.scale(lam)) * pe + Z * (Y * Y - (Z * Z).scale(fld.mul(mu, mu)))
-    if check != curve.f:
+    if curve.field.of(lam**3 + curve.a * lam + curve.b - mu**2):
         raise InputError("point does not lie on the curve cone")
-    return pe
+    X, Y, Z = curve.ring.gens()
+    return -(X * X) - (X * Z).scale(lam) - (Z * Z).scale(curve.a + lam**2)
 
 
 def default_curve(field: Field = QQ) -> WeierstrassCurve:

@@ -118,7 +118,7 @@ def _seed_from(args) -> int:
 def _curve_from_args(args):
     field = parse_field_token(getattr(args, "field", None) or "QQ")
     a, b = getattr(args, "curve", None) or ("0", "1")
-    return curve_new(field, field.of(a), field.of(b))
+    return curve_new(field, a, b)
 
 
 def _module_from_args(args) -> Presentation:
@@ -133,8 +133,7 @@ def _module_from_args(args) -> Presentation:
         if len(spec) != 3:
             raise ParseError("--module point needs two coordinates: point λ μ")
         curve = _curve_from_args(args)
-        fld = curve.field
-        pt = point_on(curve, fld.of(spec[1]), fld.of(spec[2]))
+        pt = point_on(curve, spec[1], spec[2])
         ring = curve.ring
         X, Y, Z = ring.gens()
         rel = GradedMatrix(
@@ -201,8 +200,7 @@ def cmd_catalog(args) -> int:
     elif getattr(args, "lam", None) is not None or getattr(args, "mu", None) is not None:
         if args.lam is None or args.mu is None:
             raise ParseError("--lambda and --mu must be given together")
-        fld = curve.field
-        points = [point_on(curve, fld.of(args.lam), fld.of(args.mu))]
+        points = [point_on(curve, args.lam, args.mu)]
     else:
         points = None
     tasks = []
@@ -315,8 +313,7 @@ def cmd_envelope_map(args) -> int:
 
 def cmd_size_bound(args) -> int:
     curve = _curve_from_args(args)
-    fld = curve.field
-    pt = point_on(curve, fld.of(args.lam), fld.of(args.mu))
+    pt = point_on(curve, args.lam, args.mu)
     report = size_bound_check(curve, pt)
     payload = {
         "hom_dim": report.hom_dim,

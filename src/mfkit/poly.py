@@ -68,6 +68,23 @@ def _add_products(out: dict, t1: dict, t2: dict, char: int) -> None:
                 out.pop(e, None)
 
 
+def _add_terms(out: dict, terms: dict, char: int, sign: int) -> None:
+    """Add sign·terms into the term dict out, coefficients reduced mod char
+    (if nonzero), dropping terms that cancel; new terms go at the end.  The
+    one term loop of polynomial sums and differences."""
+    for e, c in terms.items():
+        if sign < 0:
+            c = -c
+        if e in out:
+            c += out[e]
+        if char:
+            c %= char
+        if c:
+            out[e] = c
+        else:
+            out.pop(e, None)
+
+
 class PolyRing:
     """A polynomial ring K[x_0, ..., x_n] with all variables in degree 1."""
 
@@ -176,18 +193,12 @@ class Poly:
         if self.ring != other.ring:
             raise ValidationError("polynomials from different rings")
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         if not isinstance(other, Poly):
             other = self.ring.const(other)
         self._check(other)
-        fld = self.ring.field
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = fld.add(out.get(e, fld.zero), c)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+        _add_terms(out, other.terms, self.ring.field.char, sign)
         return Poly(self.ring, out)
 
     def __radd__(self, other):
@@ -198,9 +209,7 @@ class Poly:
         return Poly(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = self.ring.const(other)
-        return self.__add__(other.__neg__())
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return self.ring.const(other).__sub__(self)
@@ -273,8 +282,7 @@ _OPS = frozenset("+-*/^()")
 def _tokenize(text: str) -> list:
     """The tokens of text: ints, variable names and operator characters."""
     tokens = []
-    for m in _TOKEN.finditer(text):
-        num, name, op, stray = m.groups()
+    for num, name, op, stray in _TOKEN.findall(text):
         if num:
             try:
                 tokens.append(int(num))
@@ -292,107 +300,52 @@ def _tokenize(text: str) -> list:
 class _Parser:
     """Recursive descent over the tokens, ending in a None sentinel.
 
-    A value with at most one term is a pair (coefficient, exponent tuple),
-    the zero pair having coefficient zero; products, powers, signs and
-    division by constants of pairs work on the pair.  A value with more
-    than one term is a term dict that no other value shares; a sum gathers
-    its terms into one dict as Poly.__add__ would, so the result's terms
-    come in the same order as with Poly arithmetic.  The degree caps and
-    the budget of term products are charged as for Poly operands, a
-    nonzero pair counting 1 term and the zero pair 0.
+    Every value is a term dict {exponent tuple: nonzero coefficient} that no
+    other value shares (x^0 is a new {exp0: one} each time), so a sum adds
+    into its first term's dict and a sign or a division scales its dict in
+    place.  Products go through _add_products and sums through _add_terms,
+    the term loops of Poly arithmetic, so the result's terms come in the
+    same order as with Poly operands.  Each product of values with m and n
+    terms is charged m·n term products against the budget before it is
+    formed, so a nonzero constant or monomial counts 1 and zero 0.
     """
 
-    __slots__ = ("tokens", "i", "ring", "char", "zero", "one", "budget", "depth")
+    __slots__ = ("tokens", "i", "ring", "char", "exp0", "one", "budget", "depth")
 
     def __init__(self, tokens: list, ring: PolyRing):
         self.tokens = tokens + [None]
         self.i = 0
         self.ring = ring
-        fld = ring.field
-        self.char = fld.char
-        exp0 = (0,) * ring.nvars
-        self.zero = (fld.zero, exp0)
-        self.one = (fld.one, exp0)
+        self.char = ring.field.char
+        self.exp0 = (0,) * ring.nvars
+        self.one = ring.field.one
         self.budget = MAX_PARSE_PRODUCTS
         self.depth = 0
 
-    def charge(self, products: int) -> None:
-        """Spend term products from the parse's budget before they are formed."""
-        self.budget -= products
+    def mul(self, v: dict, w: dict) -> dict:
+        self.budget -= len(v) * len(w)
         if self.budget < 0:
             raise ParseError(f"polynomial text needs more than {MAX_PARSE_PRODUCTS} term products")
-
-    def normal(self, terms: dict):
-        """The value of a term dict: a pair unless it has two or more terms."""
-        if len(terms) > 1:
-            return terms
-        for e, c in terms.items():
-            return c, e
-        return self.zero
-
-    @staticmethod
-    def terms(v) -> dict:
-        if type(v) is dict:
-            return v
-        return {v[1]: v[0]} if v[0] else {}
-
-    @staticmethod
-    def degree(v) -> int:
-        """Total degree, 0 for zero (Poly.degree() or 0)."""
-        if type(v) is dict:
-            return max(map(sum, v))
-        return sum(v[1]) if v[0] else 0
-
-    def mul(self, v, w):
-        if type(v) is tuple and type(w) is tuple:
-            if not (v[0] and w[0]):
-                return self.zero
-            self.charge(1)
-            c = v[0] * w[0]
-            return (c % self.char if self.char else c), tuple(map(add, v[1], w[1]))
-        t1, t2 = self.terms(v), self.terms(w)
-        self.charge(len(t1) * len(t2))
         out: dict = {}
-        _add_products(out, t1, t2, self.char)
-        return self.normal(out)
-
-    def power(self, v, n: int):
-        """v^n as n products from one, each charged as a product."""
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, v)
+        _add_products(out, v, w, self.char)
         return out
 
-    def scale(self, v, c):
+    def scale(self, v: dict, c) -> dict:
         char = self.char
-        if type(v) is tuple:
-            return (v[0] * c % char if char else v[0] * c), v[1]
-        return {e: a * c % char if char else a * c for e, a in v.items()}
+        for e, a in v.items():
+            v[e] = a * c % char if char else a * c
+        return v
 
-    def expr(self):
+    def expr(self) -> dict:
         v = self.term()
         tokens = self.tokens
-        if tokens[self.i] not in ("+", "-"):
-            return v
-        # the terms of a sum gather in one dict, in Poly.__add__'s order
-        out = self.terms(v)
-        char = self.char
         while tokens[self.i] in ("+", "-"):
-            minus = tokens[self.i] == "-"
+            sign = -1 if tokens[self.i] == "-" else 1
             self.i += 1
-            w = self.term()
-            for e, c in self.terms(self.scale(w, -1) if minus else w).items():
-                if e in out:
-                    c += out[e]
-                    if char:
-                        c %= char
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
-        return self.normal(out)
+            _add_terms(v, self.term(), self.char, sign)
+        return v
 
-    def term(self):
+    def term(self) -> dict:
         v = self.factor()
         tokens = self.tokens
         while tokens[self.i] in ("*", "/"):
@@ -400,16 +353,16 @@ class _Parser:
             self.i += 1
             w = self.factor()
             if op == "*":
-                if self.degree(v) + self.degree(w) > MAX_PARSE_DEGREE:
+                if max(map(sum, v), default=0) + max(map(sum, w), default=0) > MAX_PARSE_DEGREE:
                     raise ParseError(f"product of degree above {MAX_PARSE_DEGREE} in polynomial")
                 v = self.mul(v, w)
-            elif type(w) is dict or not w[0] or any(w[1]):
+            elif len(w) != 1 or self.exp0 not in w:
                 raise ParseError("division only by nonzero constants")
             else:
-                v = self.scale(v, self.ring.field.inv(w[0]))
+                v = self.scale(v, self.ring.field.inv(w[self.exp0]))
         return v
 
-    def factor(self):
+    def factor(self) -> dict:
         tokens = self.tokens
         minus = False
         while tokens[self.i] in ("-", "+"):
@@ -421,16 +374,21 @@ class _Parser:
             self.i += 2
             if type(n) is not int:
                 raise ParseError("exponent must be a nonnegative integer")
-            if n > MAX_PARSE_DEGREE or self.degree(v) * n > MAX_PARSE_DEGREE:
+            if n > MAX_PARSE_DEGREE or max(map(sum, v), default=0) * n > MAX_PARSE_DEGREE:
                 raise ParseError(f"power of degree or exponent above {MAX_PARSE_DEGREE} in polynomial")
-            v = self.power(v, n)
+            # n products from one, each charged as a product
+            out = {self.exp0: self.one}
+            for _ in range(n):
+                out = self.mul(out, v)
+            v = out
         return self.scale(v, -1) if minus else v
 
-    def atom(self):
+    def atom(self) -> dict:
         tok = self.tokens[self.i]
         self.i += 1
         if type(tok) is int:
-            return (tok % self.char if self.char else Fraction(tok)), self.zero[1]
+            c = tok % self.char if self.char else Fraction(tok)
+            return {self.exp0: c} if c else {}
         if tok == "(":
             self.depth += 1
             if self.depth > MAX_PARSE_DEPTH:
@@ -443,12 +401,12 @@ class _Parser:
             return v
         if tok is None or tok in _OPS:
             raise ParseError(f"unexpected token {tok!r} in polynomial")
-        ring = self.ring
-        if tok not in ring._index:
-            raise ParseError(f"unknown variable {tok!r} in ring {ring.vars}")
-        exp = [0] * ring.nvars
-        exp[ring._index[tok]] = 1
-        return self.one[0], tuple(exp)
+        index = self.ring._index
+        if tok not in index:
+            raise ParseError(f"unknown variable {tok!r} in ring {self.ring.vars}")
+        exp = list(self.exp0)
+        exp[index[tok]] = 1
+        return {tuple(exp): self.one}
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:
@@ -459,24 +417,24 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
     character, an unknown variable, division by anything but a nonzero
     constant, a product or power above degree MAX_PARSE_DEGREE, more than
     MAX_PARSE_PRODUCTS term products, nesting deeper than MAX_PARSE_DEPTH.
-    One-term values are multiplied as (coefficient, exponent tuple) pairs,
-    and only the result is built as a Poly (see _Parser).  The budget is
-    charged as for Poly operands: m·n products for a product of values with
-    m and n terms (a nonzero pair has 1, zero has 0), and v^k as k such
-    products starting from one.
+    Every intermediate value is a term dict on Poly's own term loops, and
+    only the result is built as a Poly (see _Parser).  The budget is charged
+    as for Poly operands: m·n products for a product of values with m and n
+    terms (a nonzero constant or monomial has 1, zero has 0), and v^k as k
+    such products starting from one.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text")
     parser = _Parser(tokens, ring)
-    v = parser.expr()
+    terms = parser.expr()
     if parser.i != len(tokens):
         rest = [
             ("int" if type(t) is int else "op" if t in _OPS else "name", t)
             for t in tokens[parser.i:]
         ]
         raise ParseError(f"trailing input after polynomial: {rest}")
-    return Poly(ring, parser.terms(v))
+    return Poly(ring, terms)
 
 
 def _format_monomial(ring: PolyRing, exp: Exp) -> str:

@@ -172,6 +172,7 @@ def hom_presentation(P: Presentation, Q: Presentation) -> Presentation:
     f1 = P.relations.cols
     t1 = P.relations.source_twists
     hom_twists = [G0[i] - F0[j] for j in range(f0) for i in range(g0)]
+    q_cols = columns_as_vectors(Q.relations)
 
     if f1 == 0:
         w_gens = [{(k, (0,) * ring.nvars): ring.field.one} for k in range(f0 * g0)]
@@ -187,12 +188,12 @@ def hom_presentation(P: Presentation, Q: Presentation) -> Presentation:
                 phi_cols.append(v)
         allowed = []
         for c in range(f1):
-            for q in columns_as_vectors(Q.relations):
+            for q in q_cols:
                 allowed.append({(c * g0 + pos, exp): coef for (pos, exp), coef in q.items()})
         w_gens = ColumnSpan(ring, tgt_twists, phi_cols + allowed, f=f).syzygies(f0 * g0)
 
     trivial = []
     for j in range(f0):
-        for q in columns_as_vectors(Q.relations):
+        for q in q_cols:
             trivial.append({(j * g0 + pos, exp): coef for (pos, exp), coef in q.items()})
     return present_subquotient(ring, f, hom_twists, w_gens, trivial)

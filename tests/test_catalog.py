@@ -50,6 +50,24 @@ def test_default_points_are_distinct_and_on_curve(curve, points):
         mk.point_on(curve, p.lam, p.mu)
 
 
+def test_pe_poly_refuses_a_point_off_the_curve():
+    # built by hand, so point_on's own check never sees it
+    for char in (0, 101):
+        curve = mk.default_curve(Field(char))
+        with pytest.raises(mk.InputError, match="point does not lie on the curve cone"):
+            mk.pe_poly(curve, mk.CurvePoint(curve.field.of(1), curve.field.of(1)))
+
+
+def test_curve_potential_is_built_once_and_curve_is_frozen():
+    curve = mk.curve_new(Field(101), 2, 3)
+    X, Y, Z = curve.ring.gens()
+    assert curve.f == Y * Y * Z - X * X * X - X * Z * Z * 2 - Z * Z * Z * 3
+    assert curve.f is curve.f
+    assert curve == mk.curve_new(Field(101), 2, 3)
+    with pytest.raises(AttributeError):
+        curve.a = 5
+
+
 def test_point_polynomial_identity(curve, points):
     ring = curve.ring
     X, Y, Z = ring.gens()

@@ -216,6 +216,11 @@ def test_parser_matches_poly_arithmetic_on_expression_trees(field, tree):
         (0, "Z + X - Z + Y - X + Z", [((0, 1, 0), 1), ((0, 0, 1), 1)]),
         (101, "-X^2", [((2, 0, 0), 100)]),
         (0, "(X - X)^0 + 0^0", [((0, 0, 0), 2)]),
+        # each X^0 is a fresh one: a shared dict would be summed into itself
+        (0, "X^0 + X^0 + X^0", [((0, 0, 0), 3)]),
+        (101, "X^0 + X^0 + X^0", [((0, 0, 0), 3)]),
+        (0, "-(X^0) + 1", []),
+        (101, "-(X^0) + 1", []),
     ],
 )
 def test_parser_fixed_cases(char, text, terms):
@@ -284,6 +289,39 @@ def test_ring_axioms_prime_field(data):
     polys = random_polys(R)
     p, q = data.draw(polys), data.draw(polys)
     assert (p + q) * (p - q) == p * p - q * q
+
+
+def field_loop_sum(p, q, sign):
+    """Reference p + q (sign 1) or p - q (sign -1) through the Field
+    methods: negate q with Field.neg, then add term by term with Field.add,
+    new terms at the end."""
+    fld = p.ring.field
+    other = q.terms if sign > 0 else {e: fld.neg(c) for e, c in q.terms.items()}
+    out = dict(p.terms)
+    for e, c in other.items():
+        s = fld.add(out.get(e, fld.zero), c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return list(out.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, Field(101)]), st.data())
+def test_sum_and_difference_match_the_field_loop(field, data):
+    R = PolyRing(field)
+    polys = random_polys(R)
+    p = data.draw(polys)
+    # q shares some of p's terms, equal (they cancel in p - q) or negated
+    # (they cancel in p + q), in a drawn order
+    shared = data.draw(st.lists(st.sampled_from(sorted(p.terms)), unique=True)) if p.terms else []
+    q = data.draw(polys)
+    for e in shared:
+        q = q + R.monomial(e, p.terms[e] if data.draw(st.booleans()) else field.neg(p.terms[e]))
+    for sign, got in ((1, p + q), (-1, p - q)):
+        assert list(got.terms.items()) == field_loop_sum(p, q, sign)
+        assert all(type(c) is (Fraction if field.char == 0 else int) for c in got.terms.values())
 
 
 def test_power_operator(R):
