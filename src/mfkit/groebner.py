@@ -1,10 +1,11 @@
 """Groebner bases, normal forms, kernels, syzygies, and lifts for graded
 submodules of free modules over R = K[x_0..x_n] and over A = R/(f).
 
-Module elements are sparse dicts {(position, exponent): coefficient}.  The
-module order is position-over-term — position 0 highest, degrevlex on the
-monomial part — so prepending ambient positions turns the same basis
-computation into an elimination engine for syzygies, membership, and lifts.
+Module elements are sparse dicts {(position, exponent): coefficient}, each
+coefficient a nonzero field element.  The module order is position-over-term
+— position 0 highest, degrevlex on the monomial part — so prepending ambient
+positions turns the same basis computation into an elimination engine for
+syzygies, membership, and lifts.
 
 Input must be homogeneous: a generator that is not raises ValidationError.
 Bases come from F4 with the normal strategy (Faugère, JPAA 139 (1999);
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .linalg import row_space
+from .linalg import int_row, row_space
 from .poly import Exp, GradedMatrix, Poly, PolyRing, grevlex_key
 
 Term = tuple[int, Exp]
@@ -61,6 +62,13 @@ def _shifted(v: Vec, shift: Exp) -> Vec:
     return {(pos, tuple(a + b for a, b in zip(exp, shift))): c for (pos, exp), c in v.items()}
 
 
+def _row(v: Vec, cols, fld) -> dict:
+    """v as a RowSpace row on the columns cols: over F_p its coefficients, in
+    [0, p), are stored form already; over Q it goes through `int_row`."""
+    row = {cols[t]: c for t, c in v.items()}
+    return row if fld.char else int_row(row, fld)
+
+
 def _reducer_space(rows, basis, lts, fld):
     """Symbolic preprocessing: a RowSpace of the reducers of rows, the column
     of each term, and the terms by column.  Each term of rows, or of a
@@ -84,7 +92,7 @@ def _reducer_space(rows, basis, lts, fld):
                     break
     terms = sorted(reducers, key=term_key, reverse=True)
     cols = {t: j for j, t in enumerate(terms)}
-    space = row_space([{cols[u]: c for u, c in r.items()} for r in reducers.values() if r], fld)
+    space = row_space([_row(r, cols, fld) for r in reducers.values() if r], fld)
     return space, cols, terms
 
 
@@ -137,9 +145,9 @@ def _degree_pass(gens, twists, ring: PolyRing):
         space, cols, terms = _reducer_space(halves + [gens[k] for k in ks], G, lts, fld)
         old = set(space.rows)
         for h in halves:
-            space.add({cols[t]: c for t, c in h.items()})
+            space.add(_row(h, cols, fld))
         for k in ks:
-            if space.add({cols[t]: c for t, c in gens[k].items()}) is not None:
+            if space.add(_row(gens[k], cols, fld)) is not None:
                 enlarged.append(k)
         for piv in sorted(space.rows.keys() - old):
             pos, exp = lt = terms[piv]

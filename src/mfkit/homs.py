@@ -34,11 +34,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce as _fold
-from math import comb
+from math import comb, lcm
 from operator import add, itemgetter
 
 from .errors import InputError, ValidationError
-from .linalg import RowSpace, nullspace, row_space
+from .linalg import RowSpace, int_row, nullspace, row_space
 from .mf import MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf
 from .poly import GradedMatrix, graded_inverse, validate_graded_matrix
 
@@ -163,11 +163,19 @@ def _alpha_square(M: MatrixFactorization, N: MatrixFactorization, slots):
     key (row, column, monomial) names a coefficient of the image, a map
     P0(M) → P1(N): an f0 slot at (i, j) reaches column j through column i of
     alpha_N, an f1 slot row i through row j of −alpha_M.  The keys of one
-    slot are distinct."""
-    neg = M.ring.field.neg
-    cols = [[(k, e, c) for k, row in enumerate(N.alpha.entries) for e, c in row[i].terms.items()]
+    slot are distinct, so every coefficient is one entry of an alpha.
+
+    The coefficients are ints in RowSpace's stored form: over F_p the field
+    elements themselves, in [0, p); over Q those of D·alpha_N and D·alpha_M,
+    D the lcm of every denominator in both.  The whole image is scaled by
+    the one D ≠ 0, which keeps the kernel of the equations and the span of
+    the images."""
+    fld = M.ring.field
+    D = 1 if fld.char else lcm(*(c.denominator for A in (M.alpha, N.alpha)
+                                 for row in A.entries for p in row for c in p.terms.values()))
+    cols = [[(k, e, (c * D).numerator) for k, row in enumerate(N.alpha.entries) for e, c in row[i].terms.items()]
             for i in range(len(N.p0))]
-    rows = [[(k, e, neg(c)) for k, p in enumerate(row) for e, c in p.terms.items()]
+    rows = [[(k, e, (fld.neg(c) * D).numerator) for k, p in enumerate(row) for e, c in p.terms.items()]
             for row in M.alpha.entries]
     for col, (tag, i, j, exp) in enumerate(slots):
         if tag == "f0":
@@ -192,7 +200,9 @@ class HomProblem:
         """Equations of the strict morphisms: the alpha-square
         alpha_N·f0 = f1·alpha_M (the beta-square follows; see the module
         docstring), its triples grouped by key, one row per image
-        coefficient, in order of first appearance, columns ascending."""
+        coefficient, in order of first appearance, columns ascending.  The
+        rows are ints in RowSpace's stored form, over Q every one scaled by
+        the same D of `_alpha_square`, which leaves the kernel as it is."""
         rows: dict = {}
         for col, key, c in _alpha_square(self.M, self.N, self.slots):
             rows.setdefault(key, {})[col] = c
@@ -203,7 +213,10 @@ class HomProblem:
         slots of Hom(M, N[−1]), whose f0 and f1 are the homotopies
         P0(M) → P1(N)(−3) and P1(M) → P0(N) (module docstring).  The image
         P0(M) → P1(N[−1]) = P0(N) is an f0 of Hom(M, N), so each key names
-        an f0 slot here."""
+        an f0 slot here.  The vectors are ints in RowSpace's stored form,
+        over Q every one scaled by the same D of `_alpha_square` for
+        (M, N[−1]), which leaves their span, and so the boundary rank and
+        the fold into it, as they are."""
         N1 = shift_mf(self.N, -1)
         slots = _hom_slots(self.M, N1)
         index, vecs = self.index, [{} for _ in slots]
@@ -288,7 +301,7 @@ class StableHom:
         for v in self.solutions:
             if len(reps) == self.stable_dim:
                 break
-            if span.add(self.problem.f0_part(v)) is not None:
+            if span.add(int_row(self.problem.f0_part(v), span.field)) is not None:
                 reps.append(self.problem.morphism_from_vector(v))
         return reps
 

@@ -1,23 +1,34 @@
 """Sparse exact linear algebra over Q and F_p.
 
-Vectors are dicts {column index: nonzero coefficient} of field elements.
-`RowSpace` is the one eliminator: it keeps its rows in fully reduced echelon
-form and stores every entry as a plain int.  A stored row has entries only at
-or right of its pivot, so a new pivot left of the smallest stored pivot lies
-in no stored row, and `add` then skips back-substitution without looking at
-the stored rows.  `row_space` adds a batch largest leading column first, as
-F4 does (Faugère–Lachartre, PASCO 2010): every new pivot whose leading entry
-survives reduction then takes that skip, and the reduced form being unique,
-the order changes nothing else.
+Vectors are dicts {column index: nonzero coefficient}.  `RowSpace` is the
+one eliminator: it keeps its rows in fully reduced echelon form and works on
+rows in stored form, whose entries are nonzero plain ints:
 
-- Over F_p the entries lie in [0, p), each pivot is 1, and the arithmetic is
-  inline `% p`.
-- Over Q an input row is scaled by the lcm of its denominators on entry, and
+- over F_p they lie in [0, p), each stored pivot is 1, and the arithmetic is
+  inline `% p`;
+- over Q a row may be any nonzero multiple of the field row, and
   elimination is fraction-free: clearing a pivot cross-multiplies the two
   rows (the idea of Bareiss, Math. Comp. 22 (1968)).  Every stored row is
   primitive (its content is 1) with a positive pivot, so it is the reduced
-  echelon row times a positive integer.  `Fraction`s are built only where
-  `inverse` and `nullspace` hand out field elements.
+  echelon row times a positive integer.
+
+`RowSpace.add` and `row_space` take rows in stored form, and `add` keeps the
+row it is given and may change it, so a caller hands over a row it does not
+use again.  Field elements become stored form in one place, `int_row`
+(reduced mod p, or over Q scaled by the lcm of the denominators).  Callers
+that hold field elements convert through it, and so do `reduce` and
+`contains`, which take field elements and leave them untouched.  Rows born
+as ints skip it: the Hom systems (`homs._alpha_square`) and, over F_p, the
+Gröbner rows, whose coefficients already lie in [0, p).  `Fraction`s are
+built only where `inverse` and `nullspace` hand out field elements.
+
+A stored row has entries only at or right of its pivot, so a new pivot left
+of the smallest stored pivot lies in no stored row, and `add` then skips
+back-substitution without looking at the stored rows.  `row_space` adds a
+batch largest leading column first, as F4 does (Faugère–Lachartre, PASCO
+2010): every new pivot whose leading entry survives reduction then takes
+that skip, and the reduced form being unique, the order changes nothing
+else.
 
 Because of the scaling, `RowSpace.reduce` returns the reduced vector only up
 to a nonzero scalar over Q; its support, and so `contains`, is exact.
@@ -75,6 +86,16 @@ def _normalise(v: dict, piv: int, p: int) -> None:
             v[j] //= g
 
 
+def int_row(vec: dict, field: Field) -> dict:
+    """A new row in stored form from vec, a dict of field elements: reduced
+    mod p, or over Q times the lcm of its denominators."""
+    p = field.char
+    if p:
+        return {j: c % p for j, c in vec.items() if c % p}
+    den = lcm(*(c.denominator for c in vec.values()))
+    return {j: c.numerator * (den // c.denominator) for j, c in vec.items() if c}
+
+
 class RowSpace:
     """Incrementally built row space in fully reduced echelon form."""
 
@@ -83,33 +104,30 @@ class RowSpace:
         self.rows: dict[int, dict[int, int]] = {}  # pivot column -> row
         self._least = inf  # smallest stored pivot
 
-    def _ints(self, vec: dict) -> dict:
-        """vec as ints: reduced mod p, or over Q times the lcm of its denominators."""
-        p = self.field.char
-        if p:
-            return {j: c % p for j, c in vec.items() if c % p}
-        den = lcm(*(c.denominator for c in vec.values()))
-        return {j: c.numerator * (den // c.denominator) for j, c in vec.items() if c}
-
-    def reduce(self, vec: dict) -> dict:
-        """Fully reduce vec against the stored rows (pure; vec untouched).
+    def _clear(self, v: dict) -> dict:
+        """Fully reduce the stored-form row v in place against the stored rows.
 
         In a fully reduced echelon form, clearing one pivot adds entries only
-        at non-pivot columns, so only the pivots already in vec are visited."""
+        at non-pivot columns, so only the pivots already in v are visited."""
         rows, p = self.rows, self.field.char
-        v = self._ints(vec)
         for piv in [j for j in v if j in rows]:
             _eliminate(v, rows[piv], piv, p)
         return v
 
-    def add(self, vec: dict) -> dict | None:
-        """Insert vec; return its reduced form if it enlarged the space, else None.
+    def reduce(self, vec: dict) -> dict:
+        """vec, a dict of field elements, fully reduced against the stored
+        rows, in stored form; vec is untouched."""
+        return self._clear(int_row(vec, self.field))
+
+    def add(self, row: dict) -> dict | None:
+        """Insert row, in stored form, which is reduced in place and kept;
+        return it if it enlarged the space, else None.
 
         The new pivot is back-substituted into the stored rows only when it
         lies right of the smallest stored pivot: a stored row has no entry
         left of its own pivot, so otherwise no stored row can contain it."""
         p = self.field.char
-        v = self.reduce(vec)
+        v = self._clear(row)
         if not v:
             return None
         piv = min(v)
@@ -139,10 +157,10 @@ class RowSpace:
 
 
 def row_space(rows: list[dict], field: Field) -> RowSpace:
-    """The span of rows, added largest leading column first (empty rows
-    dropped), so a new pivot seldom lies in a stored row.  The reduced form
-    is unique, so the order changes only the cost; a caller that needs its
-    own order calls `add` row by row."""
+    """The span of rows in stored form, which it keeps, added largest
+    leading column first (empty rows dropped), so a new pivot seldom lies in
+    a stored row.  The reduced form is unique, so the order changes only the
+    cost; a caller that needs its own order calls `add` row by row."""
     space = RowSpace(field)
     for r in sorted(filter(None, rows), key=lambda r: -min(r)):
         space.add(r)
@@ -158,9 +176,9 @@ def inverse(rows: list[list], field: Field) -> list[list] | None:
     n = len(rows)
     space = RowSpace(field)
     for i, row in enumerate(rows):
-        vec = {j: c for j, c in enumerate(row) if c}
+        vec = dict(enumerate(row))
         vec[n + i] = field.one
-        space.add(vec)
+        space.add(int_row(vec, field))
     if any(p not in space.rows for p in range(n)):
         return None
     return [[space.scalar(i, space.rows[i].get(n + k, 0)) for k in range(n)] for i in range(n)]

@@ -26,7 +26,7 @@ from mfkit.groebner import (
     vec_lt,
     vectors_as_columns,
 )
-from mfkit.linalg import row_space
+from mfkit.linalg import int_row, row_space
 from mfkit.poly import GradedMatrix, PolyRing, grevlex_key
 
 
@@ -553,7 +553,7 @@ def whole_basis_reducer_space(rows, basis, lts, fld):
             todo.extend(reducers[t])
     terms = sorted(reducers, key=term_key, reverse=True)
     cols = {t: j for j, t in enumerate(terms)}
-    space = row_space([{cols[u]: c for u, c in r.items()} for r in reducers.values() if r], fld)
+    space = row_space([int_row({cols[u]: c for u, c in r.items()}, fld) for r in reducers.values() if r], fld)
     return space, cols, terms
 
 

@@ -1,13 +1,14 @@
 """Morphisms, stable Hom spaces, cones, isomorphism search, twist functors."""
 
 import functools
+from math import lcm
 
 import pytest
 
 import mfkit as mk
 from mfkit import homs
 from mfkit.homs import HomProblem
-from mfkit.linalg import nullspace, row_space
+from mfkit.linalg import int_row, nullspace, row_space
 from mfkit.poly import GradedMatrix, graded_inverse
 
 from fixtures import CONE_CASES, CONE_SHAPES, cone_generator, cone_target
@@ -199,20 +200,21 @@ def full_strict_space(prob):
                 for j, e in enumerate(row):
                     for exp, c in e.terms.items():
                         rows.setdefault((square, i, j, exp), {})[col] = c
-    return row_space(list(rows.values()), ring.field)
+    return row_space([int_row(r, ring.field) for r in rows.values()], ring.field)
 
 
 def full_boundary_space(prob, boundaries):
     """The span of boundaries in full morphism coordinates."""
-    return row_space([prob.vector_from_morphism(phi) for phi in boundaries], prob.ring.field)
+    fld = prob.ring.field
+    return row_space([int_row(prob.vector_from_morphism(phi), fld) for phi in boundaries], fld)
 
 
 def folded_representatives(H, boundaries):
     """The stable representatives by folding every strict solution, in
     order, into the full boundary span and keeping those that enlarge it."""
     prob = H.problem
-    span = full_boundary_space(prob, boundaries)
-    return [phi for phi in H.strict_basis if span.add(prob.vector_from_morphism(phi)) is not None]
+    span, fld = full_boundary_space(prob, boundaries), prob.ring.field
+    return [phi for phi in H.strict_basis if span.add(int_row(prob.vector_from_morphism(phi), fld)) is not None]
 
 
 def test_boundaries_are_strict_morphisms(curve101):
@@ -242,9 +244,13 @@ def test_boundaries_are_strict_morphisms(curve101):
 
 
 def catalog_objects(char, lam, mu):
-    """Every catalog kind over GF(char), or Q when char is 0, at (lam, mu)."""
-    curve = mk.default_curve(mk.Field(char))
-    pt = mk.point_on(curve, curve.field.of(lam), curve.field.of(mu))
+    """Every catalog kind over GF(char), or Q when char is 0, at (lam, mu)
+    on the curve y^2 = x^3 + b through it: the default curve (b = 1) at
+    (0, 1) and (2, 3), and b = 1/4 at (0, 1/2)."""
+    fld = mk.Field(char)
+    lam, mu = fld.of(lam), fld.of(mu)
+    curve = mk.curve_new(fld, 0, mu**2 - lam**3)
+    pt = mk.point_on(curve, lam, mu)
     return [
         mk.catalog_mf(curve, kind, pt if kind in mk.POINT_KINDS else None)
         for kind in mk.CATALOG_KINDS
@@ -265,15 +271,15 @@ def assert_half_systems_match_full(M, N, oracle):
     # boundaries in f0 coordinates are the f0 parts of the oracle's, and f0
     # coordinates see the fold as full coordinates do
     H = mk.hom_space(M, N)
-    prob = H.problem
+    prob, fld = H.problem, M.ring.field
     strict, boundaries = full_strict_space(prob), full_boundary_space(prob, oracle)
     assert H._equations.rows == strict.rows
     assert H.boundary_rank == boundaries.rank
     f0_parts = [prob.f0_part(prob.vector_from_morphism(phi)) for phi in oracle]
-    assert prob.boundary_space().rows == row_space(f0_parts, prob.ring.field).rows
+    assert prob.boundary_space().rows == row_space([int_row(v, fld) for v in f0_parts], fld).rows
     solutions = nullspace(strict, len(prob.slots))
     assert H.solutions == solutions
-    reps = [v for v in solutions if boundaries.add(v) is not None]
+    reps = [v for v in solutions if boundaries.add(int_row(v, fld)) is not None]
     assert H.basis == [prob.morphism_from_vector(v) for v in reps]
 
 
@@ -281,6 +287,19 @@ def assert_half_systems_match_full(M, N, oracle):
 def test_half_hom_systems_match_the_full_ones(char, lam, mu):
     for M, N, oracle in catalog_pairs(char, lam, mu):
         assert_half_systems_match_full(M, N, oracle)
+
+
+def test_half_hom_systems_match_the_full_ones_with_denominators():
+    # on y^2 = x^3 + 1/4 at (0, 1/2) the alphas have denominators 2 and 4, so
+    # the strict rows and the boundaries are scaled by D > 1
+    kinds = dict(zip(mk.CATALOG_KINDS, catalog_objects(0, 0, "1/2")))
+    objs = [kinds[k] for k in ("point", "lb-2e-plus-p", "structure-sheaf")]
+    for M in objs:
+        for N in objs:
+            assert alpha_denominators(M, N) > 1
+            for s in (-1, 0, 1):
+                Ms = mk.shift_mf(M, s)
+                assert_half_systems_match_full(Ms, N, boundary_morphisms(Ms, N))
 
 
 @pytest.fixture(scope="module")
@@ -312,24 +331,36 @@ def alpha_square_by_matrices(prob):
     return images
 
 
-@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
+def alpha_denominators(M, N):
+    """The lcm of every coefficient denominator of alpha_M and alpha_N."""
+    return lcm(*(c.denominator for X in (M, N) for row in X.alpha.entries for e in row for c in e.terms.values()))
+
+
+@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3), (0, 0, "1/2")])
 def test_alpha_square_triples_match_matrix_arithmetic(char, lam, mu):
-    # the triples of every slot are the coefficients of the matrix product,
-    # and strict_rows and boundary_vectors are their transposes: grouped by
-    # key in order of first appearance, and grouped by slot through index
+    # the triples of every slot are D times the coefficients of the matrix
+    # product, plain ints (D = 1 over GF(p); over Q the lcm of the alpha
+    # denominators, 4 on y^2 = x^3 + 1/4), and strict_rows and
+    # boundary_vectors are their transposes: grouped by key in order of first
+    # appearance, and grouped by slot through index
     kinds = dict(zip(mk.CATALOG_KINDS, catalog_objects(char, lam, mu)))
     objs = [kinds[k] for k in ("point", "lb-2e-plus-p", "structure-sheaf", "trivial")]
+    scales = set()
     for M in objs:
         for N in objs:
             prob, below = HomProblem(M, N), HomProblem(M, mk.shift_mf(N, -1))
             triples = {}
             for p in (prob, below):
+                D = alpha_denominators(p.M, p.N) if char == 0 else 1
+                scales.add(D)
                 triples[p] = list(homs._alpha_square(p.M, p.N, p.slots))
                 by_slot = [{} for _ in p.slots]
                 for col, key, c in triples[p]:
                     assert key not in by_slot[col]
+                    assert type(c) is int and c and (not char or 0 < c < char)
                     by_slot[col][key] = c
-                assert by_slot == alpha_square_by_matrices(p)
+                images = alpha_square_by_matrices(p)
+                assert by_slot == [{key: D * c for key, c in img.items()} for img in images]
             rows: dict = {}
             for col, key, c in triples[prob]:
                 rows.setdefault(key, {})[col] = c
@@ -338,6 +369,7 @@ def test_alpha_square_triples_match_matrix_arithmetic(char, lam, mu):
             for col, key, c in triples[below]:
                 vecs[col][prob.index[("f0", *key)]] = c
             assert repr(prob.boundary_vectors()) == repr(vecs)
+    assert max(scales) == (4 if mu == "1/2" else 1)
 
 
 def equation_rank(M, N):

@@ -1,5 +1,6 @@
 """Sparse exact linear algebra over coefficient fields."""
 
+import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfkit as mk
 from mfkit import linalg
 from mfkit.fields import Field, QQ
-from mfkit.linalg import RowSpace, inverse, nullspace, row_space
+from mfkit.linalg import RowSpace, int_row, inverse, nullspace, row_space
 from mfkit.poly import GradedMatrix, PolyRing, graded_inverse, validate_graded_matrix
 
 FIELDS = st.sampled_from([QQ, Field(7), Field(101)])
@@ -22,6 +24,11 @@ def dense_to_rows(mat, field):
         row = {j: field.of(v) for j, v in enumerate(r) if field.of(v) != field.zero}
         rows.append(row)
     return rows
+
+
+def stored(rows, field):
+    """Rows of field elements in RowSpace's stored form, each a new dict."""
+    return [int_row(r, field) for r in rows]
 
 
 def mat_vec(rows, vec, field):
@@ -36,7 +43,7 @@ def mat_vec(rows, vec, field):
 
 def test_rank_and_nullspace_small():
     rows = dense_to_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]], QQ)
-    space = row_space(rows, QQ)
+    space = row_space(stored(rows, QQ), QQ)
     assert space.rank == 2
     null = nullspace(space, 3)
     assert len(null) == 1
@@ -46,7 +53,7 @@ def test_rank_and_nullspace_small():
 
 def test_nullspace_of_identity_is_trivial():
     rows = dense_to_rows([[1, 0], [0, 1]], Field(7))
-    space = row_space(rows, Field(7))
+    space = row_space(stored(rows, Field(7)), Field(7))
     assert nullspace(space, 2) == []
     assert space.rank == 2
 
@@ -56,16 +63,16 @@ def test_rowspace_membership_and_rank():
     space = RowSpace(F)
     r1 = {0: F.of(1), 1: F.of(2)}
     r2 = {1: F.of(1), 2: F.of(5)}
-    assert space.add(dict(r1))
-    assert space.add(dict(r2))
+    assert space.add(int_row(r1, F))
+    assert space.add(int_row(r2, F))
     # A linear combination of r1, r2 is already contained.
     combo = {0: F.of(3), 1: F.of(6 + 4), 2: F.of(20)}
     assert space.contains(dict(combo))
-    assert space.add(dict(combo)) is None
+    assert space.add(int_row(combo, F)) is None
     assert space.rank == 2
     fresh = {3: F.of(1)}
     assert not space.contains(dict(fresh))
-    assert space.add(dict(fresh))
+    assert space.add(int_row(fresh, F))
     assert space.rank == 3
 
 
@@ -76,7 +83,7 @@ def test_rank_nullity_theorem(seed, nrows, ncols):
     rng = random.Random(seed)
     dense = [[rng.randrange(101) for _ in range(ncols)] for _ in range(nrows)]
     rows = dense_to_rows(dense, F)
-    space = row_space(rows, F)
+    space = row_space(stored(rows, F), F)
     null = nullspace(space, ncols)
     assert space.rank + len(null) == ncols
     for vec in null:
@@ -90,10 +97,10 @@ def test_nullspace_vectors_independent(seed):
     rng = random.Random(seed)
     dense = [[rng.randrange(101) for _ in range(5)] for _ in range(3)]
     rows = dense_to_rows(dense, F)
-    null = nullspace(row_space(rows, F), 5)
+    null = nullspace(row_space(stored(rows, F), F), 5)
     space = RowSpace(F)
     for vec in null:
-        assert space.add(dict(vec))
+        assert space.add(int_row(vec, F))
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,7 +113,7 @@ def test_inverse_exists_iff_full_rank(seed, n, F):
         dense[-1] = [a + 2 * b for a, b in zip(dense[0], dense[1])]
     U = [[F.of(v) for v in row] for row in dense]
     inv = inverse(U, F)
-    if row_space(dense_to_rows(dense, F), F).rank < n:
+    if row_space(stored(dense_to_rows(dense, F), F), F).rank < n:
         assert inv is None
         return
     assert inv is not None
@@ -145,7 +152,7 @@ def test_graded_inverse_is_two_sided_iff_constant_part_invertible(seed, src, F):
         for b, row in zip(tgt, mat.entries)
     ]
     inv = graded_inverse(mat)
-    if row_space(const, F).rank < len(src):
+    if row_space(stored(const, F), F).rank < len(src):
         assert inv is None
         return
     assert inv is not None
@@ -281,9 +288,9 @@ def test_kernel_matches_field_gauss_jordan(seed, nrows, ncols, density, F):
 
     space, ref = RowSpace(F), FieldRowSpace(F)
     for r in rows:
-        assert (space.add(r) is None) == (ref.add(r) is None)
+        assert (space.add(int_row(r, F)) is None) == (ref.add(r) is None)
     assert space.rows.keys() == ref.rows.keys()
-    batch = row_space(rows, F)
+    batch = row_space(stored(rows, F), F)
     assert batch.rank == len(ref.rows)
     got = nullspace(space, ncols)
     want = reference_nullspace(rows, ncols, F)
@@ -312,7 +319,7 @@ def test_kernel_matches_field_gauss_jordan(seed, nrows, ncols, density, F):
     # the cost: the same rows, pivot by pivot, and the same kernel vectors
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    other = row_space(shuffled, F)
+    other = row_space(stored(shuffled, F), F)
     assert batch.rows == other.rows == space.rows
     assert nullspace(batch, ncols) == nullspace(other, ncols) == got
 
@@ -320,7 +327,8 @@ def test_kernel_matches_field_gauss_jordan(seed, nrows, ncols, density, F):
 def test_row_space_skips_empty_rows_and_adds_largest_leading_column_first(monkeypatch):
     added = []
     add = RowSpace.add
-    monkeypatch.setattr(RowSpace, "add", lambda self, vec: added.append(vec) or add(self, vec))
+    # add may reduce the row it keeps in place, so each is recorded as handed over
+    monkeypatch.setattr(RowSpace, "add", lambda self, vec: added.append(dict(vec)) or add(self, vec))
     space = row_space([{}, {0: 3, 2: 1}, {2: 1}, {}, {1: 1}, {}], Field(7))
     assert added == [{2: 1}, {1: 1}, {0: 3, 2: 1}]
     assert space.rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
@@ -328,9 +336,9 @@ def test_row_space_skips_empty_rows_and_adds_largest_leading_column_first(monkey
 
 @pytest.mark.parametrize("F", [QQ, Field(101)])
 def test_add_back_substitutes_only_a_pivot_right_of_a_stored_pivot(monkeypatch, F):
-    # every vector add reduces and stores is a Probed dict, and every space is
-    # recorded, so the stored rows add looks into and those it eliminates
-    # into are both seen
+    # every row add reduces and stores is a Probed dict, since add keeps the
+    # row it is handed, and every space is recorded, so the stored rows add
+    # looks into and those it eliminates into are both seen
     looked, cleared, spaces = [], [], []
 
     class Probed(dict):
@@ -338,7 +346,7 @@ def test_add_back_substitutes_only_a_pivot_right_of_a_stored_pivot(monkeypatch, 
             looked.append(j)
             return dict.__contains__(self, j)
 
-    init, ints, eliminate = RowSpace.__init__, RowSpace._ints, linalg._eliminate
+    init, add, eliminate = RowSpace.__init__, RowSpace.add, linalg._eliminate
 
     def counted(v, row, piv, p):
         if any(v is r for s in spaces for r in s.rows.values()):
@@ -346,7 +354,7 @@ def test_add_back_substitutes_only_a_pivot_right_of_a_stored_pivot(monkeypatch, 
         eliminate(v, row, piv, p)
 
     monkeypatch.setattr(RowSpace, "__init__", lambda self, field: spaces.append(self) or init(self, field))
-    monkeypatch.setattr(RowSpace, "_ints", lambda self, vec: Probed(ints(self, vec)))
+    monkeypatch.setattr(RowSpace, "add", lambda self, row: add(self, Probed(row)))
     monkeypatch.setattr(linalg, "_eliminate", counted)
 
     def as_field(space):
@@ -357,20 +365,89 @@ def test_add_back_substitutes_only_a_pivot_right_of_a_stored_pivot(monkeypatch, 
     rng = random.Random(5)
     batch = [{i: random_entry(rng, F), **{j: random_entry(rng, F) for j in range(i + 1, 8) if rng.random() < 0.6}}
              for i in range(6)]
-    space, ref = row_space(batch, F), FieldRowSpace(F)
+    space, ref = row_space(stored(batch, F), F), FieldRowSpace(F)
     for r in sorted(batch, key=lambda r: -min(r)):
         ref.add(r)
     assert space.rank == 6
+    assert all(type(row) is Probed for row in space.rows.values())
     assert looked == [] and cleared == []
     assert as_field(space) == ref.rows
 
     # pivot 1 lands right of the stored pivot 0, whose row holds column 1
     space, ref = RowSpace(F), FieldRowSpace(F)
     for r in ({0: F.one, 1: F.one, 2: F.one}, {1: F.one, 2: F.of(2)}):
-        space.add(r)
+        space.add(int_row(r, F))
         ref.add(r)
+    assert all(type(row) is Probed for row in space.rows.values())
     assert cleared == [1]
     assert as_field(space) == ref.rows == {0: {0: F.one, 2: F.neg(F.one)}, 1: {1: F.one, 2: F.of(2)}}
+
+
+def test_add_keeps_a_fraction_row_converted_once():
+    # int_row turns a row of Fractions into stored form, leaving it as it
+    # was; add keeps the very dict it is handed, and the rows match the
+    # field reference; the third row is half the sum of the first two
+    rows = [
+        {0: Fraction(1, 2), 2: Fraction(-3, 4)},
+        {1: Fraction(2, 3), 2: Fraction(5, 6)},
+        {0: Fraction(1, 4), 1: Fraction(1, 3), 2: Fraction(1, 24)},
+    ]
+    assert int_row(rows[0], QQ) == {0: 2, 2: -3}
+    space, ref = RowSpace(QQ), FieldRowSpace(QQ)
+    for r in rows:
+        before = dict(r)
+        row = int_row(r, QQ)
+        assert r == before and all(type(x) is int for x in row.values())
+        kept = space.add(row)
+        assert (kept is None) == (ref.add(r) is None)
+        assert kept is None or space.rows[min(kept)] is kept is row
+    assert space.rank == 2
+    assert {q: {j: space.scalar(q, x) for j, x in row.items()} for q, row in space.rows.items()} == ref.rows
+    probe = {0: Fraction(1, 2), 1: Fraction(2, 3), 2: Fraction(1, 12)}
+    before = dict(probe)
+    assert space.contains(probe) and probe == before
+
+
+@functools.cache
+def quarter_curve_objects(char):
+    """Every catalog kind on y^2 = x^3 + 1/4 at (0, 1/2), where the alphas
+    have denominators 2 and 4 over Q."""
+    curve = mk.curve_new(Field(char), 0, "1/4")
+    pt = mk.point_on(curve, 0, "1/2")
+    return curve, {k: mk.catalog_mf(curve, k, pt if k in mk.POINT_KINDS else None) for k in mk.CATALOG_KINDS}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([0, 101]),
+    st.sampled_from(mk.CATALOG_KINDS),
+    st.sampled_from(mk.CATALOG_KINDS),
+    st.integers(-1, 1),
+)
+def test_every_caller_hands_add_stored_rows(char, kind_m, kind_n, shift):
+    # Hom spaces, their representatives, null-homotopy tests, the iso search
+    # (graded_inverse) and Groebner syzygies: every row add sees is nonzero
+    # plain ints, in [0, p) over GF(p)
+    curve, objs = quarter_curve_objects(char)
+    M, N = mk.shift_mf(objs[kind_m], shift), objs[kind_n]
+    seen = []
+    add = RowSpace.add
+
+    def checked(self, row):
+        p = self.field.char
+        assert all(type(x) is int and x and (not p or x < p) for x in row.values()), row
+        seen.append(row)
+        return add(self, row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RowSpace, "add", checked)
+        H = mk.hom_space(M, N)
+        for phi in H.basis:
+            assert not mk.is_null_homotopic(phi)
+        assert mk.is_null_homotopic(mk.zero_morphism(M, N))
+        assert mk.is_stably_isomorphic(M, M, samples=2).status == "yes"
+        mk.syzygy_basis(M.alpha, f=curve.f)
+    assert seen
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +463,7 @@ def test_nullspace_matches_sympy(seed, nrows, ncols, density, F):
     sympy = pytest.importorskip("sympy")
     rows = random_rows(random.Random(seed), F, nrows, ncols, density)
     dense = [[r.get(j, F.zero) for j in range(ncols)] for r in rows]
-    ours = [[v.get(j, F.zero) for j in range(ncols)] for v in nullspace(row_space(rows, F), ncols)]
+    ours = [[v.get(j, F.zero) for j in range(ncols)] for v in nullspace(row_space(stored(rows, F), F), ncols)]
     if F.char:
         from sympy.polys.matrices import DomainMatrix
 
