@@ -63,10 +63,8 @@ def _shifted(v: Vec, shift: Exp) -> Vec:
 
 
 def _row(v: Vec, cols, fld) -> dict:
-    """v as a RowSpace row on the columns cols: over F_p its coefficients, in
-    [0, p), are stored form already; over Q it goes through `int_row`."""
-    row = {cols[t]: c for t, c in v.items()}
-    return row if fld.char else int_row(row, fld)
+    """v as a RowSpace row in stored form on the columns cols."""
+    return int_row({cols[t]: c for t, c in v.items()}, fld)
 
 
 def _reducer_space(rows, basis, lts, fld):

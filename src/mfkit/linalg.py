@@ -18,8 +18,7 @@ use again.  Field elements become stored form in one place, `int_row`
 (reduced mod p, or over Q scaled by the lcm of the denominators).  Callers
 that hold field elements convert through it, and so do `reduce` and
 `contains`, which take field elements and leave them untouched.  Rows born
-as ints skip it: the Hom systems (`homs._alpha_square`) and, over F_p, the
-Gröbner rows, whose coefficients already lie in [0, p).  `Fraction`s are
+as ints skip it: the Hom systems (`homs._alpha_square`).  `Fraction`s are
 built only where `inverse` and `nullspace` hand out field elements.
 
 A stored row has entries only at or right of its pivot, so a new pivot left

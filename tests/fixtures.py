@@ -8,6 +8,8 @@ reduced mapping cone is stably isomorphic to a shifted catalog object:
 * ``2e-plus-p``: O(-2e) -> k(p),  cone ~ Phi(O(-2e-p))[1]  (3x3)
 """
 
+import functools
+
 import mfkit as mk
 
 CONE_CASES = ("e-plus-p", "2e", "2e-plus-p")
@@ -18,6 +20,22 @@ CONE_SHAPES = {
     "2e": ("lb-minus-e", "point-e", "lb-2e", 2),
     "2e-plus-p": ("lb-2e", "point", "lb-2e-plus-p", 3),
 }
+
+
+@functools.cache
+def catalog_objects(char, lam, mu):
+    """The curve y^2 = x^3 + b through (lam, mu) over GF(char), or Q when char
+    is 0, and its catalog as {kind: object} at that point.  The default curve
+    (b = 1) passes through (0, 1) and (2, 3); at (0, 1/2), b = 1/4 and the
+    alphas have denominators 2 and 4 over Q."""
+    fld = mk.Field(char)
+    lam, mu = fld.of(lam), fld.of(mu)
+    curve = mk.curve_new(fld, 0, mu**2 - lam**3)
+    pt = mk.point_on(curve, lam, mu)
+    return curve, {
+        kind: mk.catalog_mf(curve, kind, pt if kind in mk.POINT_KINDS else None)
+        for kind in mk.CATALOG_KINDS
+    }
 
 
 def cone_generator(curve, which, pt=None):

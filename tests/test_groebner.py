@@ -287,6 +287,25 @@ def test_inhomogeneous_generator_is_refused(R):
         mk.groebner_basis([X * X - Y * Z, X * Y - Z], ring=R)
 
 
+def test_vector_coefficients_zero_mod_p_are_no_terms():
+    # over GF(p) a caller's coefficient 0 or p is no term: neither a pivot to
+    # invert nor an entry to keep, as a leading term or further down
+    F = Field(101)
+    ring = PolyRing(F)
+
+    def vec(*terms):
+        return {(0, exp): c for exp, c in terms}
+
+    messy = [
+        vec(((2, 0, 0), 101), ((1, 1, 0), 3), ((0, 1, 1), 0)),
+        vec(((2, 0, 0), 1), ((0, 2, 0), 101), ((0, 0, 2), 5)),
+    ]
+    clean = [vec(((1, 1, 0), 3)), vec(((2, 0, 0), 1), ((0, 0, 2), 5))]
+    gb = mk.groebner_basis(messy, ring=ring, twists=[0])
+    assert gb.basis == mk.groebner_basis(clean, ring=ring, twists=[0]).basis
+    assert all(0 < c < 101 for v in gb.basis for c in v.values())
+
+
 # ---------------------------------------------------------------------------
 # syzygies and kernels
 

@@ -1,6 +1,5 @@
 """Sparse exact linear algebra over coefficient fields."""
 
-import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,6 +13,8 @@ from mfkit import linalg
 from mfkit.fields import Field, QQ
 from mfkit.linalg import RowSpace, int_row, inverse, nullspace, row_space
 from mfkit.poly import GradedMatrix, PolyRing, graded_inverse, validate_graded_matrix
+
+from fixtures import catalog_objects
 
 FIELDS = st.sampled_from([QQ, Field(7), Field(101)])
 
@@ -408,15 +409,6 @@ def test_add_keeps_a_fraction_row_converted_once():
     assert space.contains(probe) and probe == before
 
 
-@functools.cache
-def quarter_curve_objects(char):
-    """Every catalog kind on y^2 = x^3 + 1/4 at (0, 1/2), where the alphas
-    have denominators 2 and 4 over Q."""
-    curve = mk.curve_new(Field(char), 0, "1/4")
-    pt = mk.point_on(curve, 0, "1/2")
-    return curve, {k: mk.catalog_mf(curve, k, pt if k in mk.POINT_KINDS else None) for k in mk.CATALOG_KINDS}
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     st.sampled_from([0, 101]),
@@ -428,7 +420,7 @@ def test_every_caller_hands_add_stored_rows(char, kind_m, kind_n, shift):
     # Hom spaces, their representatives, null-homotopy tests, the iso search
     # (graded_inverse) and Groebner syzygies: every row add sees is nonzero
     # plain ints, in [0, p) over GF(p)
-    curve, objs = quarter_curve_objects(char)
+    curve, objs = catalog_objects(char, 0, "1/2")
     M, N = mk.shift_mf(objs[kind_m], shift), objs[kind_n]
     seen = []
     add = RowSpace.add
