@@ -17,6 +17,25 @@ Each new pivot row of the fully reduced echelon form is an element of the
 reduced basis, and a generator is needed exactly when it enlarges the row
 space, so one pass gives both.  A normal form is one more such row.
 
+Inside elimination a term is one packed int (Monagan and Pearce, JSC 46
+(2011)).  With P positions, n variables and fields of W = 32 bits,
+
+    T = (P - pos)·2^(W·(n+1)) + deg·2^(W·n) - Σ_i e_i·2^(W·i).
+
+Its integer order is the module order, and it adds under shifts: x^s times
+the term T is T + key(s), key(s) being the same sum with no position part,
+so T - T' is the shift between two terms of one position.  Degrees stay
+below 2^31 (`DEGREE_BITS`), which leaves the top bit of every exponent
+field free as a guard: lt divides t iff lt + guard - t keeps every guard
+bit.  A term whose degree could reach 2^31 is refused with ValidationError.
+The column of T is -T, so a RowSpace row keyed by columns lists its terms
+in descending order with no column map.  A pass keeps each basis element
+as the stored int row that RowSpace produced; S-pair halves and reducers
+are integer shifts of those rows, and each element becomes a (pos,
+exp)-keyed field vector once, at the end.  `GroebnerBasis` packs a basis
+once for `reduce_vec`, and takes the rows of one from `buchberger` as they
+are.
+
 A computation is over A exactly when the potential f is passed: f·e_i are
 adjoined to the generators (`groebner_basis`, `ColumnSpan`, `mingens` and
 what calls them), and `reduce_mod_f` is the one reduction modulo f, the
@@ -28,25 +47,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
+from struct import Struct
 
 from .errors import ValidationError
 from .linalg import int_row, row_space
-from .poly import Exp, GradedMatrix, Poly, PolyRing, grevlex_key
+from .poly import Exp, GradedMatrix, Poly, PolyRing
 
 Term = tuple[int, Exp]
 Vec = dict  # {Term: coefficient}
 
-
-def term_key(t: Term):
-    return (-t[0], grevlex_key(t[1]))
-
-
-def vec_lt(v: Vec) -> Term:
-    return max(v, key=term_key)
-
-
-def term_divides(t1: Term, t2: Term) -> bool:
-    return t1[0] == t2[0] and all(a <= b for a, b in zip(t1[1], t2[1]))
+DEGREE_BITS = 31  # degrees of packed terms stay below 2^DEGREE_BITS
+_W = DEGREE_BITS + 1  # bits per field: the value and one guard bit
 
 
 def vec_degree(v: Vec, twists) -> int:
@@ -57,117 +70,184 @@ def vec_degree(v: Vec, twists) -> int:
     return degs.pop() if degs else 0
 
 
-def _shifted(v: Vec, shift: Exp) -> Vec:
-    """x^shift · v."""
-    return {(pos, tuple(a + b for a, b in zip(exp, shift))): c for (pos, exp), c in v.items()}
+class _Packing:
+    """Packed terms (module docstring) of ⊕_{pos < P} R(-twists[pos]).
+
+    Every term a computation makes has the degree |exp| + twist of one it
+    packed, so refusing a packed term whose degree plus its twist's excess
+    over the least twist reaches 2^DEGREE_BITS keeps every exponent of every
+    term below that."""
+
+    __slots__ = ("n", "P", "shift", "weights", "base", "limit", "guard", "_fields")
+
+    def __init__(self, nvars: int, twists: tuple):
+        n, P = nvars, len(twists)
+        self.n, self.P, self.shift = n, P, _W * (n + 1)
+        top = 1 << (_W * n)
+        self.weights = tuple(top - (1 << (_W * i)) for i in range(n))
+        self.base = tuple((P - pos) << self.shift for pos in range(P))
+        low = min(twists, default=0)
+        # deg >= D iff key > (D - 1)·2^(W·n), for D <= 2^DEGREE_BITS
+        self.limit = tuple(((1 << DEGREE_BITS) - 1 - t + low) * top for t in twists)
+        self.guard = sum(1 << (_W * i + DEGREE_BITS) for i in range(n))
+        self._fields = Struct(f"<{n}I")  # n little-endian fields of W = 32 bits
+
+    def pack(self, term: Term) -> int:
+        pos, exp = term
+        if not 0 <= pos < self.P:
+            raise ValidationError(f"term at position {pos} of a module with {self.P} positions")
+        key = sum(map(mul, exp, self.weights))
+        if key > self.limit[pos]:
+            raise ValidationError(
+                f"term of degree {sum(exp)} at position {pos}: packed degrees stay below 2^{DEGREE_BITS}"
+            )
+        return self.base[pos] + key
+
+    def unpack(self, t: int) -> Term:
+        key = t & ((1 << self.shift) - 1)
+        rem = (-(-key >> (_W * self.n)) << (_W * self.n)) - key  # Σ e_i·2^(W·i)
+        return self.P - (t >> self.shift), self._fields.unpack(rem.to_bytes(4 * self.n, "little"))
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether packed term a divides packed term b."""
+        g = self.guard
+        return a >> self.shift == b >> self.shift and (a + g - b) & g == g
 
 
-def _row(v: Vec, cols, fld) -> dict:
-    """v as a RowSpace row in stored form on the columns cols."""
-    return int_row({cols[t]: c for t, c in v.items()}, fld)
+@lru_cache(maxsize=256)
+def _packing(nvars: int, twists: tuple) -> _Packing:
+    return _Packing(nvars, twists)
 
 
-def _reducer_space(rows, basis, lts, fld):
-    """Symbolic preprocessing: a RowSpace of the reducers of rows, the column
-    of each term, and the terms by column.  Each term of rows, or of a
-    reducer taken, that a leading term divides gets one reducer: the
-    monomial multiple of the first such basis element.  The columns are the
-    terms in descending order, so each reducer's leading column is its own
-    term's and `row_space` needs no back-substitution."""
-    at_pos: dict[int, list] = {}  # position -> [(leading term, element)] in basis order
-    for g, (lt, _) in zip(basis, lts):
-        at_pos.setdefault(lt[0], []).append((lt, g))
+def _reducer_space(rows, at_pos: dict, pk: _Packing, fld):
+    """Symbolic preprocessing: a RowSpace of the reducers of rows (dicts keyed
+    by column), and every column visited, each mapped to its reducer or None.
+    Each column of rows, or of a reducer taken, whose term a leading term
+    divides gets one reducer: the shift of the first such basis element.
+    at_pos holds, per position field, the elements in basis order as
+    (packed leading term, stored row).  A reducer's leading column is its
+    own, so `row_space` needs no back-substitution."""
+    divides, shift = pk.divides, pk.shift
     reducers = {}
-    todo = [t for r in rows for t in r]
+    todo = [c for r in rows for c in r]
     while todo:
-        t = todo.pop()
-        if t not in reducers:
-            reducers[t] = None
-            for lt, g in at_pos.get(t[0], ()):
-                if term_divides(lt, t):
-                    reducers[t] = _shifted(g, tuple(b - a for a, b in zip(lt[1], t[1])))
-                    todo.extend(reducers[t])
+        c = todo.pop()
+        if c not in reducers:
+            reducers[c] = None
+            for lt, row in at_pos.get(-c >> shift, ()):
+                if divides(lt, -c):
+                    s = c + lt  # the shift in columns: the leading column -lt goes to c
+                    reducers[c] = r = {j + s: x for j, x in row.items()}
+                    todo.extend(r)
                     break
-    terms = sorted(reducers, key=term_key, reverse=True)
-    cols = {t: j for j, t in enumerate(terms)}
-    space = row_space([_row(r, cols, fld) for r in reducers.values() if r], fld)
-    return space, cols, terms
+    return row_space([r for r in reducers.values() if r], fld), reducers
 
 
-def _unscaled(row: dict, scale: int, terms, p: int) -> Vec:
-    """The int row divided by scale, keyed by terms, in descending order.
+def _index(at_pos: dict, pk: _Packing, lead: int, row: dict) -> None:
+    """File a basis element, its stored row with leading column lead, under
+    its position in at_pos."""
+    at_pos.setdefault(-lead >> pk.shift, []).append((-lead, row))
+
+
+def _unpacked(row: dict, scale: int, pk: _Packing, p: int) -> Vec:
+    """The stored row divided by scale, keyed by terms, in descending order.
     Over F_p the scale is 1: RowSpace keeps pivots 1 and never rescales."""
-    return {terms[j]: x if p else Fraction(x, scale) for j, x in sorted(row.items())}
+    return {pk.unpack(-c): x if p else Fraction(x, scale) for c, x in sorted(row.items())}
 
 
-def reduce_vec(v: Vec, basis, lts, fld) -> Vec:
-    """Full normal form of v against a Groebner basis (leading terms in lts).
+def reduce_vec(v: Vec, gb: GroebnerBasis) -> Vec:
+    """Full normal form of v against the Groebner basis gb.
 
-    v is one more row, with an extra last column set to 1: that column
-    carries the scalar that fraction-free elimination over Q puts on the
-    remainder.  When no leading term divides a term of v, v is its own
-    normal form, returned in the same descending term order."""
-    space, cols, terms = _reducer_space([v], basis, lts, fld)
+    v is one more row, with an extra column 0, right of every term's, set to
+    1: that column carries the scalar that fraction-free elimination over Q
+    puts on the remainder.  When no leading term divides a term of v, v is
+    its own normal form, returned in descending term order."""
+    pk = gb._packing
+    terms = {-pk.pack(t): t for t in v}
+    row = {c: v[t] for c, t in terms.items()}
+    space, _ = _reducer_space([row], gb._at_pos, pk, gb.ring.field)
     if not space.rows:
-        return {t: v[t] for t in terms}
-    last = len(terms)
-    row = {cols[t]: c for t, c in v.items()}
-    row[last] = 1
+        return {terms[c]: row[c] for c in sorted(terms)}
+    row[0] = 1
     red = space.reduce(row)
-    return _unscaled(red, red.pop(last), terms, fld.char)
+    return _unpacked(red, red.pop(0), pk, gb.ring.field.char)
 
 
 def _degree_pass(gens, twists, ring: PolyRing):
-    """F4 with the normal strategy, degree by degree.
+    """F4 with the normal strategy, degree by degree, on packed terms.
 
     An S-pair's first half is not a row: the reducer of its leading term
     stands in for it, and differs from it by a multiple of an S-pair of
     lower degree, or of this degree with its second half among the rows.
     The S-pair rows go in before the generators, and these in index order,
     so a generator enlarges the span of those taken before it exactly when
-    RowSpace.add returns a row.  Returns the reduced basis (monic, in the
-    order found) and the indices of the generators that enlarged the span,
-    by degree, then index.
+    RowSpace.add returns a row.  Returns the packing, the reduced basis as
+    {leading column: stored row} in the order found, and the indices of the
+    generators that enlarged the span, by degree, then index.
     """
     fld = ring.field
-    G, lts, enlarged = [], [], []
+    pk = _packing(ring.nvars, tuple(twists))
+    ideal = len(twists) == 1
+    found, at_pos, enlarged = {}, {}, []
+    exps_at: dict[int, list] = {}  # position -> leading exponents there, in the order found
     gens_at: dict[int, list[int]] = {}
     for k, g in enumerate(gens):
         if g:
             gens_at.setdefault(vec_degree(g, twists), []).append(k)
-    pairs_at: dict[int, dict] = {}  # degree -> {(j, lcm): None}; row x^(lcm - lt_j)·G[j]
+    pairs_at: dict[int, dict] = {}  # degree -> {(lead, pos, lcm): None}; row x^(lcm - lt)·found[lead]
     while gens_at or pairs_at:
         d = min(gens_at.keys() | pairs_at.keys())
-        halves = [_shifted(G[j], tuple(a - b for a, b in zip(lcm, lts[j][0][1]))) for j, lcm in pairs_at.pop(d, ())]
+        halves = []
+        for lead, pos, lcm in pairs_at.pop(d, ()):
+            s = -pk.pack((pos, lcm)) - lead
+            halves.append({c + s: x for c, x in found[lead].items()})
         ks = gens_at.pop(d, [])
-        space, cols, terms = _reducer_space(halves + [gens[k] for k in ks], G, lts, fld)
+        rows = [int_row({-pk.pack(t): c for t, c in gens[k].items()}, fld) for k in ks]
+        space, _ = _reducer_space(halves + rows, at_pos, pk, fld)
         old = set(space.rows)
         for h in halves:
-            space.add(_row(h, cols, fld))
-        for k in ks:
-            if space.add(_row(gens[k], cols, fld)) is not None:
+            space.add(h)
+        for k, r in zip(ks, rows):
+            if space.add(r) is not None:
                 enlarged.append(k)
         for piv in sorted(space.rows.keys() - old):
-            pos, exp = lt = terms[piv]
-            for (ipos, iexp), _ in lts:
+            pos, exp = pk.unpack(-piv)
+            earlier = exps_at.setdefault(pos, [])
+            for iexp in earlier:
                 # the coprime-leading-term criterion is only sound for ideals
-                if ipos == pos and not (len(twists) == 1 and all(min(a, b) == 0 for a, b in zip(iexp, exp))):
-                    lcm = tuple(max(a, b) for a, b in zip(iexp, exp))
-                    pairs_at.setdefault(sum(lcm) + twists[pos], {})[(len(G), lcm)] = None
-            G.append(_unscaled(space.rows[piv], space.rows[piv][piv], terms, fld.char))
-            lts.append((lt, fld.one))
-    return G, enlarged
+                if not (ideal and all(min(a, b) == 0 for a, b in zip(iexp, exp))):
+                    lcm = tuple(map(max, iexp, exp))
+                    pairs_at.setdefault(sum(lcm) + twists[pos], {})[(piv, pos, lcm)] = None
+            earlier.append(exp)
+            found[piv] = space.rows[piv]
+            _index(at_pos, pk, piv, found[piv])
+    return pk, found, enlarged
+
+
+class _Basis(list):
+    """The basis vectors `buchberger` returns, with the packing and the
+    stored rows of its pass (rows[i] for the i-th vector) riding along, so
+    that a `GroebnerBasis` on the same packing packs nothing again."""
+
+    __slots__ = ("packing", "rows")
 
 
 def buchberger(gens, twists, ring: PolyRing) -> list[Vec]:
-    """Unique reduced Groebner basis of the span of gens."""
-    G, _ = _degree_pass(gens, twists, ring)
-    return sorted(G, key=lambda v: term_key(vec_lt(v)), reverse=True)
+    """Unique reduced Groebner basis of the span of gens, monic, by
+    descending leading term."""
+    pk, found, _ = _degree_pass(gens, twists, ring)
+    leads = sorted(found)
+    out = _Basis(_unpacked(found[q], found[q][q], pk, ring.field.char) for q in leads)
+    out.packing, out.rows = pk, [found[q] for q in leads]
+    return out
 
 
 @dataclass
 class GroebnerBasis:
-    """Groebner basis, with leading terms, of a graded submodule of ⊕_i R(-t_i)."""
+    """Groebner basis, with leading terms, of a graded submodule of ⊕_i R(-t_i).
+
+    The basis is packed once, as stored rows filed by position, for
+    `reduce_vec`; a basis from `buchberger` brings its rows along."""
 
     ring: PolyRing
     twists: list[int]
@@ -175,7 +255,18 @@ class GroebnerBasis:
     lts: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        self.lts = [(lt, v[lt]) for v in self.basis for lt in (vec_lt(v),)]
+        self._packing = pk = _packing(self.ring.nvars, tuple(self.twists))
+        if getattr(self.basis, "packing", None) is pk:
+            rows = self.basis.rows
+        else:
+            rows = [int_row({-pk.pack(t): c for t, c in v.items()}, self.ring.field) for v in self.basis]
+        self._at_pos: dict = {}
+        self.lts = []
+        for v, row in zip(self.basis, rows):
+            lead = min(row)
+            lt = pk.unpack(-lead)
+            self.lts.append((lt, v[lt]))
+            _index(self._at_pos, pk, lead, row)
 
 
 def columns_as_vectors(M: GradedMatrix) -> list[Vec]:
@@ -224,8 +315,8 @@ def groebner_basis(gens, *, ring=None, twists=None, f: Poly | None = None) -> Gr
 def normal_form(v, gb: GroebnerBasis):
     """Canonical remainder of v (a vector or a Poly) modulo gb."""
     if not isinstance(v, Poly):
-        return reduce_vec(v, gb.basis, gb.lts, gb.ring.field)
-    red = reduce_vec({(0, e): c for e, c in v.terms.items()}, gb.basis, gb.lts, gb.ring.field)
+        return reduce_vec(v, gb)
+    red = reduce_vec({(0, e): c for e, c in v.terms.items()}, gb)
     return gb.ring.from_terms({e: c for (_, e), c in red.items()})
 
 
@@ -254,7 +345,7 @@ class ColumnSpan:
         The normal form of w is its ambient remainder minus a lift (unique up
         to a syzygy), so w lies in the span iff no ambient term remains."""
         fld = self.ring.field
-        red = reduce_vec(w, self.gb.basis, self.gb.lts, fld)
+        red = reduce_vec(w, self.gb)
         if any(t[0] < self.g for t in red):
             return None
         return {(t[0] - self.g, t[1]): fld.neg(c) for t, c in red.items()}
@@ -302,7 +393,7 @@ def mingens(vecs: list[Vec], twists, ring: PolyRing, *, f: Poly | None = None) -
     is not homogeneous raises ValidationError.
     """
     base = _f_unit_vectors(f, twists) if f is not None else []
-    _, enlarged = _degree_pass(base + list(vecs), twists, ring)
+    _, _, enlarged = _degree_pass(base + list(vecs), twists, ring)
     return [vecs[k - len(base)] for k in enlarged if k >= len(base)]
 
 

@@ -1,7 +1,8 @@
 """Sparse exact linear algebra over Q and F_p.
 
-Vectors are dicts {column index: nonzero coefficient}.  `RowSpace` is the
-one eliminator: it keeps its rows in fully reduced echelon form and works on
+Vectors are dicts {column index: nonzero coefficient}; a column index is
+any int, and columns are ordered as ints.  `RowSpace` is the one
+eliminator: it keeps its rows in fully reduced echelon form and works on
 rows in stored form, whose entries are nonzero plain ints:
 
 - over F_p they lie in [0, p), each stored pivot is 1, and the arithmetic is
@@ -18,8 +19,10 @@ use again.  Field elements become stored form in one place, `int_row`
 (reduced mod p, or over Q scaled by the lcm of the denominators).  Callers
 that hold field elements convert through it, and so do `reduce` and
 `contains`, which take field elements and leave them untouched.  Rows born
-as ints skip it: the Hom systems (`homs._alpha_square`).  `Fraction`s are
-built only where `inverse` and `nullspace` hand out field elements.
+as ints skip it: the Hom systems (`homs._alpha_square`), and the Gröbner
+basis rows, which a pass keeps as stored here and shifts (`groebner`).
+`Fraction`s are built only where `inverse` and `nullspace` hand out field
+elements.
 
 A stored row has entries only at or right of its pivot, so a new pivot left
 of the smallest stored pivot lies in no stored row, and `add` then skips

@@ -182,9 +182,6 @@ class Poly:
     def coeff(self, exp: Exp):
         return self.terms.get(tuple(exp), self.ring.field.zero)
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def constant_value(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
 

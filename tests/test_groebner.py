@@ -3,6 +3,8 @@
 import heapq
 import random
 from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,19 +13,18 @@ from hypothesis import strategies as st
 import mfkit as mk
 from mfkit.fields import Field, QQ
 from mfkit.groebner import (
+    DEGREE_BITS,
     ColumnSpan,
     GroebnerBasis,
     _f_unit_vectors,
+    _Packing,
     _reducer_space,
     buchberger,
     columns_as_vectors,
     mingens,
     reduce_mod_f,
     reduce_vec,
-    term_divides,
-    term_key,
     vec_degree,
-    vec_lt,
     vectors_as_columns,
 )
 from mfkit.linalg import int_row, row_space
@@ -42,6 +43,25 @@ def fpoly(R):
 
 def poly_vec(p):
     return {(0, e): c for e, c in p.terms.items()}
+
+
+# ---------------------------------------------------------------------------
+# The module order on (position, exponent) tuples, independent of the packed
+# terms the package eliminates on: position 0 highest, then degree, then the
+# reversed exponents negated (degrevlex).
+
+
+def term_key(t):
+    pos, exp = t
+    return (-pos, sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def vec_lt(v):
+    return max(v, key=term_key)
+
+
+def term_divides(t1, t2):
+    return t1[0] == t2[0] and all(a <= b for a, b in zip(t1[1], t2[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +197,7 @@ def spairs_reduce_to_zero(gb: GroebnerBasis) -> bool:
             if gb.lts[i][0][0] != gb.lts[j][0][0]:
                 continue
             s = reference_s_vector(gb.basis[i], gb.basis[j], gb.lts[i], gb.lts[j], fld)
-            if reduce_vec(s, gb.basis, gb.lts, fld):
+            if reduce_vec(s, gb):
                 return False
     return True
 
@@ -192,9 +212,8 @@ def mingens_per_candidate(vecs, twists, ring, f=None):
         v = vecs[k]
         if not v:
             continue
-        gb = buchberger(base + kept, twists, ring)
-        lts = [(vec_lt(g), g[vec_lt(g)]) for g in gb]
-        if reduce_vec(v, gb, lts, ring.field):
+        gb = GroebnerBasis(ring, twists, buchberger(base + kept, twists, ring))
+        if reduce_vec(v, gb):
             kept.append(v)
     return kept
 
@@ -576,6 +595,20 @@ def whole_basis_reducer_space(rows, basis, lts, fld):
     return space, cols, terms
 
 
+def packed_reducer_space(rows, gb):
+    """_reducer_space of rows against gb's packed basis, in the form of
+    whole_basis_reducer_space: columns renamed 0, 1, ... by descending term,
+    and the terms unpacked."""
+    pk = gb._packing
+    packed = [{-pk.pack(t): c for t, c in r.items()} for r in rows]
+    space, reducers = _reducer_space(packed, gb._at_pos, pk, gb.ring.field)
+    order = sorted(reducers)  # ascending column, descending term
+    index = {c: j for j, c in enumerate(order)}
+    terms = [pk.unpack(-c) for c in order]
+    renamed = {index[q]: {index[c]: x for c, x in row.items()} for q, row in space.rows.items()}
+    return SimpleNamespace(rows=renamed), {t: j for j, t in enumerate(terms)}, terms
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([QQ, Field(101)]), st.booleans())
 def test_reducer_space_matches_whole_basis_scan(seed, fld, reduced):
@@ -594,11 +627,76 @@ def test_reducer_space_matches_whole_basis_scan(seed, fld, reduced):
     basis = mk.groebner_basis(gens, ring=R, twists=twists).basis if reduced and gens else gens
     lts = [(lt, v[lt]) for v in basis for lt in (vec_lt(v),)]
     rows = [random_homogeneous_vec(rng, R, twists, rng.randrange(2, 6)) for _ in range(3)]
-    space, cols, terms = _reducer_space(rows, basis, lts, fld)
+    space, cols, terms = packed_reducer_space(rows, GroebnerBasis(R, twists, basis))
     ref, ref_cols, ref_terms = whole_basis_reducer_space(rows, basis, lts, fld)
     assert terms == ref_terms
     assert cols == ref_cols
     assert space.rows == ref.rows
+
+
+# ---------------------------------------------------------------------------
+# packed terms against the tuple form
+
+
+def all_terms(nvars, positions, below):
+    """Every (position, exponent) with |exponent| < below."""
+    return [(pos, exp) for pos in range(positions) for exp in product(range(below), repeat=nvars) if sum(exp) < below]
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_packed_terms_match_the_tuple_order(nvars):
+    pk = _Packing(nvars, (0, 0, 0, 0))
+    terms = all_terms(nvars, 4, 8)
+    packed = {t: pk.pack(t) for t in terms}
+    assert sorted(terms, key=packed.get) == sorted(terms, key=term_key)
+    assert len(set(packed.values())) == len(terms)
+    assert all(pk.unpack(packed[t]) == t for t in terms)
+    shifts = [exp for pos, exp in terms if pos == 0]
+    zero = (0,) * nvars
+    for i, (pos, exp) in enumerate(terms):
+        for s in shifts[i % 5 :: 5]:
+            key = pk.pack((i % 4, s)) - pk.pack((i % 4, zero))  # x^s as a shift, at any position
+            assert packed[(pos, exp)] + key == pk.pack((pos, tuple(a + b for a, b in zip(exp, s))))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_packed_divisibility_is_componentwise(nvars):
+    pk = _Packing(nvars, (0, 0, 0, 0))
+    terms = all_terms(nvars, 4, 8)
+    packed = {t: pk.pack(t) for t in terms}
+    at_2 = [t for t in terms if t[0] == 2]
+    for i, a in enumerate(at_2):  # every pair at one position, and a slice across positions
+        for b in at_2 + terms[i % 7 :: 7]:
+            assert pk.divides(packed[a], packed[b]) == term_divides(a, b)
+
+
+def test_packed_terms_up_to_the_degree_limit():
+    # below 2^DEGREE_BITS every term packs, unpacks and divides exactly;
+    # from there on it is refused
+    pk = _Packing(3, (0, 0))
+    top = (1 << DEGREE_BITS) - 1
+    big = [(0, 0, 0), (1, 0, 0), (top, 0, 0), (top - 1, 1, 0), (0, 5, top - 5), (0, 0, top), (top >> 1, 0, top >> 1)]
+    for a in big:
+        assert pk.unpack(pk.pack((1, a))) == (1, a)
+        for b in big:
+            assert pk.divides(pk.pack((1, a)), pk.pack((1, b))) == term_divides((1, a), (1, b))
+    for exp in [(1 << DEGREE_BITS, 0, 0), (0, 0, 1 << DEGREE_BITS), (1, 2, top - 2), (1 << 32, 0, 0)]:
+        with pytest.raises(mk.ValidationError, match=f"below 2\\^{DEGREE_BITS}"):
+            pk.pack((1, exp))
+    # a term at a higher twist refuses the degree its module's lower twist would reach
+    pk = _Packing(3, (0, 2))
+    pk.pack((0, (top, 0, 0)))
+    pk.pack((1, (top - 2, 0, 0)))
+    with pytest.raises(mk.ValidationError):
+        pk.pack((1, (top - 1, 0, 0)))
+
+
+def test_terms_outside_the_ambient_positions_are_refused(R):
+    X, Y, Z = R.gens()
+    gb = mk.groebner_basis([X * X - Y * Z], ring=R)
+    for pos in (1, -1):
+        with pytest.raises(mk.ValidationError, match="positions"):
+            mk.normal_form({(pos, (2, 0, 0)): QQ.one}, gb)
 
 
 def sympy_monic_basis(sympy, gens, fld):

@@ -259,7 +259,6 @@ def test_degree_and_homogeneity(R):
     g = R.parse("X^2 + Y")
     assert not g.is_homogeneous()
     assert R.zero().is_zero()
-    assert R.one().is_constant()
 
 
 # ---------------------------------------------------------------------------
