@@ -31,10 +31,9 @@ bit.  A term whose degree could reach 2^31 is refused with ValidationError.
 The column of T is -T, so a RowSpace row keyed by columns lists its terms
 in descending order with no column map.  A pass keeps each basis element
 as the stored int row that RowSpace produced; S-pair halves and reducers
-are integer shifts of those rows, and each element becomes a (pos,
-exp)-keyed field vector once, at the end.  `GroebnerBasis` packs a basis
-once for `reduce_vec`, and takes the rows of one from `buchberger` as they
-are.
+are integer shifts of those rows.  The pass's `GroebnerBasis` keeps them:
+normal forms and standard-monomial counts work on them as they are, and an
+element becomes a (pos, exp)-keyed field vector only when it is read.
 
 A computation is over A exactly when the potential f is passed: f·e_i are
 adjoined to the generators (`groebner_basis`, `ColumnSpan`, `mingens` and
@@ -45,9 +44,9 @@ there is no dedicated quotient-ring engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import mul
 from struct import Struct
 
@@ -224,49 +223,46 @@ def _degree_pass(gens, twists, ring: PolyRing):
     return pk, found, enlarged
 
 
-class _Basis(list):
-    """The basis vectors `buchberger` returns, with the packing and the
-    stored rows of its pass (rows[i] for the i-th vector) riding along, so
-    that a `GroebnerBasis` on the same packing packs nothing again."""
-
-    __slots__ = ("packing", "rows")
-
-
-def buchberger(gens, twists, ring: PolyRing) -> list[Vec]:
+def buchberger(gens, twists, ring: PolyRing) -> GroebnerBasis:
     """Unique reduced Groebner basis of the span of gens, monic, by
     descending leading term."""
     pk, found, _ = _degree_pass(gens, twists, ring)
-    leads = sorted(found)
-    out = _Basis(_unpacked(found[q], found[q][q], pk, ring.field.char) for q in leads)
-    out.packing, out.rows = pk, [found[q] for q in leads]
-    return out
+    return GroebnerBasis(ring, twists, pk, [found[q] for q in sorted(found)])
 
 
-@dataclass
 class GroebnerBasis:
-    """Groebner basis, with leading terms, of a graded submodule of ⊕_i R(-t_i).
+    """The reduced Groebner basis a pass found for a graded submodule of
+    ⊕_i R(-t_i): its stored rows by descending leading term, filed by
+    position for `reduce_vec`.  Only `buchberger` makes one."""
 
-    The basis is packed once, as stored rows filed by position, for
-    `reduce_vec`; a basis from `buchberger` brings its rows along."""
-
-    ring: PolyRing
-    twists: list[int]
-    basis: list[Vec]
-    lts: list = dc_field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._packing = pk = _packing(self.ring.nvars, tuple(self.twists))
-        if getattr(self.basis, "packing", None) is pk:
-            rows = self.basis.rows
-        else:
-            rows = [int_row({-pk.pack(t): c for t, c in v.items()}, self.ring.field) for v in self.basis]
+    def __init__(self, ring: PolyRing, twists, packing: _Packing, rows: list[dict]):
+        self.ring, self.twists, self._packing, self._rows = ring, list(twists), packing, rows
         self._at_pos: dict = {}
-        self.lts = []
-        for v, row in zip(self.basis, rows):
-            lead = min(row)
-            lt = pk.unpack(-lead)
-            self.lts.append((lt, v[lt]))
-            _index(self._at_pos, pk, lead, row)
+        for row in rows:
+            _index(self._at_pos, packing, min(row), row)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    @cached_property
+    def basis(self) -> list[Vec]:
+        """The elements as monic (pos, exp)-keyed vectors, by descending
+        leading term, each in descending term order."""
+        return self.elements_from(0)
+
+    def elements_from(self, pos: int) -> list[Vec]:
+        """The elements with leading position at least pos, decoded.  Under
+        position-over-term order these are the ones with every term there."""
+        pk, char, top = self._packing, self.ring.field.char, self._packing.P - pos
+        return [_unpacked(row, row[min(row)], pk, char) for row in self._rows if -min(row) >> pk.shift <= top]
+
+    def standard_count(self, pos: int, degree: int) -> int:
+        """How many monomials x^e of the degree have (pos, e) divisible by no
+        leading term: the dimension of the quotient at pos in that degree."""
+        pk = self._packing
+        leads = [lt for lt, _ in self._at_pos.get(pk.P - pos, ())]
+        terms = map(pk.pack, zip(repeat(pos), self.ring.monomials_of_degree(degree)))
+        return sum(not any(map(pk.divides, leads, repeat(t))) for t in terms)
 
 
 def columns_as_vectors(M: GradedMatrix) -> list[Vec]:
@@ -309,7 +305,7 @@ def groebner_basis(gens, *, ring=None, twists=None, f: Poly | None = None) -> Gr
         twists = list(twists)
     if f is not None:
         vecs = vecs + _f_unit_vectors(f, twists)
-    return GroebnerBasis(ring, twists, buchberger(vecs, twists, ring))
+    return buchberger(vecs, twists, ring)
 
 
 def normal_form(v, gb: GroebnerBasis):
@@ -337,7 +333,7 @@ class ColumnSpan:
         one = (0,) * ring.nvars
         comb = [{**col, (self.g + j, one): ring.field.one} for j, col in enumerate(columns)]
         comb_twists = list(twists) + [vec_degree(col, twists) for col in columns]
-        self.gb = GroebnerBasis(ring, comb_twists, buchberger(comb, comb_twists, ring))
+        self.gb = buchberger(comb, comb_twists, ring)
 
     def lift(self, w: Vec) -> Vec | None:
         """Coefficients u (over the columns) with Σ u_j · col_j = w, or None.
@@ -354,11 +350,10 @@ class ColumnSpan:
         """Groebner basis of the syzygy module of the columns, each syzygy
         cut to the first `first` columns, empty ones dropped."""
         out = []
-        for v in self.gb.basis:
-            if all(t[0] >= self.g for t in v):
-                syz = {(t[0] - self.g, t[1]): c for t, c in v.items() if t[0] - self.g < first}
-                if syz:
-                    out.append(syz)
+        for v in self.gb.elements_from(self.g):
+            syz = {(t[0] - self.g, t[1]): c for t, c in v.items() if t[0] - self.g < first}
+            if syz:
+                out.append(syz)
         return out
 
 
@@ -379,7 +374,7 @@ def syzygy_basis(M, *, f: Poly | None = None) -> GradedMatrix:
 
 def reduce_mod_f(M: GradedMatrix, f: Poly) -> GradedMatrix:
     """The columns of M reduced modulo f·e_i for every row i, zero ones dropped."""
-    mod_f = GroebnerBasis(M.ring, M.target_twists, _f_unit_vectors(f, M.target_twists))
+    mod_f = buchberger(_f_unit_vectors(f, M.target_twists), M.target_twists, M.ring)
     cols = [normal_form(v, mod_f) for v in columns_as_vectors(M)]
     return vectors_as_columns(M.ring, M.target_twists, [v for v in cols if v])
 

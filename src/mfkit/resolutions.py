@@ -113,19 +113,7 @@ def _assert_minimal(res: Resolution) -> None:
 def hilbert_function(P: Presentation, i: int) -> int:
     """dim_K of the degree-i piece of coker(P)."""
     gb = P._module_gb
-    lead_by_pos: dict[int, list] = {}
-    for (pos, exp), _c in gb.lts:
-        lead_by_pos.setdefault(pos, []).append(exp)
-    total = 0
-    for j, t in enumerate(P.ambient):
-        d = i - t
-        if d < 0:
-            continue
-        leads = lead_by_pos.get(j, [])
-        for exp in P.ring.monomials_of_degree(d):
-            if not any(all(a >= b for a, b in zip(exp, le)) for le in leads):
-                total += 1
-    return total
+    return sum(gb.standard_count(j, i - t) for j, t in enumerate(P.ambient))
 
 
 def free_hilbert_function(ring: PolyRing, f: Poly, twists, i: int) -> int:

@@ -17,6 +17,7 @@ from mfkit.groebner import (
     ColumnSpan,
     GroebnerBasis,
     _f_unit_vectors,
+    _index,
     _Packing,
     _reducer_space,
     buchberger,
@@ -58,6 +59,11 @@ def term_key(t):
 
 def vec_lt(v):
     return max(v, key=term_key)
+
+
+def lts_of(basis):
+    """(leading term, leading coefficient) of each vector."""
+    return [(lt, v[lt]) for v in basis for lt in (vec_lt(v),)]
 
 
 def term_divides(t1, t2):
@@ -192,11 +198,12 @@ def reference_mingens(vecs, twists, ring, f=None):
 def spairs_reduce_to_zero(gb: GroebnerBasis) -> bool:
     """Post-hoc Buchberger criterion: every same-position S-pair reduces to 0."""
     fld = gb.ring.field
+    lts = lts_of(gb.basis)
     for i in range(len(gb.basis)):
         for j in range(i + 1, len(gb.basis)):
-            if gb.lts[i][0][0] != gb.lts[j][0][0]:
+            if lts[i][0][0] != lts[j][0][0]:
                 continue
-            s = reference_s_vector(gb.basis[i], gb.basis[j], gb.lts[i], gb.lts[j], fld)
+            s = reference_s_vector(gb.basis[i], gb.basis[j], lts[i], lts[j], fld)
             if reduce_vec(s, gb):
                 return False
     return True
@@ -212,7 +219,7 @@ def mingens_per_candidate(vecs, twists, ring, f=None):
         v = vecs[k]
         if not v:
             continue
-        gb = GroebnerBasis(ring, twists, buchberger(base + kept, twists, ring))
+        gb = buchberger(base + kept, twists, ring)
         if reduce_vec(v, gb):
             kept.append(v)
     return kept
@@ -227,7 +234,7 @@ def test_principal_ideal_basis(R, fpoly):
     assert len(gb.basis) == 1
     assert spairs_reduce_to_zero(gb)
     # Leading coefficients are normalised to 1.
-    for _, c in gb.lts:
+    for _, c in lts_of(gb.basis):
         assert c == QQ.one
 
 
@@ -255,7 +262,7 @@ def test_reduced_basis_invariants(R):
     X, Y, Z = R.gens()
     gb = mk.groebner_basis([X * X - Y * Z, X * Y - Z * Z, X * Z - Y * Y], ring=R)
     assert spairs_reduce_to_zero(gb)
-    lead = [lt for lt, _ in gb.lts]
+    lead = [vec_lt(v) for v in gb.basis]
     # No leading term divides another one.
     for i, a in enumerate(lead):
         for j, b in enumerate(lead):
@@ -545,9 +552,10 @@ def test_row_echelon_pass_matches_reference_buchberger(seed, fld, over_a):
     # same vectors, same coefficients, same key order
     assert [list(v.items()) for v in gb.basis] == [list(v.items()) for v in ref]
     assert mingens(vecs, twists, R, f=f) == reference_mingens(vecs, twists, R, f)
+    lts = lts_of(gb.basis)
     for _ in range(3):
         w = random_homogeneous_vec(rng, R, twists, rng.randrange(5))
-        assert list(mk.normal_form(w, gb).items()) == list(reference_reduce_vec(w, gb.basis, gb.lts, fld).items())
+        assert list(mk.normal_form(w, gb).items()) == list(reference_reduce_vec(w, gb.basis, lts, fld).items())
 
     span = ColumnSpan(R, twists, cols)
     # f= appends f·e_i after the given columns, so the basis is the same
@@ -555,15 +563,16 @@ def test_row_echelon_pass_matches_reference_buchberger(seed, fld, over_a):
         list(v.items()) for v in span.gb.basis
     ]
     if over_a:
-        mod_f = GroebnerBasis(R, twists, _f_unit_vectors(f, twists))
-        want = [reference_reduce_vec(v, mod_f.basis, mod_f.lts, fld) for v in vecs]
+        mod_f = _f_unit_vectors(f, twists)
+        want = [reference_reduce_vec(v, mod_f, lts_of(mod_f), fld) for v in vecs]
         got = reduce_mod_f(vectors_as_columns(R, twists, vecs), f)
         assert columns_as_vectors(got) == [v for v in want if v]
     d = rng.randrange(1, 5)
     w = random_combination(rng, R, twists, cols, d)
+    span_lts = lts_of(span.gb.basis)
     for target in (w, random_homogeneous_vec(rng, R, twists, d)):
         u = span.lift(target)
-        ambient = reference_reduce_vec(target, span.gb.basis, span.gb.lts, fld, positions_below=len(twists))
+        ambient = reference_reduce_vec(target, span.gb.basis, span_lts, fld, positions_below=len(twists))
         assert (u is None) == any(t[0] < len(twists) for t in ambient)
         if u is not None:
             acc = {}
@@ -595,13 +604,17 @@ def whole_basis_reducer_space(rows, basis, lts, fld):
     return space, cols, terms
 
 
-def packed_reducer_space(rows, gb):
-    """_reducer_space of rows against gb's packed basis, in the form of
+def packed_reducer_space(rows, basis, twists, ring):
+    """_reducer_space of rows against basis, packed here, in the form of
     whole_basis_reducer_space: columns renamed 0, 1, ... by descending term,
     and the terms unpacked."""
-    pk = gb._packing
+    pk, fld = _Packing(ring.nvars, tuple(twists)), ring.field
+    at_pos = {}
+    for v in basis:
+        row = int_row({-pk.pack(t): c for t, c in v.items()}, fld)
+        _index(at_pos, pk, min(row), row)
     packed = [{-pk.pack(t): c for t, c in r.items()} for r in rows]
-    space, reducers = _reducer_space(packed, gb._at_pos, pk, gb.ring.field)
+    space, reducers = _reducer_space(packed, at_pos, pk, fld)
     order = sorted(reducers)  # ascending column, descending term
     index = {c: j for j, c in enumerate(order)}
     terms = [pk.unpack(-c) for c in order]
@@ -625,13 +638,49 @@ def test_reducer_space_matches_whole_basis_scan(seed, fld, reduced):
         gens.append({t: c for t, c in v.items() if t[0] >= low})
     gens = [v for v in gens if v]
     basis = mk.groebner_basis(gens, ring=R, twists=twists).basis if reduced and gens else gens
-    lts = [(lt, v[lt]) for v in basis for lt in (vec_lt(v),)]
     rows = [random_homogeneous_vec(rng, R, twists, rng.randrange(2, 6)) for _ in range(3)]
-    space, cols, terms = packed_reducer_space(rows, GroebnerBasis(R, twists, basis))
-    ref, ref_cols, ref_terms = whole_basis_reducer_space(rows, basis, lts, fld)
+    space, cols, terms = packed_reducer_space(rows, basis, twists, R)
+    ref, ref_cols, ref_terms = whole_basis_reducer_space(rows, basis, lts_of(basis), fld)
     assert terms == ref_terms
     assert cols == ref_cols
     assert space.rows == ref.rows
+
+
+def tuple_standard_count(basis, pos, degree, ring):
+    """Standard monomials at pos by the tuple loop hilbert_function once ran:
+    every monomial of the degree against every leading exponent there."""
+    leads = [exp for p, exp in map(vec_lt, basis) if p == pos]
+    return sum(
+        1
+        for exp in ring.monomials_of_degree(degree)
+        if not any(all(a >= b for a, b in zip(exp, le)) for le in leads)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([QQ, Field(101)]))
+def test_standard_count_matches_the_tuple_loop(seed, fld):
+    # generators with no terms above a random position leave the positions
+    # above it with no leading term; over A every position has f·e_i
+    R = PolyRing(fld)
+    rng = random.Random(seed)
+    twists = [rng.randrange(3) for _ in range(rng.randrange(1, 4))]
+    gens = []
+    for _ in range(rng.randrange(0, 6)):
+        low = rng.randrange(len(twists))
+        v = random_homogeneous_vec(rng, R, twists, rng.randrange(1, 4))
+        gens.append({t: c for t, c in v.items() if t[0] >= low})
+    gens = [v for v in gens if v]
+    gb = mk.groebner_basis(gens, ring=R, twists=twists)
+    for pos in range(len(twists)):
+        for d in range(-1, 7):
+            assert gb.standard_count(pos, d) == tuple_standard_count(gb.basis, pos, d, R)
+    f = R.parse("Y^2*Z - X^3 - Z^3")
+    P = mk.Presentation(R, f, twists, vectors_as_columns(R, twists, gens))
+    module = mk.groebner_basis(gens, ring=R, twists=twists, f=f).basis
+    for i in range(-1, 8):
+        want = sum(tuple_standard_count(module, j, i - t, R) for j, t in enumerate(twists))
+        assert mk.hilbert_function(P, i) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Morphisms, stable Hom spaces, cones, isomorphism search, twist functors."""
 
 import functools
+import random
 from math import lcm
 
 import pytest
@@ -66,6 +67,46 @@ def test_nonchain_map_is_reported(kp, curve):
     phi = mk.MFMorphism(kp, mk.twist_mf(kp, 1), f0, f1)
     msgs = mk.verify_morphism(phi)
     assert msgs and any("alpha" in m or "beta" in m for m in msgs)
+
+
+def perturbed(A: GradedMatrix, rng) -> GradedMatrix:
+    """A plus one random term in a random entry of nonnegative degree, so
+    still graded; A itself when no entry has one."""
+    ring = A.ring
+    cells = [(i, j) for i in range(A.rows) for j in range(A.cols) if A.source_twists[j] >= A.target_twists[i]]
+    if not cells:
+        return A
+    i, j = rng.choice(cells)
+    entries = [list(row) for row in A.entries]
+    exp = rng.choice(ring.monomials_of_degree(A.source_twists[j] - A.target_twists[i]))
+    entries[i][j] = entries[i][j] + ring.monomial(exp, ring.field.of(rng.randrange(1, 5)))
+    return GradedMatrix(ring, A.target_twists, A.source_twists, entries)
+
+
+@pytest.mark.parametrize("char,lam,mu", [(0, 0, 1), (101, 2, 3)])
+def test_alpha_square_decides_strictness_alone(char, lam, mu):
+    # between factorisations of one f != 0 the beta-square follows from the
+    # alpha-square, so both squares and verify_morphism, which checks only
+    # the alpha-square, give one verdict
+    curve, objs = catalog_objects(char, lam, mu)
+    fld = curve.field
+    rng = random.Random(char)
+    kinds = sorted(objs)
+    verdicts = []
+    for _ in range(12):
+        M, N = objs[rng.choice(kinds)], mk.twist_mf(objs[rng.choice(kinds)], rng.randrange(3))
+        phi = mk.zero_morphism(M, N)
+        for b in mk.hom_space(M, N).strict_basis:
+            phi = mk.add_morphisms(phi, mk.scale_morphism(b, fld.of(rng.randrange(-3, 4))))
+        f0, f1 = perturbed(phi.f0, rng), perturbed(phi.f1, rng)
+        for g0, g1 in ((phi.f0, phi.f1), (f0, phi.f1), (phi.f0, f1), (f0, f1)):
+            psi = mk.MFMorphism(M, N, g0, g1)
+            alpha = (g1 * M.alpha).same_entries(N.alpha * g0)
+            beta = (g0 * M.beta).same_entries(N.beta * g1)
+            assert alpha == beta == (mk.verify_morphism(psi) == [])
+            verdicts.append(alpha)
+        assert verdicts[-4]  # the combination of strict morphisms
+    assert not all(verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ def test_tracer_installs_on_a_fresh_import_and_sees_the_groebner_layer():
     assert run.returncode == 0, run.stderr
     metrics = json.loads(run.stdout.splitlines()[-1])
     assert metrics["groebner.buchberger_calls"] > 0
+    # its hook takes len() of what buchberger returns
+    assert metrics["groebner.basis_size"] > 0
     assert metrics["groebner.reductions"] > 0
     # the mf layer: extract_mf runs under the mf.extract span
     assert metrics["mf.extract_s"] > 0
