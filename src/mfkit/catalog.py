@@ -283,17 +283,17 @@ def duality_image(
 
 def ar_middle(M: MatrixFactorization, curve: WeierstrassCurve | None = None) -> Presentation:
     """Middle term of the almost-split extension of coker(beta), presented by
-    Hom(Hom(coker beta, A), E) with E the fundamental module."""
+    Hom(M*, E) with E the fundamental module.  M* = Hom_A(coker beta, A) =
+    ker beta^t = im alpha^t ≅ coker beta^t is the cokernel of the transposed
+    reduced factorisation.  The cone over phi spanning stable Hom(M[-1], M)
+    is only a test oracle: it misses one free summand A for the structure
+    sheaf and the fundamental module, and needs that Hom to be 1-dimensional."""
     curve = _curve_for(M, curve)
     Mr = reduce_mf(M)
     if Mr.rank == 0:
         raise InputError("almost-split middle needs a nonzero stable object")
-    cok = cokernel_module(Mr)
-    ring, f = curve.ring, curve.f
-    a_free = Presentation.free(ring, f, [0])
-    mstar = hom_presentation(cok, a_free)
-    e_pres = cokernel_module(fundamental_module_mf(curve))
-    return hom_presentation(mstar, e_pres)
+    mstar = cokernel_module(transpose_mf(Mr))
+    return hom_presentation(mstar, cokernel_module(fundamental_module_mf(curve)))
 
 
 @dataclass

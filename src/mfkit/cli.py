@@ -220,6 +220,9 @@ def cmd_catalog(args) -> int:
 
 def cmd_cone(args) -> int:
     phi = morphism_from_dict(_load_json(args.file))
+    # cone_mf's alpha-square check holds only between factorisations of one f
+    assert_valid_mf(phi.source, f"source factorisation in {args.file}")
+    assert_valid_mf(phi.target, f"target factorisation in {args.file}")
     C = cone_mf(phi)
     if args.reduce:
         C = reduce_mf(C)

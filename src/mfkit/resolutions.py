@@ -160,28 +160,21 @@ def hom_presentation(P: Presentation, Q: Presentation) -> Presentation:
     f1 = P.relations.cols
     t1 = P.relations.source_twists
     hom_twists = [G0[i] - F0[j] for j in range(f0) for i in range(g0)]
-    q_cols = columns_as_vectors(Q.relations)
-
-    if f1 == 0:
-        w_gens = [{(k, (0,) * ring.nvars): ring.field.one} for k in range(f0 * g0)]
-    else:
-        tgt_twists = [G0[i] - t1[c] for c in range(f1) for i in range(g0)]
-        phi_cols = []
-        for j in range(f0):
-            for i in range(g0):
-                v = {}
-                for c in range(f1):
-                    for exp, coef in P.relations.entries[j][c].terms.items():
-                        v[(c * g0 + i, exp)] = coef
-                phi_cols.append(v)
-        allowed = []
-        for c in range(f1):
-            for q in q_cols:
-                allowed.append({(c * g0 + pos, exp): coef for (pos, exp), coef in q.items()})
-        w_gens = ColumnSpan(ring, tgt_twists, phi_cols + allowed, f=f).syzygies(f0 * g0)
-
-    trivial = []
+    tgt_twists = [G0[i] - t1[c] for c in range(f1) for i in range(g0)]
+    phi_cols = []
     for j in range(f0):
-        for q in q_cols:
-            trivial.append({(j * g0 + pos, exp): coef for (pos, exp), coef in q.items()})
-    return present_subquotient(ring, f, hom_twists, w_gens, trivial)
+        for i in range(g0):
+            v = {}
+            for c in range(f1):
+                for exp, coef in P.relations.entries[j][c].terms.items():
+                    v[(c * g0 + i, exp)] = coef
+            phi_cols.append(v)
+    q_cols = columns_as_vectors(Q.relations)
+    allowed = _blocks(q_cols, f1, g0)
+    w_gens = ColumnSpan(ring, tgt_twists, phi_cols + allowed, f=f).syzygies(f0 * g0)
+    return present_subquotient(ring, f, hom_twists, w_gens, _blocks(q_cols, f0, g0))
+
+
+def _blocks(vecs, count: int, size: int) -> list:
+    """The vectors placed in each of `count` blocks of `size` positions."""
+    return [{(k * size + p, e): c for (p, e), c in v.items()} for k in range(count) for v in vecs]

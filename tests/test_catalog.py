@@ -8,6 +8,8 @@ import pytest
 import mfkit as mk
 from mfkit.fields import Field, QQ
 
+from fixtures import catalog_objects
+
 
 # ---------------------------------------------------------------------------
 # curves and points
@@ -259,6 +261,59 @@ def test_ar_middle_rejects_stably_trivial_input(curve):
     T = mk.trivial_mf(curve.ring, curve.f)
     with pytest.raises(mk.InputError):
         mk.ar_middle(T, curve)
+
+
+CURVE_POINTS = [(0, 0, 1), (101, 2, 3)]
+NONTRIVIAL_KINDS = [k for k in mk.CATALOG_KINDS if k != "trivial"]
+
+
+@pytest.mark.parametrize("char, lam, mu", CURVE_POINTS)
+def test_ar_middle_is_the_cone_over_the_serre_dual_of_the_identity_plus_free_summands(char, lam, mu):
+    # omega_A = A, so tau = id and the almost-split triangle is M[-1] -> M ->
+    # E -> M, E the cone over phi spanning stable Hom(M[-1], M); this oracle
+    # builds no Hom presentation.  For the fundamental module (catalogued also as the
+    # structure sheaf) the middle has one more summand A than the cone.
+    h_a = [1] + [3 * i for i in range(1, 8)]
+    curve, objs = catalog_objects(char, lam, mu)
+    for kind in NONTRIVIAL_KINDS:
+        M = objs[kind]
+        phi = mk.hom_space(mk.shift_mf(M, -1), M).basis[0]
+        cone = mk.cokernel_module(mk.reduce_mf(mk.cone_mf(phi)))
+        mid = mk.ar_middle(M, curve)
+        diff = [mk.hilbert_function(mid, i) - mk.hilbert_function(cone, i) for i in range(8)]
+        free = 1 if kind in ("structure-sheaf", "fundamental") else 0
+        assert diff == [free * h for h in h_a], kind
+
+
+@pytest.mark.parametrize("char, lam, mu", CURVE_POINTS)
+def test_dual_module_is_the_cokernel_of_the_transposed_factorisation(char, lam, mu):
+    curve, objs = catalog_objects(char, lam, mu)
+    A = mk.Presentation.free(curve.ring, curve.f, [0])
+    for kind in NONTRIVIAL_KINDS:
+        M = objs[kind]
+        dual = mk.cokernel_module(mk.transpose_mf(M))
+        hom = mk.hom_presentation(mk.cokernel_module(M), A)
+        assert sorted(dual.ambient) == sorted(hom.ambient), kind
+        for i in range(-6, 11):
+            assert mk.hilbert_function(dual, i) == mk.hilbert_function(hom, i), (kind, i)
+
+
+def test_ar_middle_builds_one_hom_presentation(monkeypatch, curve, points):
+    from mfkit import catalog
+
+    calls = []
+
+    def counted(P, Q):
+        calls.append((P, Q))
+        return mk.hom_presentation(P, Q)
+
+    def no_free(*args):
+        raise AssertionError("ar_middle builds no free presentation")
+
+    monkeypatch.setattr(catalog, "hom_presentation", counted)
+    monkeypatch.setattr(mk.Presentation, "free", no_free)
+    mk.ar_middle(mk.catalog_mf(curve, "point", points[0]), curve)
+    assert len(calls) == 1
 
 
 def test_size_bound_report(curve, points):

@@ -280,6 +280,21 @@ def test_cone_command(capsys, tmp_path, qcurve, qpoints):
     assert mk.is_stably_isomorphic(C, T).status == "yes"
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_cone_rejects_a_tampered_factorisation_in_the_envelope(capsys, tmp_path, qcurve, qpoints, side):
+    # the identity on a valid object, with one side's beta no longer a factor
+    # of f: the input is refused and named, not the cone it would give
+    env = morphism_to_dict(mk.identity_morphism(mk.catalog_mf(qcurve, "point", qpoints[0])))
+    env[side]["beta"][0][0] = "0"
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(env))
+    code, payload, err = run_cli(capsys, "cone", str(path))
+    assert code == 2
+    assert payload is None
+    assert f"invalid {side} factorisation in {path}" in err
+    assert "mapping cone" not in err
+
+
 def test_hom_command(capsys, tmp_path, qcurve, qpoints):
     O = mk.catalog_mf(qcurve, "structure-sheaf")
     a = write_mf(tmp_path, "o1.json", O)

@@ -159,7 +159,9 @@ def test_subquotient_presentation(curve):
 # hom presentations
 
 
-def test_hom_of_free_modules(curve):
+@pytest.mark.parametrize("char", [0, 101])
+def test_hom_of_free_modules(char):
+    curve = mk.default_curve(mk.Field(char))
     ring, f = curve.ring, curve.f
     A = mk.Presentation.free(ring, f, [0])
     H = mk.hom_presentation(A, A)
@@ -169,6 +171,10 @@ def test_hom_of_free_modules(curve):
     H2 = mk.hom_presentation(mk.Presentation.free(ring, f, [1]), A)
     for i in range(-1, 4):
         assert mk.hilbert_function(H2, i) == mk.hilbert_function(A, i + 1)
+    # Hom(A ⊕ A(-2), A) = A ⊕ A(2).
+    H3 = mk.hom_presentation(mk.Presentation.free(ring, f, [0, 2]), A)
+    for i in range(-3, 4):
+        assert mk.hilbert_function(H3, i) == mk.hilbert_function(A, i) + mk.hilbert_function(A, i + 2)
 
 
 def test_hom_from_torsion_to_free_vanishes(curve, residue_presentation):
