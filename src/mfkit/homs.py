@@ -35,12 +35,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, reduce as _fold
 from math import comb, lcm
-from operator import add, itemgetter
 
 from .errors import InputError, ValidationError
 from .linalg import RowSpace, int_row, nullspace, row_space
 from .mf import MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf
-from .poly import GradedMatrix, graded_inverse, validate_graded_matrix
+from .poly import GradedMatrix, graded_inverse, pack_lex, validate_graded_matrix
 
 
 @dataclass
@@ -136,13 +135,27 @@ def add_morphisms(phi: MFMorphism, psi: MFMorphism) -> MFMorphism:
 MAX_HOM_SLOTS = 150_000
 
 
-def _hom_slots(M: MatrixFactorization, N: MatrixFactorization) -> list:
+def _width(M: MatrixFactorization, N: MatrixFactorization) -> int:
+    """Bits per exponent field of the packed keys of Hom(M, N): enough for
+    its largest twist difference, which bounds the degree of every slot (P0
+    or P1 of M less P0 or P1 of N) and of every image (P0 of M less P1 of
+    N), an alpha entry's degree being its twist difference.  Hom(M, N[−1])
+    fits too: the twists of N[−1] are those of P0(N) and P1(N) + 3, so its
+    least twist is no less than N's."""
+    top = max(M.p0 + M.p1, default=0) - min(N.p0 + N.p1, default=0)
+    return max(top, 0).bit_length()
+
+
+def _hom_slots(M: MatrixFactorization, N: MatrixFactorization, width: int) -> tuple[list, list]:
     """The slots (tag, i, j, exponent) of f0: P0(M) → P0(N) and
-    f1: P1(M) → P1(N), one per monomial of each entry of degree d ≥ 0,
-    monomial-major (descending exponent, then tag, i, j): eliminating in
-    this column order fills in less.  Their number, Σ C(d + n − 1, n − 1),
-    is checked against MAX_HOM_SLOTS first."""
-    ring = M.ring
+    f1: P1(M) → P1(N), one per monomial of each entry of degree d ≥ 0, and
+    beside them their exponents packed lexicographically into fields
+    `width` bits wide (`poly.pack_lex`).  Both are monomial-major: by packed
+    exponent, descending, which is the descending exponent tuple since the
+    packing is lex, then by tag, i, j; eliminating in this column order
+    fills in less.  Their number, Σ C(d + n − 1, n − 1), is checked against
+    MAX_HOM_SLOTS before any is built."""
+    ring, n = M.ring, M.ring.nvars
     entries = [
         (tag, i, j, s - t)
         for tag, tgt, src in (("f0", N.p0, M.p0), ("f1", N.p1, M.p1))
@@ -150,79 +163,89 @@ def _hom_slots(M: MatrixFactorization, N: MatrixFactorization) -> list:
         for j, s in enumerate(src)
         if s >= t
     ]
-    count = sum(comb(d + ring.nvars - 1, ring.nvars - 1) for *_, d in entries)
+    count = sum(comb(d + n - 1, n - 1) for *_, d in entries)
     if count > MAX_HOM_SLOTS:
         raise InputError(f"Hom system needs {count} unknowns, more than {MAX_HOM_SLOTS}")
     slots = [(tag, i, j, exp) for tag, i, j, d in entries for exp in ring.monomials_of_degree(d)]
-    return sorted(slots, key=itemgetter(3), reverse=True)
+    packed = [m for *_, d in entries for m in ring.packed_monomials(d, width)]
+    order = sorted(range(len(slots)), key=packed.__getitem__, reverse=True)
+    return [slots[c] for c in order], [packed[c] for c in order]
 
 
-def _alpha_square(M: MatrixFactorization, N: MatrixFactorization, slots):
+def _images(M: MatrixFactorization, N: MatrixFactorization, slots, packed, width: int) -> list:
     """The alpha-square (f0, f1) ↦ alpha_N·f0 − f1·alpha_M on the slots of
-    Hom(M, N), as triples (slot column, key, coefficient), slot by slot.  A
-    key (row, column, monomial) names a coefficient of the image, a map
-    P0(M) → P1(N): an f0 slot at (i, j) reaches column j through column i of
-    alpha_N, an f1 slot row i through row j of −alpha_M.  The keys of one
-    slot are distinct, so every coefficient is one entry of an alpha.
+    Hom(M, N), slot by slot, as (base, terms): the image of the slot is the
+    coefficient c at the key base + offset for each (offset, c) of terms.
+    A key packs (row k, column j, monomial e) of the image, a map
+    P0(M) → P1(N), into the int ((k·W + j) << n·width) + pack_lex(e), W the
+    rank of M: an f0 slot at (i, j) reaches column j through column i of
+    alpha_N, an f1 slot row i through row j of −alpha_M, so a key is the
+    slot's packed exponent plus an alpha term's, one int add.  The keys of
+    one slot are distinct, so every coefficient is one entry of an alpha.
 
     The coefficients are ints in RowSpace's stored form: over F_p the field
     elements themselves, in [0, p); over Q those of D·alpha_N and D·alpha_M,
     D the lcm of every denominator in both.  The whole image is scaled by
     the one D ≠ 0, which keeps the kernel of the equations and the span of
     the images."""
-    fld = M.ring.field
+    fld, W, shift = M.ring.field, len(M.p0), M.ring.nvars * width
     D = 1 if fld.char else lcm(*(c.denominator for A in (M.alpha, N.alpha)
                                  for row in A.entries for p in row for c in p.terms.values()))
-    cols = [[(k, e, (c * D).numerator) for k, row in enumerate(N.alpha.entries) for e, c in row[i].terms.items()]
+    cols = [[(((k * W) << shift) + pack_lex(e, width), c.numerator * (D // c.denominator))
+             for k, row in enumerate(N.alpha.entries) for e, c in row[i].terms.items()]
             for i in range(len(N.p0))]
-    rows = [[(k, e, (fld.neg(c) * D).numerator) for k, p in enumerate(row) for e, c in p.terms.items()]
+    rows = [[((k << shift) + pack_lex(e, width), fld.neg(c.numerator * (D // c.denominator)))
+             for k, p in enumerate(row) for e, c in p.terms.items()]
             for row in M.alpha.entries]
-    for col, (tag, i, j, exp) in enumerate(slots):
-        if tag == "f0":
-            for k, e, c in cols[i]:
-                yield col, (k, j, tuple(map(add, exp, e))), c
-        else:
-            for k, e, c in rows[j]:
-                yield col, (i, k, tuple(map(add, exp, e))), c
+    return [((j << shift) + m, cols[i]) if tag == "f0" else (((i * W) << shift) + m, rows[j])
+            for (tag, i, j, _), m in zip(slots, packed)]
 
 
 class HomProblem:
-    """Coefficient coordinates for morphisms M → N."""
+    """Coefficient coordinates for morphisms M → N: `slots`, and their
+    exponents packed (`_hom_slots`) into fields `width` bits wide."""
 
     def __init__(self, M: MatrixFactorization, N: MatrixFactorization):
         if M.ring != N.ring or M.f != N.f:
             raise ValidationError("Hom needs factorisations of the same potential")
         self.M, self.N, self.ring = M, N, M.ring
-        self.slots = _hom_slots(M, N)
-        self.index = {k: c for c, k in enumerate(self.slots)}
+        self.width = _width(M, N)
+        self.slots, self.packed = _hom_slots(M, N, self.width)
+
+    @cached_property
+    def index(self) -> dict:
+        """Slot → column, for `vector_from_morphism`; built on first read."""
+        return {k: c for c, k in enumerate(self.slots)}
 
     def strict_rows(self) -> list[dict]:
         """Equations of the strict morphisms: the alpha-square
         alpha_N·f0 = f1·alpha_M (the beta-square follows; see the module
-        docstring), its triples grouped by key, one row per image
-        coefficient, in order of first appearance, columns ascending.  The
-        rows are ints in RowSpace's stored form, over Q every one scaled by
-        the same D of `_alpha_square`, which leaves the kernel as it is."""
+        docstring), its images (`_images`) grouped by packed key, one row
+        per image coefficient, in order of first appearance, columns
+        ascending.  The rows are ints in RowSpace's stored form, over Q
+        every one scaled by the same D of `_images`, which leaves the
+        kernel as it is."""
         rows: dict = {}
-        for col, key, c in _alpha_square(self.M, self.N, self.slots):
-            rows.setdefault(key, {})[col] = c
+        for col, (base, terms) in enumerate(_images(self.M, self.N, self.slots, self.packed, self.width)):
+            for off, c in terms:
+                rows.setdefault(base + off, {})[col] = c
         return list(rows.values())
 
     def boundary_vectors(self) -> list[dict]:
         """The boundaries in f0 coordinates: the alpha-square images of the
         slots of Hom(M, N[−1]), whose f0 and f1 are the homotopies
         P0(M) → P1(N)(−3) and P1(M) → P0(N) (module docstring).  The image
-        P0(M) → P1(N[−1]) = P0(N) is an f0 of Hom(M, N), so each key names
-        an f0 slot here.  The vectors are ints in RowSpace's stored form,
-        over Q every one scaled by the same D of `_alpha_square` for
-        (M, N[−1]), which leaves their span, and so the boundary rank and
-        the fold into it, as they are."""
-        N1 = shift_mf(self.N, -1)
-        slots = _hom_slots(self.M, N1)
-        index, vecs = self.index, [{} for _ in slots]
-        for col, (i, j, exp), c in _alpha_square(self.M, N1, slots):
-            vecs[col][index["f0", i, j, exp]] = c
-        return vecs
+        P0(M) → P1(N[−1]) = P0(N) is an f0 of Hom(M, N), so each packed
+        key, at this problem's width, is that of an f0 slot here.  The
+        vectors are ints in RowSpace's stored form, over Q every one scaled
+        by the same D of `_images` for (M, N[−1]), which leaves their span,
+        and so the boundary rank and the fold into it, as they are."""
+        M, N1, width = self.M, shift_mf(self.N, -1), self.width
+        shift, W = self.ring.nvars * width, len(M.p0)
+        at = {((i * W + j) << shift) + m: col
+              for col, ((tag, i, j, _), m) in enumerate(zip(self.slots, self.packed)) if tag == "f0"}
+        slots, packed = _hom_slots(M, N1, width)
+        return [{at[base + off]: c for off, c in terms} for base, terms in _images(M, N1, slots, packed, width)]
 
     def f0_part(self, vec: dict) -> dict:
         """The f0 coordinates of vec, which determine a strict morphism."""

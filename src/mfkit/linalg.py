@@ -19,7 +19,7 @@ use again.  Field elements become stored form in one place, `int_row`
 (reduced mod p, or over Q scaled by the lcm of the denominators).  Callers
 that hold field elements convert through it, and so do `reduce` and
 `contains`, which take field elements and leave them untouched.  Rows born
-as ints skip it: the Hom systems (`homs._alpha_square`), and the Gröbner
+as ints skip it: the Hom systems (`homs._images`), and the Gröbner
 basis rows, which a pass keeps as stored here and shifts (`groebner`).
 `Fraction`s are built only where `inverse` and `nullspace` hand out field
 elements.

@@ -50,6 +50,22 @@ def _monomials(n: int, d: int) -> tuple[Exp, ...]:
     return tuple(exps)
 
 
+def pack_lex(exp: Exp, width: int) -> int:
+    """exp as one int of fields `width` bits wide, the first exponent
+    highest: on exponents below 2^width its integer order is the
+    lexicographic order of the tuples, and exponents add as ints."""
+    key = 0
+    for e in exp:
+        key = (key << width) + e
+    return key
+
+
+@functools.cache
+def _packed_monomials(n: int, d: int, width: int) -> tuple[int, ...]:
+    """`pack_lex` of each tuple of `_monomials(n, d)`, in that order."""
+    return tuple(pack_lex(exp, width) for exp in _monomials(n, d))
+
+
 def _add_products(out: dict, t1: dict, t2: dict, char: int) -> None:
     """Add every product of a term of t1 and a term of t2 into the term dict
     out, coefficients reduced mod char (if nonzero), dropping terms that
@@ -133,6 +149,11 @@ class PolyRing:
     def monomials_of_degree(self, d: int) -> tuple[Exp, ...]:
         """All exponent tuples of total degree d, descending in degrevlex."""
         return _monomials(self.nvars, d)
+
+    def packed_monomials(self, d: int, width: int) -> tuple[int, ...]:
+        """`monomials_of_degree(d)` packed by `pack_lex` into fields `width`
+        bits wide, in the same order."""
+        return _packed_monomials(self.nvars, d, width)
 
     def parse(self, text: str) -> "Poly":
         return parse_poly(text, self)

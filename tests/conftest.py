@@ -1,8 +1,14 @@
 """Shared fixtures for the test suite."""
 
 import pytest
+from hypothesis import settings
 
 import mfkit as mk
+
+# every run draws the same examples, so a run's outcome and time depend on
+# the tree alone; each test keeps its own max_examples
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import mfkit as mk
 from mfkit import homs
 from mfkit.homs import HomProblem
 from mfkit.linalg import int_row, nullspace, row_space
-from mfkit.poly import GradedMatrix, graded_inverse
+from mfkit.poly import GradedMatrix, graded_inverse, pack_lex
 
 from fixtures import CONE_CASES, CONE_SHAPES, catalog_objects, cone_generator, cone_target
 
@@ -357,40 +357,83 @@ def alpha_denominators(M, N):
     return lcm(*(c.denominator for X in (M, N) for row in X.alpha.entries for e in row for c in e.terms.values()))
 
 
+def square_by_matrices(prob, char):
+    """strict_rows and boundary_vectors of prob by `alpha_square_by_matrices`,
+    and the scales D used: the images of the slots of prob transposed,
+    grouped by image key in order of first appearance, and those of the
+    slots of Hom(M, N[-1]) slot by slot, on the f0 slots of prob they land
+    on, each system scaled by its D (the lcm of the alpha denominators over
+    Q, 1 over GF(p)) to plain ints."""
+    below = HomProblem(prob.M, mk.shift_mf(prob.N, -1))
+    scales, scaled = set(), {}
+    for p in (prob, below):
+        D = alpha_denominators(p.M, p.N) if char == 0 else 1
+        scales.add(D)
+        scaled[p] = [{key: int(D * c) for key, c in img.items()} for img in alpha_square_by_matrices(p)]
+    rows: dict = {}
+    for col, img in enumerate(scaled[prob]):
+        for key, c in img.items():
+            rows.setdefault(key, {})[col] = c
+    vecs = [{prob.index[("f0", *key)]: c for key, c in img.items()} for img in scaled[below]]
+    return list(rows.values()), vecs, scales
+
+
 @pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3), (0, 0, "1/2")])
-def test_alpha_square_triples_match_matrix_arithmetic(char, lam, mu):
-    # the triples of every slot are D times the coefficients of the matrix
-    # product, plain ints (D = 1 over GF(p); over Q the lcm of the alpha
-    # denominators, 4 on y^2 = x^3 + 1/4), and strict_rows and
-    # boundary_vectors are their transposes: grouped by key in order of first
-    # appearance, and grouped by slot through index
+def test_alpha_square_rows_match_matrix_arithmetic(char, lam, mu):
+    # strict_rows and boundary_vectors are D times the coefficients of the
+    # matrix products, plain ints (D = 1 over GF(p); over Q the lcm of the
+    # alpha denominators, 4 on y^2 = x^3 + 1/4), in the oracle's order
     kinds = catalog_objects(char, lam, mu)[1]
     objs = [kinds[k] for k in ("point", "lb-2e-plus-p", "structure-sheaf", "trivial")]
     scales = set()
     for M in objs:
         for N in objs:
-            prob, below = HomProblem(M, N), HomProblem(M, mk.shift_mf(N, -1))
-            triples = {}
-            for p in (prob, below):
-                D = alpha_denominators(p.M, p.N) if char == 0 else 1
-                scales.add(D)
-                triples[p] = list(homs._alpha_square(p.M, p.N, p.slots))
-                by_slot = [{} for _ in p.slots]
-                for col, key, c in triples[p]:
-                    assert key not in by_slot[col]
-                    assert type(c) is int and c and (not char or 0 < c < char)
-                    by_slot[col][key] = c
-                images = alpha_square_by_matrices(p)
-                assert by_slot == [{key: D * c for key, c in img.items()} for img in images]
-            rows: dict = {}
-            for col, key, c in triples[prob]:
-                rows.setdefault(key, {})[col] = c
-            assert repr(prob.strict_rows()) == repr(list(rows.values()))
-            vecs = [{} for _ in below.slots]
-            for col, key, c in triples[below]:
-                vecs[col][prob.index[("f0", *key)]] = c
+            prob = HomProblem(M, N)
+            rows, vecs, D = square_by_matrices(prob, char)
+            assert repr(prob.strict_rows()) == repr(rows)
             assert repr(prob.boundary_vectors()) == repr(vecs)
+            scales |= D
     assert max(scales) == (4 if mu == "1/2" else 1)
+
+
+@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
+def test_packed_keys_at_the_width_of_their_fields(monkeypatch, char, lam, mu):
+    # raising the twists of M walks the largest image exponent through
+    # 2^K - 1, the largest a field of K bits holds, and the degrees through
+    # the powers of two where K grows; at every step the packed rows and
+    # boundaries equal the matrix products, and the slots are the exponent
+    # tuples sorted descending, stably
+    kinds = catalog_objects(char, lam, mu)[1]
+    full, widths = set(), set()
+    for M, N in ((kinds["point"], kinds["point"]), (kinds["lb-2e"], kinds["structure-sheaf"])):
+        for t in range(7):
+            prob = HomProblem(mk.twist_mf(M, -t), N)
+            rows, vecs, _ = square_by_matrices(prob, char)
+            assert repr(prob.strict_rows()) == repr(rows)
+            assert repr(prob.boundary_vectors()) == repr(vecs)
+            tuples = [(tag, i, j, exp)
+                      for tag, tgt, src in (("f0", prob.N.p0, prob.M.p0), ("f1", prob.N.p1, prob.M.p1))
+                      for i, a in enumerate(tgt) for j, b in enumerate(src) if b >= a
+                      for exp in prob.ring.monomials_of_degree(b - a)]
+            assert prob.slots == sorted(tuples, key=lambda s: s[3], reverse=True)
+            assert prob.packed == [pack_lex(s[3], prob.width) for s in prob.slots]
+            top = max(max(exp) for img in alpha_square_by_matrices(prob) for *_, exp in img)
+            assert top < 2**prob.width
+            if top == 2**prob.width - 1:
+                full.add(prob.width)
+            widths.add(prob.width)
+    assert full >= {2, 3} and widths >= {2, 3, 4}
+    # a system above the bound is refused before a slot or a packed
+    # exponent is built
+    M, N, built = mk.twist_mf(kinds["point"], -6), kinds["point"], []
+    n = len(HomProblem(M, N).slots)
+    for name in ("monomials_of_degree", "packed_monomials"):
+        method = getattr(mk.PolyRing, name)
+        monkeypatch.setattr(mk.PolyRing, name, lambda self, *a, m=method: built.append(a) or m(self, *a))
+    monkeypatch.setattr(homs, "MAX_HOM_SLOTS", n - 1)
+    with pytest.raises(mk.InputError, match=f"needs {n} unknowns"):
+        HomProblem(M, N)
+    assert built == []
 
 
 def equation_rank(M, N):
@@ -440,10 +483,11 @@ def test_null_homotopy_agrees_with_full_coordinates(char, lam, mu):
 
 def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
     # the dimensions come from two strict ranks: hom_space and stable_hom_dim
-    # build no morphism and no boundary, and reading basis builds the
-    # boundary span once and exactly the stable representatives
-    built, spans = [], []
+    # build no morphism, no boundary and no slot index, and reading basis
+    # builds the boundary span once and exactly the stable representatives
+    built, spans, indexed = [], [], []
     build, boundaries = HomProblem.morphism_from_vector, HomProblem.boundary_vectors
+    index = HomProblem.index.func
 
     def counted(self, vec):
         built.append(vec)
@@ -453,18 +497,23 @@ def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
         spans.append(self)
         return boundaries(self)
 
+    def counted_index(self):
+        indexed.append(self)
+        return index(self)
+
     monkeypatch.setattr(HomProblem, "morphism_from_vector", counted)
     monkeypatch.setattr(HomProblem, "boundary_vectors", counted_boundaries)
+    monkeypatch.setattr(HomProblem, "index", property(counted_index))
     dims = []
     for M, N in ((kp, kp), (kp, kq), (osheaf, kp), (mk.direct_sum_mf(kp, osheaf), kp)):
         built.clear()
         spans.clear()
         assert mk.stable_hom_dim(M, N) >= 0
         H = mk.hom_space(M, N)
-        assert built == [] and spans == []
+        assert built == [] and spans == [] and indexed == []
         assert len(H.basis) == H.stable_dim
         assert len(built) == H.stable_dim
-        assert spans == [H.problem]
+        assert spans == [H.problem] and indexed == []
         dims.append((H.stable_dim, H.strict_dim))
     # a stable Hom of 0, and one whose strict space is larger than its stable one
     assert dims[1][0] == 0 and dims[3][0] < dims[3][1]
