@@ -26,7 +26,7 @@ from .mf import (
     twist_mf,
 )
 from .poly import GradedMatrix, Poly, PolyRing
-from .resolutions import Presentation, hom_presentation
+from .resolutions import Presentation, hom_presentation, minimize_presentation
 
 CATALOG_KINDS = (
     "point",
@@ -282,16 +282,30 @@ def duality_image(
 
 
 def ar_middle(M: MatrixFactorization, curve: WeierstrassCurve | None = None) -> Presentation:
-    """Middle term of the almost-split extension of coker(beta), presented by
-    Hom(M*, E) with E the fundamental module.  M* = Hom_A(coker beta, A) =
-    ker beta^t = im alpha^t ≅ coker beta^t is the cokernel of the transposed
-    reduced factorisation.  The cone over phi spanning stable Hom(M[-1], M)
-    is only a test oracle: it misses one free summand A for the structure
-    sheaf and the fundamental module, and needs that Hom to be 1-dimensional."""
+    """Middle term Y of the almost-split extension of coker(beta).
+
+    omega_A = A, so tau = id and the almost-split sequence of a brick M is
+    0 → M → Y → M → 0 for any nonzero class in Ext¹(M, M) ≅ stable
+    Hom(M[-1], M) (Yoshino, LMS LN 146 (1990), ch. 11–12).  When that Hom
+    is 1-dimensional, End(M) = k and its spanning phi is that class; the
+    triangle M[-1] → M → cone(phi) → M gives the sequence on cokernels, so
+    Y = coker(beta) of the cone.  The cone is taken unreduced: coker(beta)
+    of a trivial summand (1, f) is the free module A, so the trivial
+    summands that reduce_mf would drop are the free summands of Y (one for
+    the structure sheaf and the fundamental module).
+
+    A larger Ext¹ (a decomposable M, or Atiyah's F_h with h >= 2) leaves the
+    class to be chosen in the socle of Ext¹ over End(M); there Y is
+    Hom(M*, E) with E the fundamental module, where M* = Hom_A(coker beta, A)
+    = ker beta^t = im alpha^t ≅ coker beta^t is the cokernel of the
+    transposed reduced factorisation."""
     curve = _curve_for(M, curve)
     Mr = reduce_mf(M)
     if Mr.rank == 0:
         raise InputError("almost-split middle needs a nonzero stable object")
+    ext = hom_space(shift_mf(Mr, -1), Mr)
+    if ext.stable_dim == 1:
+        return minimize_presentation(cokernel_module(cone_mf(ext.basis[0])))
     mstar = cokernel_module(transpose_mf(Mr))
     return hom_presentation(mstar, cokernel_module(fundamental_module_mf(curve)))
 

@@ -267,22 +267,28 @@ CURVE_POINTS = [(0, 0, 1), (101, 2, 3)]
 NONTRIVIAL_KINDS = [k for k in mk.CATALOG_KINDS if k != "trivial"]
 
 
+def _shape(P):
+    """Ambient and relation twist multisets and the Hilbert function in
+    degrees -6..10."""
+    return (
+        sorted(P.ambient),
+        sorted(P.relations.source_twists),
+        [mk.hilbert_function(P, i) for i in range(-6, 11)],
+    )
+
+
 @pytest.mark.parametrize("char, lam, mu", CURVE_POINTS)
-def test_ar_middle_is_the_cone_over_the_serre_dual_of_the_identity_plus_free_summands(char, lam, mu):
-    # omega_A = A, so tau = id and the almost-split triangle is M[-1] -> M ->
-    # E -> M, E the cone over phi spanning stable Hom(M[-1], M); this oracle
-    # builds no Hom presentation.  For the fundamental module (catalogued also as the
-    # structure sheaf) the middle has one more summand A than the cone.
-    h_a = [1] + [3 * i for i in range(1, 8)]
+def test_ar_middle_matches_auslanders_formula(char, lam, mu):
+    # The almost-split middle is Hom_A(M*, E), E the fundamental module and
+    # M* the cokernel of the transposed reduced factorisation; for every
+    # catalog brick ar_middle takes the cone route instead, so the two agree
+    # only if that route is right.
     curve, objs = catalog_objects(char, lam, mu)
+    E = mk.cokernel_module(mk.fundamental_module_mf(curve))
     for kind in NONTRIVIAL_KINDS:
-        M = objs[kind]
-        phi = mk.hom_space(mk.shift_mf(M, -1), M).basis[0]
-        cone = mk.cokernel_module(mk.reduce_mf(mk.cone_mf(phi)))
-        mid = mk.ar_middle(M, curve)
-        diff = [mk.hilbert_function(mid, i) - mk.hilbert_function(cone, i) for i in range(8)]
-        free = 1 if kind in ("structure-sheaf", "fundamental") else 0
-        assert diff == [free * h for h in h_a], kind
+        Mr = mk.reduce_mf(objs[kind])
+        auslander = mk.hom_presentation(mk.cokernel_module(mk.transpose_mf(Mr)), E)
+        assert _shape(mk.ar_middle(objs[kind], curve)) == _shape(auslander), kind
 
 
 @pytest.mark.parametrize("char, lam, mu", CURVE_POINTS)
@@ -298,22 +304,42 @@ def test_dual_module_is_the_cokernel_of_the_transposed_factorisation(char, lam, 
             assert mk.hilbert_function(dual, i) == mk.hilbert_function(hom, i), (kind, i)
 
 
-def test_ar_middle_builds_one_hom_presentation(monkeypatch, curve, points):
+@pytest.mark.parametrize("char, lam, mu", CURVE_POINTS)
+def test_ar_middle_builds_a_hom_presentation_only_for_non_bricks(monkeypatch, char, lam, mu):
     from mfkit import catalog
 
     calls = []
+
+    def refused(P, Q):
+        raise AssertionError("a brick's middle needs no Hom presentation")
 
     def counted(P, Q):
         calls.append((P, Q))
         return mk.hom_presentation(P, Q)
 
-    def no_free(*args):
-        raise AssertionError("ar_middle builds no free presentation")
+    curve, objs = catalog_objects(char, lam, mu)
+    monkeypatch.setattr(catalog, "hom_presentation", refused)
+    for kind in NONTRIVIAL_KINDS:
+        mk.ar_middle(objs[kind], curve)
 
+    # k(p) ⊕ k(-p), and Atiyah's F_2, the reduced cone over the spanning map
+    # O[-1] → O: each has a 2-dimensional stable Hom(M[-1], M)
+    fld = curve.field
+    q = mk.point_on(curve, fld.of(lam), fld.neg(fld.of(mu)))
+    O = objs["structure-sheaf"]
+    non_bricks = {
+        "k(p)+k(q)": mk.direct_sum_mf(objs["point"], mk.catalog_mf(curve, "point", q)),
+        "F_2": mk.reduce_mf(mk.cone_mf(mk.hom_space(mk.shift_mf(O, -1), O).basis[0])),
+    }
     monkeypatch.setattr(catalog, "hom_presentation", counted)
-    monkeypatch.setattr(mk.Presentation, "free", no_free)
-    mk.ar_middle(mk.catalog_mf(curve, "point", points[0]), curve)
-    assert len(calls) == 1
+    for name, M in non_bricks.items():
+        assert mk.stable_hom_dim(M, M, shift=-1) == 2, name
+        calls.clear()
+        mid = mk.ar_middle(M, curve)
+        assert len(calls) == 1, name
+        cok = mk.cokernel_module(M)
+        for i in range(11):
+            assert mk.hilbert_function(mid, i) == 2 * mk.hilbert_function(cok, i), (name, i)
 
 
 def test_size_bound_report(curve, points):

@@ -407,6 +407,17 @@ def test_ar_command(capsys, tmp_path, qcurve, qpoints):
     code, payload, _ = run_cli(capsys, "ar", path)
     assert code == 0
     assert payload["doubling_ok"] is True
+    # golden: the Hilbert functions do not depend on the route ar_middle takes
+    assert payload["hilbert_coker"] == [1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31]
+    assert payload["hilbert_middle"] == [2, 8, 14, 20, 26, 32, 38, 44, 50, 56, 62]
+
+
+def test_ar_command_on_a_non_brick(capsys, tmp_path, qcurve, qpoints):
+    # k(p) ⊕ k(q) has a 2-dimensional Ext¹, so its middle is Hom(M*, E)
+    kpq = mk.direct_sum_mf(mk.catalog_mf(qcurve, "point", qpoints[0]), mk.catalog_mf(qcurve, "point", qpoints[1]))
+    code, payload, _ = run_cli(capsys, "ar", write_mf(tmp_path, "kpq.json", kpq))
+    assert code == 0
+    assert payload["doubling_ok"] is True
 
 
 @pytest.mark.parametrize(
