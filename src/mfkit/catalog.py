@@ -275,10 +275,11 @@ def picard_tensor(
 def duality_image(
     M: MatrixFactorization, curve: WeierstrassCurve | None = None
 ) -> MatrixFactorization:
-    """Composite of the structure-sheaf twist with transposition, reduced."""
+    """Composite of the structure-sheaf twist with transposition; reduced,
+    since the twist is and transposition keeps a factorisation reduced."""
     curve = _curve_for(M, curve)
     O = catalog_mf(curve, "structure-sheaf")
-    return reduce_mf(transpose_mf(twist_functor(O, M)))
+    return transpose_mf(twist_functor(O, M))
 
 
 def ar_middle(M: MatrixFactorization, curve: WeierstrassCurve | None = None) -> Presentation:

@@ -186,7 +186,6 @@ def _degree_pass(gens, twists, ring: PolyRing):
     """
     fld = ring.field
     pk = _packing(ring.nvars, tuple(twists))
-    ideal = len(twists) == 1
     found, at_pos, enlarged = {}, {}, []
     exps_at: dict[int, list] = {}  # position -> leading exponents there, in the order found
     gens_at: dict[int, list[int]] = {}
@@ -213,10 +212,8 @@ def _degree_pass(gens, twists, ring: PolyRing):
             pos, exp = pk.unpack(-piv)
             earlier = exps_at.setdefault(pos, [])
             for iexp in earlier:
-                # the coprime-leading-term criterion is only sound for ideals
-                if not (ideal and all(min(a, b) == 0 for a, b in zip(iexp, exp))):
-                    lcm = tuple(map(max, iexp, exp))
-                    pairs_at.setdefault(sum(lcm) + twists[pos], {})[(piv, pos, lcm)] = None
+                lcm = tuple(map(max, iexp, exp))
+                pairs_at.setdefault(sum(lcm) + twists[pos], {})[(piv, pos, lcm)] = None
             earlier.append(exp)
             found[piv] = space.rows[piv]
             _index(at_pos, pk, piv, found[piv])

@@ -1,6 +1,7 @@
 """Morphisms of graded matrix factorisations, stable Hom spaces, mapping
 cones, stable-isomorphism testing, and the twist functor along a fixed
-factorisation.
+factorisation: the cone over the evaluation, with its inverse conjugated by
+transposition.
 
 Hom(M, N) is a Z/2-graded complex with differential D(X) = d_N·X −
 (−1)^|X| X·d_M, d = alpha on P0 and beta on P1.  Its even part holds pairs
@@ -38,7 +39,7 @@ from math import comb, lcm
 
 from .errors import InputError, ValidationError
 from .linalg import RowSpace, int_row, nullspace, row_space
-from .mf import MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf
+from .mf import MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf, transpose_mf
 from .poly import GradedMatrix, graded_inverse, pack_lex, validate_graded_matrix
 
 
@@ -333,20 +334,24 @@ class StableHom:
         return [self.problem.morphism_from_vector(v) for v in self.solutions]
 
 
-def _strict_system(M: MatrixFactorization, N: MatrixFactorization) -> tuple[HomProblem, RowSpace]:
-    """The coordinates of Hom(M, N) and its eliminated strict equations."""
-    prob = HomProblem(M, N)
-    return prob, row_space(prob.strict_rows(), prob.ring.field)
+def _stable_homs(sources: list[MatrixFactorization], N: MatrixFactorization) -> list[StableHom]:
+    """Stable Hom(M[i], N) for every M[i] of the consecutive shifts
+    sources = [M[i], M[i + 1], …] but the last: each strict system is
+    eliminated once, and the boundary rank of Hom(M[i], N) is the strict
+    rank of Hom(M[i + 1], N) (module docstring).  A kernel, a basis and the
+    boundary span are built only when read."""
+    problems = [HomProblem(M, N) for M in sources]
+    equations = [row_space(prob.strict_rows(), prob.ring.field) for prob in problems]
+    return [StableHom(prob, eqs, nxt.rank) for prob, eqs, nxt in zip(problems, equations, equations[1:])]
 
 
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
-    """Stable Hom M → N from the strict ranks of Hom(M, N) and Hom(M[1], N);
-    a kernel, a basis and the boundary span are built only when read.
+    """Stable Hom M → N from the strict ranks of Hom(M, N) and Hom(M[1], N).
 
     M and N must be factorisations of one potential f ≠ 0 (alpha·beta = f·I):
     the alpha-square system rests on it.  `catalog_mf`, `cone_mf` and the CLI's
     loader check it."""
-    return StableHom(*_strict_system(M, N), _strict_system(shift_mf(M, 1), N)[1].rank)
+    return _stable_homs([M, shift_mf(M, 1)], N)[0]
 
 
 def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 0) -> int:
@@ -477,33 +482,20 @@ def is_stably_isomorphic(
 # --- twist functor -----------------------------------------------------------
 
 
-def _twist_reps(C: MatrixFactorization, X: MatrixFactorization, into_c: bool) -> list[MFMorphism]:
-    """Stable representatives of ⊕_i Hom(C[i], X), or of ⊕_i Hom(X, C[i])
-    when into_c, for i in -3..3.  Guard: stable Hom vanishes at i = ±3 and
-    lives on at most two adjacent shifts.
-
-    The strict rows are eliminated once per shift, -3..4, or -4..3 when
-    into_c: the boundary rank at i is the strict rank at i + 1, or at i − 1
-    when into_c (module docstring), and boundaries are spanned only at the
+def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFactorization:
+    """T_C(X): cone over the evaluation ⊕_i C[i] ⊗ Hom(C[i], X) → X for i in
+    -3..3, reduced.  Guard: stable Hom vanishes at i = ±3 and lives on at
+    most two adjacent shifts.  The strict systems at -3..4 are eliminated
+    once each (`_stable_homs`), and boundaries are spanned only at the
     support shifts, where a basis is read."""
-    step = -1 if into_c else 1
-    systems = {}
-    for i in (*range(-3, 4), 4 * step):
-        Ci = shift_mf(C, i)
-        systems[i] = _strict_system(X, Ci) if into_c else _strict_system(Ci, X)
-    spaces = {i: StableHom(*systems[i], systems[i + step][1].rank) for i in range(-3, 4)}
+    spaces = dict(zip(range(-3, 4), _stable_homs([shift_mf(C, i) for i in range(-3, 5)], X)))
     dims = {i: H.stable_dim for i, H in spaces.items()}
     if dims[-3] != 0 or dims[3] != 0:
         raise InputError(f"twist functor guard failed: nonzero stable Hom at shift ±3 ({dims})")
     support = [i for i in range(-2, 3) if dims[i] > 0]
     if len(support) > 2 or (len(support) == 2 and support[1] - support[0] != 1):
         raise InputError(f"twist functor guard failed: stable Hom supported at shifts {support}")
-    return [phi for i in support for phi in spaces[i].basis]
-
-
-def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFactorization:
-    """T_C(X): cone over the evaluation ⊕_i C[i] ⊗ Hom(C[i], X) → X, reduced."""
-    reps = _twist_reps(C, X, into_c=False)
+    reps = [phi for i in support for phi in spaces[i].basis]
     if not reps:
         # no stable maps out of C: the evaluation source is the zero object
         # and the cone is X itself
@@ -515,13 +507,10 @@ def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFacto
 
 
 def inverse_twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFactorization:
-    """T_C^{-1}(X): shifted cone over the coevaluation X → ⊕_i C[i]."""
-    reps = _twist_reps(C, X, into_c=True)
-    if not reps:
-        # no stable maps into C: the shifted cone over the zero coevaluation
-        # is X itself
-        return reduce_mf(X)
-    target = _fold(direct_sum_mf, [r.target for r in reps])
-    f0 = GradedMatrix.block([[r.f0] for r in reps])
-    f1 = GradedMatrix.block([[r.f1] for r in reps])
-    return reduce_mf(shift_mf(cone_mf(MFMorphism(X, target, f0, f1)), -1))
+    """T_C^{-1}(X) = D∘T_{DC}∘D(X), D the transposition `transpose_mf`: an
+    exact contravariant involution (D∘D = id literally) that takes the
+    evaluation of DC at DX to the coevaluation of C at X, with
+    D(cone f) ≅ cone(Df)[−1], so this is the shifted cone over the
+    coevaluation X → ⊕_i C[i] ⊗ Hom(X, C[i])^*.  It is reduced: D keeps a
+    factorisation reduced, a unit entry staying one under transposition."""
+    return transpose_mf(twist_functor(transpose_mf(C), transpose_mf(X)))

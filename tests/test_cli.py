@@ -396,6 +396,13 @@ def test_picard_and_duality_commands(capsys, tmp_path, qcurve, qpoints):
     assert code == 0
     moved = mk.mf_from_dict(payload)
     assert mk.verify_mf(moved) == []
+    # --sign 1 undoes --sign -1 up to a certified stable isomorphism
+    moved_path = write_mf(tmp_path, "moved.json", moved)
+    code, payload, _ = run_cli(capsys, "picard", moved_path, "--sign", "1")
+    assert code == 0
+    back = write_mf(tmp_path, "back.json", mk.mf_from_dict(payload))
+    code, payload, _ = run_cli(capsys, "iso", back, path)
+    assert code == 0 and payload["status"] == "yes"
     code, payload, _ = run_cli(capsys, "duality", path)
     assert code == 0
     D = mk.mf_from_dict(payload)

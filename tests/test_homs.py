@@ -718,6 +718,52 @@ def test_twist_functor_round_trip(curve101):
             assert comp.f1.same_entries(GradedMatrix.identity(M.ring, M.p1)), kind
 
 
+def coevaluation_cone(C, X):
+    """T_C⁻¹(X) built directly: the cone over the coevaluation
+    X → ⊕_i C[i] ⊗ Hom(X, C[i])^*, shifted by −1 and reduced."""
+    reps = [phi for i in range(-2, 3) for phi in mk.hom_space(X, mk.shift_mf(C, i)).basis]
+    if not reps:
+        return mk.reduce_mf(X)
+    target = functools.reduce(mk.direct_sum_mf, [r.target for r in reps])
+    f0 = GradedMatrix.block([[r.f0] for r in reps])
+    f1 = GradedMatrix.block([[r.f1] for r in reps])
+    return mk.reduce_mf(mk.shift_mf(mk.cone_mf(mk.MFMorphism(X, target, f0, f1)), -1))
+
+
+def nontrivial_catalog(char, lam, mu):
+    objs = catalog_objects(char, lam, mu)[1]
+    return objs["structure-sheaf"], {kind: X for kind, X in objs.items() if kind != "trivial"}
+
+
+@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
+def test_inverse_twist_matches_the_coevaluation_cone(char, lam, mu):
+    # T_C⁻¹ = D∘T_{DC}∘D must agree with the cone over the coevaluation
+    # up to a certified stable isomorphism
+    O, objs = nontrivial_catalog(char, lam, mu)
+    for kind, X in objs.items():
+        assert mk.is_stably_isomorphic(mk.inverse_twist_functor(O, X), coevaluation_cone(O, X)).status == "yes", kind
+
+
+@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
+def test_transposition_is_an_involution_that_keeps_reduced_objects_reduced(char, lam, mu):
+    # duality_image and inverse_twist_functor return a transposed reduced
+    # factorisation without reducing it again
+    O, objs = nontrivial_catalog(char, lam, mu)
+    for kind, X in objs.items():
+        for M in (mk.reduce_mf(X), mk.twist_functor(O, X)):
+            D = mk.transpose_mf(M)
+            assert mk.transpose_mf(D) == M, kind
+            assert D.alpha.unit_entry() is None and D.beta.unit_entry() is None, kind
+
+
+def test_twist_guard_refuses_support_on_non_adjacent_shifts(kp, osheaf):
+    C = mk.direct_sum_mf(osheaf, mk.shift_mf(osheaf, 2))
+    with pytest.raises(mk.InputError, match=r"supported at shifts \[-2, 0\]"):
+        mk.twist_functor(C, kp)
+    with pytest.raises(mk.InputError, match=r"supported at shifts \[-1, 1\]"):
+        mk.inverse_twist_functor(C, kp)
+
+
 def test_rank_nine_twist_image_is_simple_and_spherical(rank_nine):
     # T_O(lb-2e-plus-p) is a reduced factorisation of rank 9; a spherical
     # object on the curve has stable End in shifts 0 and 1 only, each of

@@ -27,6 +27,7 @@ point, line = mk.catalog_mf(curve, "point", pt), mk.catalog_mf(curve, "lb-minus-
 mk.hom_space(line, point).basis
 mk.is_stably_isomorphic(point, point)
 mk.reduce_mf(mk.direct_sum_mf(point, mk.trivial_mf(curve.ring, curve.f)))
+mk.picard_tensor(point, 1)
 print(json.dumps(tracer.metrics(1, 0)))
 """
 
@@ -56,3 +57,6 @@ def test_tracer_installs_on_a_fresh_import_and_sees_the_groebner_layer():
     # reduce_mf's hook counts the rank it splits off, here the trivial summand
     assert metrics["mf.reduce_calls"] > 0
     assert metrics["mf.summands_split"] > 0
+    # picard_tensor and the twist functors it calls are spans too
+    assert metrics["homs.twist_functor_s"] > 0
+    assert metrics["catalog.picard_s"] > 0
