@@ -79,15 +79,12 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def sample(self, rng, nonzero: bool = False):
+    def sample(self, rng):
         """Draw a random element: uniform over F_p, and over Q an integer
         uniform in [-2^31, 2^31), so that by Schwartz–Zippel a nonzero
         polynomial of degree d vanishes at a random point of Q^n with
         probability at most d / 2^32."""
-        while True:
-            c = rng.randrange(self.char) if self.char else Fraction(rng.randrange(-(2**31), 2**31))
-            if c or not nonzero:
-                return c
+        return rng.randrange(self.char) if self.char else Fraction(rng.randrange(-(2**31), 2**31))
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.char == self.char

@@ -19,15 +19,15 @@ fraction field (Eisenbud, Trans. AMS 260 (1980), §5):
 - its kernel is the strict morphisms: f1·alpha_M = alpha_N·f0 gives
   alpha_N·(f0·beta_M − beta_N·f1) = f1·alpha_M·beta_M − f·f1 = 0, so the
   beta-square follows;
-- f0 determines a cycle (f0 = 0 gives f1·alpha_M = 0, so f1 = 0), so
-  boundaries are compared by f0 alone, and the f0 of D(h, s) is, up to the
-  sign of h, the alpha-square of (s, h) in Hom(M, N[−1]), whose alpha is
-  beta_N.
+- f1 determines a cycle (f1 = 0 gives alpha_N·f0 = 0, so f0 = 0), so
+  boundaries are compared by f1 alone, and the f1 of D(h, s) is the
+  alpha-square of (h, −s) in Hom(M[1], N), whose P0 is P1(M) and whose
+  alpha is beta_M.
 
-So the boundary rank of Hom(M, N) is the strict-equation rank of
-Hom(M[1], N), whose alpha-square on (h, −s) is the f1 of D(h, s), which
-also determines a cycle, and of Hom(M, N[−1]).  Boundaries are counted only
-so; their span is built only for representatives and null-homotopy tests.
+So the one system of Hom(M[1], N) is read two ways: by rows its rank is
+the boundary rank of Hom(M, N), by columns its images span the boundaries
+in f1 coordinates.  The span is built only for representatives and
+null-homotopy tests.
 """
 
 from __future__ import annotations
@@ -140,9 +140,7 @@ def _width(M: MatrixFactorization, N: MatrixFactorization) -> int:
     """Bits per exponent field of the packed keys of Hom(M, N): enough for
     its largest twist difference, which bounds the degree of every slot (P0
     or P1 of M less P0 or P1 of N) and of every image (P0 of M less P1 of
-    N), an alpha entry's degree being its twist difference.  Hom(M, N[−1])
-    fits too: the twists of N[−1] are those of P0(N) and P1(N) + 3, so its
-    least twist is no less than N's."""
+    N), an alpha entry's degree being its twist difference."""
     top = max(M.p0 + M.p1, default=0) - min(N.p0 + N.p1, default=0)
     return max(top, 0).bit_length()
 
@@ -232,31 +230,24 @@ class HomProblem:
                 rows.setdefault(base + off, {})[col] = c
         return list(rows.values())
 
-    def boundary_vectors(self) -> list[dict]:
-        """The boundaries in f0 coordinates: the alpha-square images of the
-        slots of Hom(M, N[−1]), whose f0 and f1 are the homotopies
-        P0(M) → P1(N)(−3) and P1(M) → P0(N) (module docstring).  The image
-        P0(M) → P1(N[−1]) = P0(N) is an f0 of Hom(M, N), so each packed
-        key, at this problem's width, is that of an f0 slot here.  The
-        vectors are ints in RowSpace's stored form, over Q every one scaled
-        by the same D of `_images` for (M, N[−1]), which leaves their span,
-        and so the boundary rank and the fold into it, as they are."""
-        M, N1, width = self.M, shift_mf(self.N, -1), self.width
-        shift, W = self.ring.nvars * width, len(M.p0)
-        at = {((i * W + j) << shift) + m: col
-              for col, ((tag, i, j, _), m) in enumerate(zip(self.slots, self.packed)) if tag == "f0"}
-        slots, packed = _hom_slots(M, N1, width)
-        return [{at[base + off]: c for off, c in terms} for base, terms in _images(M, N1, slots, packed, width)]
+    def boundary_vectors(self, shifted: HomProblem) -> list[dict]:
+        """The boundaries in f1 coordinates: the `_images` of the slots of
+        shifted = Hom(M[1], N), slot by slot (module docstring).  An image
+        P0(M[1]) = P1(M) → P1(N) lands on an f1 slot here, keyed at
+        shifted's width, which fits an f1 slot's degree, a twist of P1(M)
+        less one of N.  Ints in RowSpace's stored form, over Q all scaled by
+        the one D of `_images`, which leaves their span as it is."""
+        width = shifted.width
+        shift, W = self.ring.nvars * width, len(self.M.p1)
+        at = {((i * W + j) << shift) + pack_lex(exp, width): col
+              for col, (tag, i, j, exp) in enumerate(self.slots) if tag == "f1"}
+        images = _images(shifted.M, shifted.N, shifted.slots, shifted.packed, width)
+        return [{at[base + off]: c for off, c in terms} for base, terms in images]
 
-    def f0_part(self, vec: dict) -> dict:
-        """The f0 coordinates of vec, which determine a strict morphism."""
+    def f1_part(self, vec: dict) -> dict:
+        """The f1 coordinates of vec, which determine a strict morphism."""
         slots = self.slots
-        return {col: c for col, c in vec.items() if slots[col][0] == "f0"}
-
-    def boundary_space(self) -> RowSpace:
-        """The span of the boundaries in f0 coordinates (module docstring):
-        a strict morphism is null-homotopic iff its `f0_part` lies in it."""
-        return row_space(self.boundary_vectors(), self.ring.field)
+        return {col: c for col, c in vec.items() if slots[col][0] == "f1"}
 
     def morphism_from_vector(self, vec: dict) -> MFMorphism:
         M, N, ring = self.M, self.N, self.ring
@@ -290,21 +281,21 @@ class HomProblem:
 
 class StableHom:
     """Strict morphisms M → N modulo null-homotopic ones, in the
-    coordinates of `problem`: the eliminated strict equations, and the
-    boundary rank, the strict rank of Hom(M[1], N) (module docstring).
+    coordinates of `problem`: the eliminated strict equations, and
+    `shifted` = Hom(M[1], N), whose strict rank is the boundary rank.
 
     `strict_dim` is #slots − rank(equations); D∘D = 0 puts the boundaries
     inside the strict morphisms, so `stable_dim` is `strict_dim` −
     `boundary_rank`.  Built on first read: `solutions`, the kernel vectors,
     one per free column, so in the monomial-major slot order; `basis`, the
-    solutions whose f0 parts enlarge `problem.boundary_space()` as they are
-    folded into it in that order, as morphisms (the stable representatives:
-    f0 determines a cycle, so the same solutions enlarge the span in full
-    coordinates); `strict_basis`, every solution as a morphism.
+    solutions whose f1 parts enlarge the span of `boundary_vectors` as they
+    are folded into it in that order, as morphisms (the stable
+    representatives: f1 determines a cycle, so the same solutions enlarge
+    the span in full coordinates); `strict_basis`, every solution.
     """
 
-    def __init__(self, problem: HomProblem, equations: RowSpace, boundary_rank: int):
-        self.problem = problem
+    def __init__(self, problem: HomProblem, equations: RowSpace, shifted: HomProblem, boundary_rank: int):
+        self.problem, self.shifted = problem, shifted
         self.source, self.target = problem.M, problem.N
         self._equations = equations
         self.strict_dim = len(problem.slots) - equations.rank
@@ -321,12 +312,13 @@ class StableHom:
     @cached_property
     def basis(self) -> list[MFMorphism]:
         # the fold stops once stable_dim solutions have enlarged the span
-        span, reps = self.problem.boundary_space(), []
+        prob, reps = self.problem, []
+        span = row_space(prob.boundary_vectors(self.shifted), prob.ring.field)
         for v in self.solutions:
             if len(reps) == self.stable_dim:
                 break
-            if span.add(int_row(self.problem.f0_part(v), span.field)) is not None:
-                reps.append(self.problem.morphism_from_vector(v))
+            if span.add(int_row(prob.f1_part(v), span.field)) is not None:
+                reps.append(prob.morphism_from_vector(v))
         return reps
 
     @cached_property
@@ -342,7 +334,7 @@ def _stable_homs(sources: list[MatrixFactorization], N: MatrixFactorization) -> 
     boundary span are built only when read."""
     problems = [HomProblem(M, N) for M in sources]
     equations = [row_space(prob.strict_rows(), prob.ring.field) for prob in problems]
-    return [StableHom(prob, eqs, nxt.rank) for prob, eqs, nxt in zip(problems, equations, equations[1:])]
+    return [StableHom(p, e, q, f.rank) for p, e, q, f in zip(problems, equations, problems[1:], equations[1:])]
 
 
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
@@ -359,11 +351,12 @@ def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 
 
 
 def is_null_homotopic(phi: MFMorphism) -> bool:
-    """Whether phi is a boundary, tested in f0 coordinates; phi is checked
-    strict first, since f0 determines only a cycle."""
+    """Whether phi is a boundary, tested in f1 coordinates; phi is checked
+    strict first, since f1 determines only a cycle."""
     assert_strict(phi)
     prob = HomProblem(phi.source, phi.target)
-    return prob.boundary_space().contains(prob.f0_part(prob.vector_from_morphism(phi)))
+    span = row_space(prob.boundary_vectors(HomProblem(shift_mf(prob.M, 1), prob.N)), prob.ring.field)
+    return span.contains(prob.f1_part(prob.vector_from_morphism(phi)))
 
 
 # --- mapping cone ------------------------------------------------------------

@@ -257,6 +257,48 @@ def test_catalog_bad_coordinate_is_input_error(capsys, lam):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--kind", "point", "--lambda", "0"), "--lambda and --mu must be given together"),
+        (("--kind", "point"), "needs --lambda/--mu or --all-points"),
+        (("--kind", "nonsense"), "unknown catalog kind 'nonsense'"),
+    ],
+)
+def test_catalog_flag_errors(capsys, argv, message):
+    code, payload, err = run_cli(capsys, "catalog", *argv)
+    assert code == 2
+    assert payload is None
+    assert message in err
+
+
+def enumerations(monkeypatch):
+    """The fields cmd_catalog asks to enumerate the points of, recorded;
+    each request is answered with no points, so a regressed guard costs
+    nothing here (GF(1000003) has 998,003 affine points on the curve)."""
+    calls = []
+    monkeypatch.setattr(mk.cli, "rational_points", lambda cv: calls.append(cv.field) or [])
+    return calls
+
+
+def test_catalog_all_points_refuses_a_large_prime_before_enumerating(capsys, monkeypatch):
+    calls = enumerations(monkeypatch)
+    code, payload, err = run_cli(capsys, "catalog", "--field", "GF(1000003)", "--kind", "point", "--all-points")
+    assert code == 2
+    assert payload is None
+    assert f"at most {mk.cli.MAX_POINT_PRIME}, got 1000003" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF(1000003)"])
+def test_catalog_all_points_without_a_point_kind_enumerates_nothing(capsys, monkeypatch, field):
+    calls = enumerations(monkeypatch)
+    code, payload, err = run_cli(capsys, "catalog", "--field", field, "--kind", "structure-sheaf", "--all-points")
+    assert code == 0
+    assert [e["kind"] for e in payload] == ["structure-sheaf"]
+    assert calls == []
+
+
 def test_catalog_in_characteristic_two_is_input_error(capsys):
     code, payload, err = run_cli(capsys, "catalog", "--field", "GF(2)", "--kind", "all", "--all-points")
     assert code == 2
@@ -361,6 +403,16 @@ def test_iso_seed_env(capsys, tmp_path, qcurve, qpoints, monkeypatch):
     code, payload, err = run_cli(capsys, "iso", a, b)
     assert code == 0
     assert "seed: 42" in err
+
+
+def test_iso_seed_flag_wins_over_env(capsys, tmp_path, qcurve, qpoints, monkeypatch):
+    kp = mk.catalog_mf(qcurve, "point", qpoints[0])
+    a = write_mf(tmp_path, "s1.json", kp)
+    b = write_mf(tmp_path, "s2.json", kp)
+    monkeypatch.setenv("MFKIT_SEED", "42")
+    code, payload, err = run_cli(capsys, "iso", a, b, "--seed", "7")
+    assert code == 0
+    assert "seed: 7" in err and "seed: 42" not in err
 
 
 def test_iso_non_integer_seed_env_is_input_error(capsys, tmp_path, qcurve, qpoints, monkeypatch):

@@ -70,8 +70,8 @@ def test_sample_is_deterministic_and_in_range():
     b = [F101.sample(random.Random(7)) for _ in range(10)]
     assert a == b
     assert all(0 <= x < 101 for x in a)
-    nz = [F101.sample(random.Random(i), nonzero=True) for i in range(50)]
-    assert all(x != 0 for x in nz)
+    q = [QQ.sample(random.Random(i)) for i in range(50)]
+    assert all(x.denominator == 1 and -(2**31) <= x < 2**31 for x in q)
 
 
 @settings(max_examples=50, deadline=None)

@@ -294,16 +294,18 @@ def catalog_pairs(char, lam, mu, kinds=mk.CATALOG_KINDS):
 
 
 def assert_half_systems_match_full(M, N, oracle):
-    # the alpha-square alone has the row space of both squares, the
-    # boundaries in f0 coordinates are the f0 parts of the oracle's, and f0
-    # coordinates see the fold as full coordinates do
+    # the alpha-square alone has the row space of both squares, the images
+    # of the successor Hom(M[1], N) span the f1 parts of the oracle's
+    # boundaries, and f1 coordinates see the fold as full coordinates do
     H = mk.hom_space(M, N)
     prob, fld = H.problem, M.ring.field
     strict, boundaries = full_strict_space(prob), full_boundary_space(prob, oracle)
     assert H._equations.rows == strict.rows
     assert H.boundary_rank == boundaries.rank
-    f0_parts = [prob.f0_part(prob.vector_from_morphism(phi)) for phi in oracle]
-    assert prob.boundary_space().rows == row_space([int_row(v, fld) for v in f0_parts], fld).rows
+    assert H.shifted.M == mk.shift_mf(M, 1) and H.shifted.N == N
+    f1_parts = [prob.f1_part(prob.vector_from_morphism(phi)) for phi in oracle]
+    span = row_space(prob.boundary_vectors(H.shifted), fld)
+    assert span.rows == row_space([int_row(v, fld) for v in f1_parts], fld).rows
     solutions = nullspace(strict, len(prob.slots))
     assert H.solutions == solutions
     reps = [v for v in solutions if boundaries.add(int_row(v, fld)) is not None]
@@ -357,16 +359,15 @@ def alpha_denominators(M, N):
     return lcm(*(c.denominator for X in (M, N) for row in X.alpha.entries for e in row for c in e.terms.values()))
 
 
-def square_by_matrices(prob, char):
-    """strict_rows and boundary_vectors of prob by `alpha_square_by_matrices`,
-    and the scales D used: the images of the slots of prob transposed,
-    grouped by image key in order of first appearance, and those of the
-    slots of Hom(M, N[-1]) slot by slot, on the f0 slots of prob they land
-    on, each system scaled by its D (the lcm of the alpha denominators over
-    Q, 1 over GF(p)) to plain ints."""
-    below = HomProblem(prob.M, mk.shift_mf(prob.N, -1))
+def square_by_matrices(prob, shifted, char):
+    """strict_rows of prob and its boundary_vectors from shifted =
+    Hom(M[1], N) by `alpha_square_by_matrices`, and the scales D used: the
+    images of the slots of prob transposed, grouped by image key in order
+    of first appearance, and those of the slots of shifted slot by slot, on
+    the f1 slots of prob they land on, each system scaled by its D (the lcm
+    of the alpha denominators over Q, 1 over GF(p)) to plain ints."""
     scales, scaled = set(), {}
-    for p in (prob, below):
+    for p in (prob, shifted):
         D = alpha_denominators(p.M, p.N) if char == 0 else 1
         scales.add(D)
         scaled[p] = [{key: int(D * c) for key, c in img.items()} for img in alpha_square_by_matrices(p)]
@@ -374,7 +375,7 @@ def square_by_matrices(prob, char):
     for col, img in enumerate(scaled[prob]):
         for key, c in img.items():
             rows.setdefault(key, {})[col] = c
-    vecs = [{prob.index[("f0", *key)]: c for key, c in img.items()} for img in scaled[below]]
+    vecs = [{prob.index[("f1", *key)]: c for key, c in img.items()} for img in scaled[shifted]]
     return list(rows.values()), vecs, scales
 
 
@@ -388,10 +389,10 @@ def test_alpha_square_rows_match_matrix_arithmetic(char, lam, mu):
     scales = set()
     for M in objs:
         for N in objs:
-            prob = HomProblem(M, N)
-            rows, vecs, D = square_by_matrices(prob, char)
+            prob, shifted = HomProblem(M, N), HomProblem(mk.shift_mf(M, 1), N)
+            rows, vecs, D = square_by_matrices(prob, shifted, char)
             assert repr(prob.strict_rows()) == repr(rows)
-            assert repr(prob.boundary_vectors()) == repr(vecs)
+            assert repr(prob.boundary_vectors(shifted)) == repr(vecs)
             scales |= D
     assert max(scales) == (4 if mu == "1/2" else 1)
 
@@ -408,9 +409,10 @@ def test_packed_keys_at_the_width_of_their_fields(monkeypatch, char, lam, mu):
     for M, N in ((kinds["point"], kinds["point"]), (kinds["lb-2e"], kinds["structure-sheaf"])):
         for t in range(7):
             prob = HomProblem(mk.twist_mf(M, -t), N)
-            rows, vecs, _ = square_by_matrices(prob, char)
+            shifted = HomProblem(mk.shift_mf(prob.M, 1), N)
+            rows, vecs, _ = square_by_matrices(prob, shifted, char)
             assert repr(prob.strict_rows()) == repr(rows)
-            assert repr(prob.boundary_vectors()) == repr(vecs)
+            assert repr(prob.boundary_vectors(shifted)) == repr(vecs)
             tuples = [(tag, i, j, exp)
                       for tag, tgt, src in (("f0", prob.N.p0, prob.M.p0), ("f1", prob.N.p1, prob.M.p1))
                       for i, a in enumerate(tgt) for j, b in enumerate(src) if b >= a
@@ -443,14 +445,16 @@ def equation_rank(M, N):
 
 def assert_boundary_ranks_are_neighbour_ranks(M, N, shifts):
     # the odd part of Hom(M, N) is the even part of Hom(M, N[-1]), and its
-    # f1 part is the alpha-square of Hom(M[1], N): the boundary rank at s is
-    # the strict-equation rank at the neighbouring shift
+    # f1 part is the alpha-square of Hom(M[1], N): the rank of the span of
+    # the successor's images, the strict-equation rank at the neighbouring
+    # shift and that of Hom(M, N[-1]), built here apart, all agree
     N_below = mk.shift_mf(N, -1)
     for s in shifts:
-        Ms = mk.shift_mf(M, s)
-        boundary_rank = HomProblem(Ms, N).boundary_space().rank
+        Ms, shifted = mk.shift_mf(M, s), HomProblem(mk.shift_mf(M, s + 1), N)
+        boundary_rank = row_space(HomProblem(Ms, N).boundary_vectors(shifted), M.ring.field).rank
         assert boundary_rank == equation_rank(mk.shift_mf(M, s + 1), N), s
         assert boundary_rank == equation_rank(Ms, N_below), s
+        assert boundary_rank == mk.hom_space(Ms, N).boundary_rank, s
 
 
 @pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
@@ -467,7 +471,7 @@ def test_boundary_rank_is_the_neighbouring_strict_rank_at_rank_nine(rank_nine):
 
 @pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
 def test_null_homotopy_agrees_with_full_coordinates(char, lam, mu):
-    # is_null_homotopic compares f0 parts only; full-coordinate containment
+    # is_null_homotopic compares f1 parts only; full-coordinate containment
     # in the boundary span must give the same answer: true on every
     # boundary, false on every stable representative
     for M, N, oracle in catalog_pairs(char, lam, mu):
@@ -484,18 +488,20 @@ def test_null_homotopy_agrees_with_full_coordinates(char, lam, mu):
 def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
     # the dimensions come from two strict ranks: hom_space and stable_hom_dim
     # build no morphism, no boundary and no slot index, and reading basis
-    # builds the boundary span once and exactly the stable representatives
-    built, spans, indexed = [], [], []
+    # builds the boundary span once, from the successor hom_space already
+    # built, and exactly the stable representatives; no slots are enumerated
+    # beyond those of the two problems
+    built, spans, indexed, enumerated = [], [], [], []
     build, boundaries = HomProblem.morphism_from_vector, HomProblem.boundary_vectors
-    index = HomProblem.index.func
+    index, hom_slots = HomProblem.index.func, homs._hom_slots
 
     def counted(self, vec):
         built.append(vec)
         return build(self, vec)
 
-    def counted_boundaries(self):
-        spans.append(self)
-        return boundaries(self)
+    def counted_boundaries(self, shifted):
+        spans.append((self, shifted))
+        return boundaries(self, shifted)
 
     def counted_index(self):
         indexed.append(self)
@@ -504,16 +510,19 @@ def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
     monkeypatch.setattr(HomProblem, "morphism_from_vector", counted)
     monkeypatch.setattr(HomProblem, "boundary_vectors", counted_boundaries)
     monkeypatch.setattr(HomProblem, "index", property(counted_index))
+    monkeypatch.setattr(homs, "_hom_slots", lambda M, N, width: enumerated.append(M) or hom_slots(M, N, width))
     dims = []
     for M, N in ((kp, kp), (kp, kq), (osheaf, kp), (mk.direct_sum_mf(kp, osheaf), kp)):
         built.clear()
         spans.clear()
         assert mk.stable_hom_dim(M, N) >= 0
+        enumerated.clear()
         H = mk.hom_space(M, N)
         assert built == [] and spans == [] and indexed == []
         assert len(H.basis) == H.stable_dim
         assert len(built) == H.stable_dim
-        assert spans == [H.problem] and indexed == []
+        assert spans == [(H.problem, H.shifted)] and indexed == []
+        assert enumerated == [M, mk.shift_mf(M, 1)]
         dims.append((H.stable_dim, H.strict_dim))
     # a stable Hom of 0, and one whose strict space is larger than its stable one
     assert dims[1][0] == 0 and dims[3][0] < dims[3][1]
@@ -762,6 +771,16 @@ def test_twist_guard_refuses_support_on_non_adjacent_shifts(kp, osheaf):
         mk.twist_functor(C, kp)
     with pytest.raises(mk.InputError, match=r"supported at shifts \[-1, 1\]"):
         mk.inverse_twist_functor(C, kp)
+
+
+def test_twist_guard_refuses_stable_hom_at_shift_three(osheaf):
+    # Hom(O[i], O[3]) lives at i = 2, 3, and Hom(DO[i], D(O[-3])) likewise,
+    # so both functors meet the guard at the edge of their window
+    O = osheaf
+    with pytest.raises(mk.InputError, match="nonzero stable Hom at shift ±3"):
+        mk.twist_functor(O, mk.shift_mf(O, 3))
+    with pytest.raises(mk.InputError, match="nonzero stable Hom at shift ±3"):
+        mk.inverse_twist_functor(O, mk.shift_mf(O, -3))
 
 
 def test_rank_nine_twist_image_is_simple_and_spherical(rank_nine):

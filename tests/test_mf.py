@@ -394,6 +394,21 @@ def test_structure_sheaf_extraction(curve, residue_presentation):
     assert mk.is_stably_isomorphic(M, O).status == "yes"
 
 
+@pytest.mark.parametrize("char", [0, 101])
+def test_structure_sheaf_extraction_of_the_irrelevant_ideal(char, residue_presentation):
+    # the irrelevant ideal (X, Y, Z), presented as the cokernel of the second
+    # differential of K's resolution, has Hilbert function [0, 3, 6, 9]; its
+    # extraction is the residue field's, byte for byte
+    cv = mk.default_curve(mk.Field(char))
+    K = residue_presentation(cv)
+    d = mk.minimal_resolution(K, 2).diffs[1]
+    ideal = mk.Presentation(cv.ring, cv.f, list(d.target_twists), d)
+    assert [mk.hilbert_function(ideal, i) for i in range(4)] == [0, 3, 6, 9]
+    M = mk.extract_mf(ideal, "structure-sheaf")
+    assert json.dumps(mk.mf_to_dict(M)) == json.dumps(mk.mf_to_dict(mk.extract_mf(K, "structure-sheaf")))
+    assert mk.is_stably_isomorphic(M, mk.catalog_mf(cv, "structure-sheaf")).status == "yes"
+
+
 def test_raw_extraction(curve, point_presentation, points):
     M = mk.extract_mf(point_presentation(points[0]), "raw", 2)
     assert mk.verify_mf(M) == []

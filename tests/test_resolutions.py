@@ -141,6 +141,22 @@ def test_truncation_hilbert_function(curve):
         assert mk.hilbert_function(T, i) == expect
 
 
+def test_truncation_at_the_generator_degree_keeps_the_module(curve, residue_presentation):
+    # the generator of K lies in degree 0, so tr_{>=0} K keeps it as it is
+    K = residue_presentation()
+    T = mk.truncate_geq(K, 0)
+    assert T.ambient == [0]
+    assert [mk.hilbert_function(T, i) for i in range(4)] == [mk.hilbert_function(K, i) for i in range(4)]
+
+
+def test_resolution_of_a_free_module_stops_at_its_zero_differential(curve):
+    # a free module has no relations: its first differential is the zero
+    # map from nothing, and every later term is zero
+    res = mk.minimal_resolution(mk.Presentation.free(curve.ring, curve.f, [0]), 3)
+    assert res.twists == [[0], [], [], []]
+    assert all(d.cols == 0 for d in res.diffs)
+
+
 def test_subquotient_presentation(curve):
     ring, f = curve.ring, curve.f
     X, Y, Z = ring.gens()

@@ -48,7 +48,8 @@ def test_tracer_installs_on_a_fresh_import_and_sees_the_groebner_layer():
     # the Hom layer too: the hom_space hooks read StableHom.problem.slots and
     # strict_basis, the iso search runs under scale_morphism's wrapper, and
     # reading a basis builds its boundary span through boundary_vectors (the
-    # point's self-Hom has no boundary slot, Hom(line, point) has one)
+    # point's self-Hom has no boundary slot; the one of Hom(line, point) is a
+    # slot of Hom(line[1], point))
     for key in (
         "homs.hom_space_calls", "homs.unknowns", "homs.equations", "homs.boundary_vectors",
         "linalg.nullspace_calls", "homs.iso_calls",
