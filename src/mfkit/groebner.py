@@ -32,8 +32,10 @@ The column of T is -T, so a RowSpace row keyed by columns lists its terms
 in descending order with no column map.  A pass keeps each basis element
 as the stored int row that RowSpace produced; S-pair halves and reducers
 are integer shifts of those rows.  The pass's `GroebnerBasis` keeps them:
-normal forms and standard-monomial counts work on them as they are, and an
-element becomes a (pos, exp)-keyed field vector only when it is read.
+normal forms work on them as they are, standard-monomial counts come from
+one Hilbert-series numerator per position, computed once from the leading
+exponents there, and an element becomes a (pos, exp)-keyed field vector
+only when it is read.
 
 A computation is over A exactly when the potential f is passed: f·e_i are
 adjoined to the generators (`groebner_basis`, `ColumnSpan`, `mingens` and
@@ -46,8 +48,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
-from operator import mul
+from math import comb
+from operator import le, mul
 from struct import Struct
 
 from .errors import ValidationError
@@ -253,13 +255,54 @@ class GroebnerBasis:
         pk, char, top = self._packing, self.ring.field.char, self._packing.P - pos
         return [_unpacked(row, row[min(row)], pk, char) for row in self._rows if -min(row) >> pk.shift <= top]
 
+    @cached_property
+    def hilbert_numerators(self) -> dict[int, list[int]]:
+        """For each position with a leading term, the numerator of the
+        Hilbert series of R/⟨its leading exponents⟩.  The basis is reduced,
+        so those exponents are already the minimal generators."""
+        pk = self._packing
+        return {
+            pk.P - key: hilbert_numerator([pk.unpack(lt)[1] for lt, _ in leads])
+            for key, leads in self._at_pos.items()
+        }
+
     def standard_count(self, pos: int, degree: int) -> int:
         """How many monomials x^e of the degree have (pos, e) divisible by no
-        leading term: the dimension of the quotient at pos in that degree."""
-        pk = self._packing
-        leads = [lt for lt, _ in self._at_pos.get(pk.P - pos, ())]
-        terms = map(pk.pack, zip(repeat(pos), self.ring.monomials_of_degree(degree)))
-        return sum(not any(map(pk.divides, leads, repeat(t))) for t in terms)
+        leading term: the dimension of the quotient at pos in that degree,
+        Σ_k n_k·C(degree - k + n - 1, n - 1) over the k <= degree, n_k the
+        coefficients of the position's numerator (1 with no leading term)."""
+        if degree < 0:
+            return 0
+        n = self.ring.nvars
+        num = self.hilbert_numerators.get(pos, (1,))
+        return sum(c * comb(degree - k + n - 1, n - 1) for k, c in enumerate(num[: degree + 1]))
+
+
+def hilbert_numerator(gens) -> list[int]:
+    """Coefficients n_k of N(t) = Σ n_k·t^k, the numerator of the Hilbert
+    series N(t)/(1 - t)^n of R/⟨x^g : g in gens⟩.  The generators fold in one
+    at a time by N(I + ⟨x^m⟩) = N(I) - t^|m|·N(I : x^m) (Bayer and Stillman,
+    JSC 14 (1992); Bigatti, Comm. Algebra 25 (1997)).  The fold is a loop
+    and only the colon ideals, minimised, recurse, so the recursion does not
+    deepen with the number of gens."""
+    num, done = [1], []
+    for m in gens:
+        colon = _minimal({tuple([a - b if a > b else 0 for a, b in zip(g, m)]) for g in done})
+        low, inner = sum(m), hilbert_numerator(colon)
+        num += [0] * (low + len(inner) - len(num))
+        for k, c in enumerate(inner, low):
+            num[k] -= c
+        done.append(m)
+    return num
+
+
+def _minimal(exps) -> list[Exp]:
+    """The exponents of the set exps that no other one divides."""
+    out: list[Exp] = []
+    for e in sorted(exps, key=sum):
+        if not any(all(map(le, d, e)) for d in out):
+            out.append(e)
+    return out
 
 
 def columns_as_vectors(M: GradedMatrix) -> list[Vec]:

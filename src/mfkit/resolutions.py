@@ -111,7 +111,9 @@ def _assert_minimal(res: Resolution) -> None:
 
 
 def hilbert_function(P: Presentation, i: int) -> int:
-    """dim_K of the degree-i piece of coker(P)."""
+    """dim_K of the degree-i piece of coker(P): at each position, the
+    standard monomials of the module basis counted from the one
+    Hilbert-series numerator there (`GroebnerBasis.standard_count`)."""
     gb = P._module_gb
     return sum(gb.standard_count(j, i - t) for j, t in enumerate(P.ambient))
 

@@ -159,6 +159,21 @@ def test_resolve_point_module(capsys):
     assert payload["periodicity"] == 2
 
 
+@pytest.mark.parametrize("length", [mk.cli.MAX_RESOLVE_LENGTH, mk.cli.MAX_RESOLVE_LENGTH + 1, 100_000])
+def test_resolve_length_is_bounded(monkeypatch, capsys, length):
+    # the stub resolves to length 2 whatever it is asked, so a broken bound
+    # costs nothing here
+    asked = []
+    real = mk.cli.minimal_resolution
+    monkeypatch.setattr(mk.cli, "minimal_resolution", lambda P, n: asked.append(n) or real(P, 2))
+    code, payload, err = run_cli(capsys, "resolve", "--module", "K", "--length", str(length))
+    if length <= mk.cli.MAX_RESOLVE_LENGTH:
+        assert (code, asked, payload["length"]) == (0, [length], 2)
+    else:
+        assert (code, asked, payload) == (2, [], None)
+        assert f"--length must be <= {mk.cli.MAX_RESOLVE_LENGTH}, got {length}" in err
+
+
 def test_extract_point_matches_catalog(capsys, tmp_path, qcurve, qpoints):
     code, payload, err = run_cli(
         capsys, "extract", "--module", "point", "2", "3", "--mode", "point"

@@ -4,6 +4,7 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +23,7 @@ from mfkit.groebner import (
     _reducer_space,
     buchberger,
     columns_as_vectors,
+    hilbert_numerator,
     mingens,
     reduce_mod_f,
     reduce_vec,
@@ -673,14 +675,114 @@ def test_standard_count_matches_the_tuple_loop(seed, fld):
     gens = [v for v in gens if v]
     gb = mk.groebner_basis(gens, ring=R, twists=twists)
     for pos in range(len(twists)):
-        for d in range(-1, 7):
+        for d in range(-3, 13):
             assert gb.standard_count(pos, d) == tuple_standard_count(gb.basis, pos, d, R)
     f = R.parse("Y^2*Z - X^3 - Z^3")
     P = mk.Presentation(R, f, twists, vectors_as_columns(R, twists, gens))
     module = mk.groebner_basis(gens, ring=R, twists=twists, f=f).basis
-    for i in range(-1, 8):
+    for i in range(-3, 13):
         want = sum(tuple_standard_count(module, j, i - t, R) for j, t in enumerate(twists))
         assert mk.hilbert_function(P, i) == want
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-series numerators of monomial ideals against brute-force counting
+
+
+def exponents_of_degree(n, d):
+    """Every n-variable exponent tuple of total degree d, enumerated here."""
+    if d < 0:
+        return
+    if n == 1:
+        yield (d,)
+        return
+    for first in range(d + 1):
+        for rest in exponents_of_degree(n - 1, d - first):
+            yield (first, *rest)
+
+
+def brute_count(gens, n, d):
+    """Exponents of degree d in n variables that no generator divides."""
+    return sum(
+        not any(all(a >= b for a, b in zip(e, g)) for g in gens) for e in exponents_of_degree(n, d)
+    )
+
+
+def trimmed(coeffs):
+    """The coefficient list without trailing zeros."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def count_from_numerator(num, n, d):
+    """Coefficient of t^d in N(t)/(1 - t)^n."""
+    return sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num) if k <= d)
+
+
+def monomial_basis(gens, n):
+    """The reduced basis of the monomial ideal ⟨x^g⟩ in n variables over GF(101)."""
+    R = PolyRing(Field(101), names=[f"x{i}" for i in range(n)])
+    return mk.groebner_basis([R.monomial(g) for g in gens], ring=R, twists=[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), max_size=6))
+def test_hilbert_numerator_matches_brute_force_counts(n, raw):
+    # any generators, not only minimal ones: x^m already in I gives I : x^m = R
+    gens = [tuple(g[:n]) for g in raw]
+    num = hilbert_numerator(gens)
+    top = max(len(num), 13)
+    h = [brute_count(gens, n, d) for d in range(top)]
+    # N(t) = H(t)·(1 - t)^n, coefficient by coefficient up to the top degree
+    series = [sum((-1) ** j * comb(n, j) * h[d - j] for j in range(min(n, d) + 1)) for d in range(top)]
+    assert trimmed(num) == trimmed(series)
+    gb = monomial_basis(gens, n)
+    for d in range(-3, 13):
+        want = h[d] if d >= 0 else 0
+        assert count_from_numerator(num, n, d) == want
+        assert gb.standard_count(0, d) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_standard_count_of_the_empty_and_the_unit_ideal(n):
+    R = PolyRing(Field(101), names=[f"x{i}" for i in range(n)])
+    empty = mk.groebner_basis([], ring=R, twists=[0])
+    unit = mk.groebner_basis([R.one()], ring=R, twists=[0])
+    assert hilbert_numerator([]) == [1]
+    assert hilbert_numerator([(0,) * n]) == [0]
+    for d in range(-3, 13):
+        assert empty.standard_count(0, d) == (comb(d + n - 1, n - 1) if d >= 0 else 0)
+        assert unit.standard_count(0, d) == 0
+
+
+@pytest.mark.parametrize("powers", [(5,), (2, 3), (1, 4, 2), (3, 3, 3, 1)])
+def test_hilbert_numerator_of_pure_powers(powers):
+    # R/⟨x_i^(a_i)⟩ is a complete intersection: N(t) = Π (1 - t^(a_i))
+    n = len(powers)
+    gens = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
+    want = [1]
+    for a in powers:
+        times = want + [0] * a
+        for k, c in enumerate(want):
+            times[k + a] -= c
+        want = times
+    assert trimmed(hilbert_numerator(gens)) == trimmed(want)
+    gb = monomial_basis(gens, n)
+    for d in range(-3, 13):
+        assert gb.standard_count(0, d) == brute_count(gens, n, d)
+
+
+def test_hilbert_numerator_of_a_long_staircase():
+    # ⟨x^i·y^(N-i)⟩ = (x, y)^N: H(d) = d + 1 below N and 0 from N on, so
+    # N(t) = 1 - (N + 1)·t^N + N·t^(N+1).  The N + 1 generators fold in a
+    # loop, so there are far more of them than recursion levels
+    N = 1500
+    num = hilbert_numerator([(i, N - i) for i in range(N + 1)])
+    assert trimmed(num) == [1] + [0] * (N - 1) + [-(N + 1), N]
+    for d in (0, 1, N - 1, N, N + 1, 2 * N):
+        assert count_from_numerator(num, 2, d) == (d + 1 if d < N else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Graded presentations, minimal free resolutions, and Hilbert functions."""
 
+from math import comb
+
 import pytest
 
 import mfkit as mk
 from mfkit.poly import GradedMatrix
+
+from fixtures import catalog_objects
 
 
 def nf_zero_mod(ring, fpoly, poly):
@@ -169,6 +173,23 @@ def test_subquotient_presentation(curve):
     assert mk.hilbert_function(P, 0) == 0
     for i in range(1, 6):
         assert mk.hilbert_function(P, i) == mk.hilbert_function(A, i)
+
+
+def free_dimension(twists, i):
+    """dim_K of the degree-i piece of ⊕ K[X, Y, Z](-t) over the twists t."""
+    return sum(comb(i - t + 2, 2) for t in twists if i >= t)
+
+
+@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
+def test_cokernel_hilbert_function_matches_the_closed_form(char, lam, mu):
+    # det α·det β = f^rank, so β: ⊕R(-b) → ⊕R(-(a - 3)) is injective over R
+    # and H(coker β) is the difference of two free Hilbert functions;
+    # f kills coker β, so its dimensions over A are the same
+    for kind, M in catalog_objects(char, lam, mu)[1].items():
+        P = mk.cokernel_module(M)
+        for i in range(-3, 61):
+            want = free_dimension([a - 3 for a in M.p0], i) - free_dimension(M.p1, i)
+            assert mk.hilbert_function(P, i) == want, (kind, i)
 
 
 # ---------------------------------------------------------------------------
