@@ -235,14 +235,12 @@ class HomProblem:
         shifted = Hom(M[1], N), slot by slot (module docstring).  An image
         P0(M[1]) = P1(M) → P1(N) lands on an f1 slot here, keyed at
         shifted's width, which fits an f1 slot's degree, a twist of P1(M)
-        less one of N.  Where the two widths agree, the keys are this
-        problem's `packed` ones.  Ints in RowSpace's stored form, over Q all
-        scaled by the one D of `_images`, which leaves their span as it is."""
+        less one of N.  Ints in RowSpace's stored form, over Q all scaled by
+        the one D of `_images`, which leaves their span as it is."""
         width = shifted.width
         shift, W = self.ring.nvars * width, len(self.M.p1)
-        same = width == self.width
-        at = {((i * W + j) << shift) + (m if same else pack_lex(exp, width)): col
-              for col, ((tag, i, j, exp), m) in enumerate(zip(self.slots, self.packed)) if tag == "f1"}
+        at = {((i * W + j) << shift) + pack_lex(exp, width): col
+              for col, (tag, i, j, exp) in enumerate(self.slots) if tag == "f1"}
         images = _images(shifted.M, shifted.N, shifted.slots, shifted.packed, width)
         return [{at[base + off]: c for off, c in terms} for base, terms in images]
 

@@ -8,7 +8,7 @@ from math import comb
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mfkit as mk
@@ -727,10 +727,28 @@ def monomial_basis(gens, n):
     return mk.groebner_basis([R.monomial(g) for g in gens], ring=R, twists=[0])
 
 
+def pure_powers(*powers):
+    """Raw generators x_i^(a_i), one per variable: a complete intersection."""
+    return [[a if j == i else 0 for j in range(4)] for i, a in enumerate(powers)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), max_size=6))
+@example(1, [])
+@example(2, [])
+@example(3, [])
+@example(4, [])
+@example(1, [[0] * 4])
+@example(2, [[0] * 4])
+@example(3, [[0] * 4])
+@example(4, [[0] * 4])
+@example(1, pure_powers(5))
+@example(2, pure_powers(2, 3))
+@example(3, pure_powers(1, 4, 2))
+@example(4, pure_powers(3, 3, 3, 1))
 def test_hilbert_numerator_matches_brute_force_counts(n, raw):
-    # any generators, not only minimal ones: x^m already in I gives I : x^m = R
+    # any generators, not only minimal ones: x^m already in I gives I : x^m = R.
+    # The examples are the empty and the unit ideal and four pure powers
     gens = [tuple(g[:n]) for g in raw]
     num = hilbert_numerator(gens)
     top = max(len(num), 13)
@@ -743,35 +761,6 @@ def test_hilbert_numerator_matches_brute_force_counts(n, raw):
         want = h[d] if d >= 0 else 0
         assert count_from_numerator(num, n, d) == want
         assert gb.standard_count(0, d) == want
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_standard_count_of_the_empty_and_the_unit_ideal(n):
-    R = PolyRing(Field(101), names=[f"x{i}" for i in range(n)])
-    empty = mk.groebner_basis([], ring=R, twists=[0])
-    unit = mk.groebner_basis([R.one()], ring=R, twists=[0])
-    assert hilbert_numerator([]) == [1]
-    assert hilbert_numerator([(0,) * n]) == [0]
-    for d in range(-3, 13):
-        assert empty.standard_count(0, d) == (comb(d + n - 1, n - 1) if d >= 0 else 0)
-        assert unit.standard_count(0, d) == 0
-
-
-@pytest.mark.parametrize("powers", [(5,), (2, 3), (1, 4, 2), (3, 3, 3, 1)])
-def test_hilbert_numerator_of_pure_powers(powers):
-    # R/⟨x_i^(a_i)⟩ is a complete intersection: N(t) = Π (1 - t^(a_i))
-    n = len(powers)
-    gens = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
-    want = [1]
-    for a in powers:
-        times = want + [0] * a
-        for k, c in enumerate(want):
-            times[k + a] -= c
-        want = times
-    assert trimmed(hilbert_numerator(gens)) == trimmed(want)
-    gb = monomial_basis(gens, n)
-    for d in range(-3, 13):
-        assert gb.standard_count(0, d) == brute_count(gens, n, d)
 
 
 def test_hilbert_numerator_of_a_long_staircase():
