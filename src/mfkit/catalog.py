@@ -21,9 +21,11 @@ from .mf import (
     assert_valid_mf,
     cokernel_module,
     shift_mf,
+    smooth_weierstrass,
     transpose_mf,
     trivial_mf,
     twist_mf,
+    weierstrass_potential,
 )
 from .poly import GradedMatrix, Poly, PolyRing
 from .resolutions import Presentation, hom_presentation, minimize_presentation
@@ -57,19 +59,12 @@ class WeierstrassCurve:
     @functools.cached_property
     def f(self) -> Poly:
         """The potential, built on first read; the curve is immutable."""
-        X, Y, Z = self.ring.gens()
-        return Y * Y * Z - X * X * X - (X * Z * Z).scale(self.a) - (Z * Z * Z).scale(self.b)
+        return weierstrass_potential(self.ring, self.a, self.b)
 
 
 def curve_new(field: Field, a, b) -> WeierstrassCurve:
     """Smooth Weierstrass cone y²z = x³ + a·xz² + b·z³ over the field."""
-    a, b = field.of(a), field.of(b)
-    if field.char == 2:
-        raise InputError("characteristic 2: every curve y^2z = x^3 + axz^2 + bz^3 is singular, at (a : b : 1)")
-    if not field.of(4 * a**3 + 27 * b**2):
-        raise InputError("singular curve: 4a^3 + 27b^2 = 0")
-    ring = PolyRing(field)
-    return WeierstrassCurve(ring, a, b)
+    return curve_from_potential(weierstrass_potential(PolyRing(field), field.of(a), field.of(b)))
 
 
 @dataclass
@@ -136,16 +131,10 @@ def rational_points(curve: WeierstrassCurve) -> list[CurvePoint]:
 
 
 def curve_from_potential(f: Poly) -> WeierstrassCurve:
-    """Recover (a, b) from a potential of the shape Y²Z - X³ - aXZ² - bZ³."""
-    ring = f.ring
-    if ring.nvars != 3:
-        raise InputError(f"potential must be in three variables X, Y, Z, not {ring.nvars}")
-    fld = ring.field
-    a, b = fld.neg(f.coeff((1, 0, 2))), fld.neg(f.coeff((0, 0, 3)))
-    # the shape is checked before curve_new checks smoothness
-    if ring != PolyRing(fld) or WeierstrassCurve(ring, a, b).f != f:
-        raise InputError("potential is not in Weierstrass shape")
-    return curve_new(fld, a, b)
+    """The curve of a potential of the shape Y²Z - X³ - aXZ² - bZ³, if it
+    is smooth (`mf.smooth_weierstrass`)."""
+    a, b = smooth_weierstrass(f)
+    return WeierstrassCurve(f.ring, a, b)
 
 
 def _require_point(kind: str, point: CurvePoint | None) -> CurvePoint:

@@ -27,7 +27,13 @@ fraction field (Eisenbud, Trans. AMS 260 (1980), §5):
 So the one system of Hom(M[1], N) is read two ways: by rows its rank is
 the boundary rank of Hom(M, N), by columns its images span the boundaries
 in f1 coordinates.  The span is built only for representatives and
-null-homotopy tests.
+null-homotopy tests, once per `StableHom`.
+
+Every reported dimension (`hom_space`, `stable_hom_dim`, the iso search)
+is read on the direct side, from the systems of Hom(M, N).  Only the twist
+functor's guard reads some of its dimensions on the dual side of Serre
+duality, dim Hom(C[i], X) = dim Hom(X[−1−i], C) on a smooth curve, where
+those systems are smaller (`twist_functor`); its bases stay direct.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ from functools import cached_property, reduce as _fold
 from math import comb, lcm
 
 from .errors import InputError, ValidationError
-from .linalg import RowSpace, int_row, nullspace, row_space
-from .mf import MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf, transpose_mf
+from .linalg import RowSpace, nullspace, row_space
+from .mf import (MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf, smooth_weierstrass,
+                 transpose_mf)
 from .poly import GradedMatrix, graded_inverse, pack_lex, validate_graded_matrix
 
 
@@ -145,16 +152,11 @@ def _width(M: MatrixFactorization, N: MatrixFactorization) -> int:
     return max(top, 0).bit_length()
 
 
-def _hom_slots(M: MatrixFactorization, N: MatrixFactorization, width: int) -> tuple[list, list]:
-    """The slots (tag, i, j, exponent) of f0: P0(M) → P0(N) and
-    f1: P1(M) → P1(N), one per monomial of each entry of degree d ≥ 0, and
-    beside them their exponents packed lexicographically into fields
-    `width` bits wide (`poly.pack_lex`).  Both are monomial-major: by packed
-    exponent, descending, which is the descending exponent tuple since the
-    packing is lex, then by tag, i, j; eliminating in this column order
-    fills in less.  Their number, Σ C(d + n − 1, n − 1), is checked against
-    MAX_HOM_SLOTS before any is built."""
-    ring, n = M.ring, M.ring.nvars
+def _slot_entries(M: MatrixFactorization, N: MatrixFactorization) -> tuple[list, int]:
+    """The entries (tag, i, j, d) of f0: P0(M) → P0(N) and f1: P1(M) → P1(N)
+    of degree d ≥ 0, and their number of slots, one per monomial of degree
+    d, Σ C(d + n − 1, n − 1): read from the twist lists alone."""
+    n = M.ring.nvars
     entries = [
         (tag, i, j, s - t)
         for tag, tgt, src in (("f0", N.p0, M.p0), ("f1", N.p1, M.p1))
@@ -162,7 +164,20 @@ def _hom_slots(M: MatrixFactorization, N: MatrixFactorization, width: int) -> tu
         for j, s in enumerate(src)
         if s >= t
     ]
-    count = sum(comb(d + n - 1, n - 1) for *_, d in entries)
+    return entries, sum(comb(d + n - 1, n - 1) for *_, d in entries)
+
+
+def _hom_slots(M: MatrixFactorization, N: MatrixFactorization, width: int) -> tuple[list, list]:
+    """The slots (tag, i, j, exponent) of f0: P0(M) → P0(N) and
+    f1: P1(M) → P1(N), one per monomial of each entry of degree d ≥ 0, and
+    beside them their exponents packed lexicographically into fields
+    `width` bits wide (`poly.pack_lex`).  Both are monomial-major: by packed
+    exponent, descending, which is the descending exponent tuple since the
+    packing is lex, then by tag, i, j; eliminating in this column order
+    fills in less.  Their number (`_slot_entries`) is checked against
+    MAX_HOM_SLOTS before any is built."""
+    ring = M.ring
+    entries, count = _slot_entries(M, N)
     if count > MAX_HOM_SLOTS:
         raise InputError(f"Hom system needs {count} unknowns, more than {MAX_HOM_SLOTS}")
     slots = [(tag, i, j, exp) for tag, i, j, d in entries for exp in ring.monomials_of_degree(d)]
@@ -280,26 +295,27 @@ class HomProblem:
 
 
 class StableHom:
-    """Strict morphisms M → N modulo null-homotopic ones, in the
-    coordinates of `problem`: the eliminated strict equations, and
-    `shifted` = Hom(M[1], N), whose strict rank is the boundary rank.
+    """Strict morphisms M → N modulo null-homotopic ones, from two strict
+    systems, each a HomProblem and its eliminated equations: `problem` =
+    Hom(M, N), in whose coordinates everything is read, and `shifted` =
+    Hom(M[1], N), whose strict rank is the boundary rank (module docstring).
 
     `strict_dim` is #slots − rank(equations); D∘D = 0 puts the boundaries
     inside the strict morphisms, so `stable_dim` is `strict_dim` −
     `boundary_rank`.  Built on first read: `solutions`, the kernel vectors,
-    one per free column, so in the monomial-major slot order; `basis`, the
-    solutions whose f1 parts enlarge the span of `boundary_vectors` as they
-    are folded into it in that order, as morphisms (the stable
+    one per free column, so in the monomial-major slot order;
+    `boundaries`, the span of `boundary_vectors`, once for every null-homotopy
+    test and the basis; `basis`, the solutions whose f1 parts enlarge that
+    span as they are folded into it in that order, as morphisms (the stable
     representatives: f1 determines a cycle, so the same solutions enlarge
     the span in full coordinates); `strict_basis`, every solution.
     """
 
-    def __init__(self, problem: HomProblem, equations: RowSpace, shifted: HomProblem, boundary_rank: int):
-        self.problem, self.shifted = problem, shifted
-        self.source, self.target = problem.M, problem.N
-        self._equations = equations
-        self.strict_dim = len(problem.slots) - equations.rank
-        self.boundary_rank = boundary_rank
+    def __init__(self, system: tuple[HomProblem, RowSpace], successor: tuple[HomProblem, RowSpace]):
+        (self.problem, self._equations), (self.shifted, shifted_equations) = system, successor
+        self.source, self.target = self.problem.M, self.problem.N
+        self.strict_dim = len(self.problem.slots) - self._equations.rank
+        self.boundary_rank = shifted_equations.rank
 
     @property
     def stable_dim(self) -> int:
@@ -310,31 +326,54 @@ class StableHom:
         return nullspace(self._equations, len(self.problem.slots))
 
     @cached_property
+    def boundaries(self) -> RowSpace:
+        prob = self.problem
+        return row_space(prob.boundary_vectors(self.shifted), prob.ring.field)
+
+    @cached_property
     def basis(self) -> list[MFMorphism]:
-        # the fold stops once stable_dim solutions have enlarged the span
-        prob, reps = self.problem, []
-        span = row_space(prob.boundary_vectors(self.shifted), prob.ring.field)
+        # f1 parts reduced by the boundaries are folded into a space of
+        # their own, which leaves `boundaries` as it is; the fold stops once
+        # stable_dim solutions have enlarged the span
+        prob, reps, span = self.problem, [], self.boundaries
+        folded = RowSpace(span.field)
         for v in self.solutions:
             if len(reps) == self.stable_dim:
                 break
-            if span.add(int_row(prob.f1_part(v), span.field)) is not None:
+            if folded.add(span.reduce(prob.f1_part(v))) is not None:
                 reps.append(prob.morphism_from_vector(v))
         return reps
+
+    def is_null_homotopic(self, phi: MFMorphism) -> bool:
+        """Whether phi: source → target is a boundary, tested in f1
+        coordinates against `boundaries`; phi is checked strict first, since
+        f1 determines only a cycle."""
+        if (phi.source, phi.target) != (self.source, self.target):
+            raise ValidationError("morphism is not between this stable Hom's source and target")
+        assert_strict(phi)
+        prob = self.problem
+        return self.boundaries.contains(prob.f1_part(prob.vector_from_morphism(phi)))
 
     @cached_property
     def strict_basis(self) -> list[MFMorphism]:
         return [self.problem.morphism_from_vector(v) for v in self.solutions]
 
 
+def _strict_systems(sources: list[MatrixFactorization], N: MatrixFactorization) -> list[tuple]:
+    """(HomProblem(M, N), its eliminated strict equations) for every M in
+    sources; every system is sized against MAX_HOM_SLOTS before any is
+    eliminated."""
+    problems = [HomProblem(M, N) for M in sources]
+    return [(prob, row_space(prob.strict_rows(), prob.ring.field)) for prob in problems]
+
+
 def _stable_homs(sources: list[MatrixFactorization], N: MatrixFactorization) -> list[StableHom]:
     """Stable Hom(M[i], N) for every M[i] of the consecutive shifts
-    sources = [M[i], M[i + 1], …] but the last: each strict system is
-    eliminated once, and the boundary rank of Hom(M[i], N) is the strict
-    rank of Hom(M[i + 1], N) (module docstring).  A kernel, a basis and the
-    boundary span are built only when read."""
-    problems = [HomProblem(M, N) for M in sources]
-    equations = [row_space(prob.strict_rows(), prob.ring.field) for prob in problems]
-    return [StableHom(p, e, q, f.rank) for p, e, q, f in zip(problems, equations, problems[1:], equations[1:])]
+    sources = [M[i], M[i + 1], …] but the last, each strict system
+    eliminated once.  A kernel, a basis and the boundary span are built
+    only when read."""
+    systems = _strict_systems(sources, N)
+    return [StableHom(a, b) for a, b in zip(systems, systems[1:])]
 
 
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
@@ -351,12 +390,10 @@ def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 
 
 
 def is_null_homotopic(phi: MFMorphism) -> bool:
-    """Whether phi is a boundary, tested in f1 coordinates; phi is checked
-    strict first, since f1 determines only a cycle."""
-    assert_strict(phi)
-    prob = HomProblem(phi.source, phi.target)
-    span = row_space(prob.boundary_vectors(HomProblem(shift_mf(prob.M, 1), prob.N)), prob.ring.field)
-    return span.contains(prob.f1_part(prob.vector_from_morphism(phi)))
+    """Whether the strict morphism phi is a boundary
+    (`StableHom.is_null_homotopic`).  Each call builds its pair's stable
+    Hom; to test several morphisms of one pair, ask one `hom_space`."""
+    return hom_space(phi.source, phi.target).is_null_homotopic(phi)
 
 
 # --- mapping cone ------------------------------------------------------------
@@ -478,21 +515,42 @@ def is_stably_isomorphic(
 def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFactorization:
     """T_C(X): cone over the evaluation ⊕_i C[i] ⊗ Hom(C[i], X) → X for i in
     -3..3, reduced.  Guard: stable Hom vanishes at i = ±3 and lives on at
-    most two adjacent shifts.  The strict systems at -3..4 are eliminated
-    once each (`_stable_homs`), and boundaries are spanned only at the
-    support shifts, where a basis is read."""
-    spaces = dict(zip(range(-3, 4), _stable_homs([shift_mf(C, i) for i in range(-3, 5)], X)))
-    dims = {i: H.stable_dim for i, H in spaces.items()}
+    most two adjacent shifts.
+
+    The curve of the potential must be smooth (`mf.smooth_weierstrass`), so
+    that Serre duality gives d_i = dim Hom(C[i], X) = dim Hom(X[−1−i], C)
+    (Bondal–Kapranov, Math. USSR Izv. 35 (1990)).  The guard reads d_i for
+    i ≥ k from the strict systems of Hom(C[i], X) at k..4 and d_i for i < k
+    from those of Hom(X[j], C) at −k..3, each eliminated once, a lone system
+    bounding nothing and left out; the split k in -3..4 is the one whose
+    systems have the fewest unknowns, counted from the twist lists alone
+    (`_slot_entries`).  The bases of the evaluation are read on the direct
+    side only, at the support shifts and their successor, eliminating only
+    the systems the split left out."""
+    smooth_weierstrass(C.f)
+    shifted_C = {i: shift_mf(C, i) for i in range(-3, 5)}
+    shifted_X = {j: shift_mf(X, j) for j in range(-4, 4)}
+    direct = {i: _slot_entries(M, X)[1] for i, M in shifted_C.items()}
+    dual = {j: _slot_entries(M, C)[1] for j, M in shifted_X.items()}
+    splits = {k: (range(k, 5 if k < 4 else k), range(-k, 4 if k > -3 else -k)) for k in range(-3, 5)}
+    k = min(splits, key=lambda k: sum(map(direct.get, splits[k][0])) + sum(map(dual.get, splits[k][1])))
+    mine, theirs = splits[k]
+    systems = dict(zip(mine, _strict_systems([shifted_C[i] for i in mine], X)))
+    duals = _stable_homs([shifted_X[j] for j in theirs], C)
+    dims = {i: StableHom(systems[i], systems[i + 1]).stable_dim if i >= k else duals[k - 1 - i].stable_dim
+            for i in range(-3, 4)}
     if dims[-3] != 0 or dims[3] != 0:
         raise InputError(f"twist functor guard failed: nonzero stable Hom at shift ±3 ({dims})")
     support = [i for i in range(-2, 3) if dims[i] > 0]
     if len(support) > 2 or (len(support) == 2 and support[1] - support[0] != 1):
         raise InputError(f"twist functor guard failed: stable Hom supported at shifts {support}")
-    reps = [phi for i in support for phi in spaces[i].basis]
-    if not reps:
+    if not support:
         # no stable maps out of C: the evaluation source is the zero object
         # and the cone is X itself
         return reduce_mf(X)
+    missing = [i for i in range(support[0], support[-1] + 2) if i not in systems]
+    systems.update(zip(missing, _strict_systems([shifted_C[i] for i in missing], X)))
+    reps = [phi for i in support for phi in StableHom(systems[i], systems[i + 1]).basis]
     source = _fold(direct_sum_mf, [r.source for r in reps])
     f0 = GradedMatrix.block([[r.f0 for r in reps]])
     f1 = GradedMatrix.block([[r.f1 for r in reps]])

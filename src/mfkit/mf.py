@@ -36,6 +36,30 @@ class MatrixFactorization:
         return len(self.p0)
 
 
+def weierstrass_potential(ring: PolyRing, a, b) -> Poly:
+    """Y²Z − X³ − aXZ² − bZ³ in the ring's three variables."""
+    X, Y, Z = ring.gens()
+    return Y * Y * Z - X * X * X - (X * Z * Z).scale(a) - (Z * Z * Z).scale(b)
+
+
+def smooth_weierstrass(f: Poly) -> tuple:
+    """(a, b) with f = Y²Z − X³ − aXZ² − bZ³ over K[X, Y, Z] and the curve
+    y²z = x³ + a·xz² + b·z³ smooth; InputError otherwise, the shape checked
+    before smoothness."""
+    ring = f.ring
+    if ring.nvars != 3:
+        raise InputError(f"potential must be in three variables X, Y, Z, not {ring.nvars}")
+    fld = ring.field
+    a, b = fld.neg(f.coeff((1, 0, 2))), fld.neg(f.coeff((0, 0, 3)))
+    if ring != PolyRing(fld) or weierstrass_potential(ring, a, b) != f:
+        raise InputError("potential is not in Weierstrass shape")
+    if fld.char == 2:
+        raise InputError("characteristic 2: every curve y^2z = x^3 + axz^2 + bz^3 is singular, at (a : b : 1)")
+    if not fld.of(4 * a**3 + 27 * b**2):
+        raise InputError("singular curve: 4a^3 + 27b^2 = 0")
+    return a, b
+
+
 def verify_mf(M: MatrixFactorization) -> list[str]:
     """Report every axiom violation; an empty list means M is a factorisation.
 

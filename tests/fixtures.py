@@ -111,3 +111,15 @@ def cone_target(curve, which, pt=None):
     kind = CONE_SHAPES[which][2]
     need_pt = pt if kind in mk.POINT_KINDS else None
     return mk.shift_mf(mk.catalog_mf(curve, kind, need_pt), 1)
+
+
+def cuspidal_object():
+    """A rank-2 factorisation of the cuspidal cubic Y²Z − X³ over Q: a
+    Weierstrass potential whose curve is singular."""
+    ring = mk.PolyRing(mk.Field(0))
+    X, Y, Z = ring.gens()
+    alpha = mk.GradedMatrix(ring, [2, 1], [3, 3], [[Y, X], [X * X, Y * Z]])
+    beta = mk.GradedMatrix(ring, [0, 0], [2, 1], [[Y * Z, -X], [-(X * X), Y]])
+    M = mk.MatrixFactorization(ring, Y * Y * Z - X**3, alpha, beta)
+    assert mk.verify_mf(M) == []
+    return M

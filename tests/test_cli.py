@@ -12,7 +12,7 @@ import mfkit as mk
 from mfkit.cli import dispatch
 from mfkit.io import morphism_to_dict
 
-from fixtures import cone_generator
+from fixtures import cone_generator, cuspidal_object
 
 
 def run_cli(capsys, *argv):
@@ -570,6 +570,17 @@ def test_curve_commands_refuse_a_two_variable_potential(capsys, tmp_path, argv):
     assert code == 2
     assert payload is None
     assert "three variables" in err
+
+
+@pytest.mark.parametrize("argv", [["picard", "--sign", "-1"], ["picard", "--sign", "1"], ["duality"]])
+def test_twist_commands_refuse_a_singular_curve(capsys, tmp_path, argv):
+    # a valid factorisation of the cuspidal Weierstrass cubic Y^2Z - X^3
+    path = write_mf(tmp_path, "cusp.json", cuspidal_object())
+    assert run_cli(capsys, "verify", path)[0] == 0
+    code, payload, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert payload is None
+    assert "singular curve: 4a^3 + 27b^2 = 0" in err
 
 
 def test_size_bound_command(capsys):

@@ -12,7 +12,7 @@ from mfkit.homs import HomProblem
 from mfkit.linalg import int_row, nullspace, row_space
 from mfkit.poly import GradedMatrix, graded_inverse, pack_lex
 
-from fixtures import CONE_CASES, CONE_SHAPES, catalog_objects, cone_generator, cone_target
+from fixtures import CONE_CASES, CONE_SHAPES, catalog_objects, cone_generator, cone_target, cuspidal_object
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,19 @@ def test_multiplication_by_potential_is_null_homotopic(kp, curve):
     )
     assert mk.verify_morphism(phi) == []
     assert mk.is_null_homotopic(phi)
+
+
+def test_null_homotopy_test_refuses_other_pairs_and_non_strict_maps(kp, kq):
+    # f1 determines only a cycle, and the span is that of one pair
+    H = mk.hom_space(kp, kp)
+    non_strict = mk.MFMorphism(kp, kp, GradedMatrix.identity(kp.ring, kp.p0), GradedMatrix.zero(kp.ring, kp.p1, kp.p1))
+    for test in (H.is_null_homotopic, mk.is_null_homotopic):
+        with pytest.raises(mk.ValidationError, match="invalid morphism"):
+            test(non_strict)
+    with pytest.raises(mk.ValidationError, match="source and target"):
+        H.is_null_homotopic(mk.zero_morphism(kp, kq))
+    assert H.is_null_homotopic(mk.zero_morphism(kp, kp))
+    assert not H.is_null_homotopic(mk.identity_morphism(kp))
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +484,19 @@ def test_boundary_rank_is_the_neighbouring_strict_rank_at_rank_nine(rank_nine):
 
 @pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
 def test_null_homotopy_agrees_with_full_coordinates(char, lam, mu):
-    # is_null_homotopic compares f1 parts only; full-coordinate containment
-    # in the boundary span must give the same answer: true on every
-    # boundary, false on every stable representative
+    # StableHom.is_null_homotopic compares f1 parts only, in one boundary
+    # span per pair; full-coordinate containment in the boundary span must
+    # give the same answer: true on every boundary, false on every stable
+    # representative
     for M, N, oracle in catalog_pairs(char, lam, mu):
         H = mk.hom_space(M, N)
         prob = H.problem
         boundaries = full_boundary_space(prob, oracle)
         for phi in oracle:
-            assert mk.is_null_homotopic(phi)
+            assert H.is_null_homotopic(phi)
         for rep in H.basis:
             assert not boundaries.contains(prob.vector_from_morphism(rep))
-            assert not mk.is_null_homotopic(rep)
+            assert not H.is_null_homotopic(rep)
 
 
 def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
@@ -739,6 +753,18 @@ def coevaluation_cone(C, X):
     return mk.reduce_mf(mk.shift_mf(mk.cone_mf(mk.MFMorphism(X, target, f0, f1)), -1))
 
 
+def evaluation_cone(C, X):
+    """T_C(X) built on the direct side alone: the cone over the evaluation
+    ⊕_i C[i] ⊗ Hom(C[i], X) → X from the bases of hom_space, reduced."""
+    reps = [phi for i in range(-2, 3) for phi in mk.hom_space(mk.shift_mf(C, i), X).basis]
+    if not reps:
+        return mk.reduce_mf(X)
+    source = functools.reduce(mk.direct_sum_mf, [r.source for r in reps])
+    f0 = GradedMatrix.block([[r.f0 for r in reps]])
+    f1 = GradedMatrix.block([[r.f1 for r in reps]])
+    return mk.reduce_mf(mk.cone_mf(mk.MFMorphism(source, X, f0, f1)))
+
+
 def nontrivial_catalog(char, lam, mu):
     objs = catalog_objects(char, lam, mu)[1]
     return objs["structure-sheaf"], {kind: X for kind, X in objs.items() if kind != "trivial"}
@@ -781,6 +807,71 @@ def test_twist_guard_refuses_stable_hom_at_shift_three(osheaf):
         mk.twist_functor(O, mk.shift_mf(O, 3))
     with pytest.raises(mk.InputError, match="nonzero stable Hom at shift ±3"):
         mk.inverse_twist_functor(O, mk.shift_mf(O, -3))
+
+
+def twist_inputs(char, lam, mu):
+    """Sources C and targets X of the twist functor at a point of
+    y^2 = x^3 + b: O, its transpose, O ⊕ O[2] and k(p); every catalog kind,
+    O[±3] and k(p) ⊕ O."""
+    objs = catalog_objects(char, lam, mu)[1]
+    O, kp = objs["structure-sheaf"], objs["point"]
+    sources = {"O": O, "DO": mk.transpose_mf(O), "O+O[2]": mk.direct_sum_mf(O, mk.shift_mf(O, 2)), "k(p)": kp}
+    targets = dict(objs, **{"O[3]": mk.shift_mf(O, 3), "O[-3]": mk.shift_mf(O, -3), "k(p)+O": mk.direct_sum_mf(kp, O)})
+    return sources, targets
+
+
+SERRE_CASES = {
+    (101, 2, 3): [("O", "lb-2e-plus-p"), ("O", "O[3]"), ("O", "O[-3]"), ("DO", "k(p)+O"),
+                  ("O+O[2]", "lb-minus-p"), ("O+O[2]", "structure-sheaf"), ("k(p)", "O[3]")],
+    (0, 0, 1): [("O", "lb-e-plus-p"), ("O+O[2]", "point"), ("DO", "O[-3]"), ("k(p)", "k(p)+O")],
+}
+
+
+def test_serre_duality_on_the_twist_functors_inputs(rank_nine):
+    # the twist functor reads dim Hom(C[i], X) as dim Hom(X[-1-i], C) below
+    # its split; here both sides are read directly, the dual of shift i
+    # being -1 - i (a reversed profile is off by one)
+    pairs = []
+    for (char, lam, mu), names in SERRE_CASES.items():
+        sources, targets = twist_inputs(char, lam, mu)
+        pairs += [((char, c, x), sources[c], targets[x]) for c, x in names]
+    sources, targets = twist_inputs(101, 2, 3)
+    # a transposed pair, and the rank-9 T_O(lb-2e-plus-p) on the same curve
+    pairs.append(((101, "D(lb-2e-plus-p)", "DO"), mk.transpose_mf(targets["lb-2e-plus-p"]), sources["DO"]))
+    pairs.append(((101, "k(p)", "rank nine"), sources["k(p)"], rank_nine))
+    profiles = []
+    for what, C, X in pairs:
+        profile = [mk.stable_hom_dim(C, X, shift=i) for i in range(-3, 4)]
+        assert profile == [mk.stable_hom_dim(X, C, shift=-1 - i) for i in range(-3, 4)], what
+        profiles.append(profile)
+    # not vacuous: nonzero at five of the seven shifts between them
+    assert sum(any(p[i] for p in profiles) for i in range(7)) >= 5
+
+
+def test_twist_functor_builds_no_direct_system_below_its_split(monkeypatch, osheaf, points, curve):
+    # on catalog objects the direct systems at O[-3] and O[-2], the largest,
+    # are read through Serre duality and never built; the image is still
+    # the cone over the evaluation built from direct bases alone
+    built = []
+    init = HomProblem.__init__
+    monkeypatch.setattr(HomProblem, "__init__", lambda self, M, N: built.append((M, N)) or init(self, M, N))
+    below = [mk.shift_mf(osheaf, s) for s in (-3, -2)]
+    for kind in mk.CATALOG_KINDS:
+        X = mk.catalog_mf(curve, kind, points[0] if kind in mk.POINT_KINDS else None)
+        built.clear()
+        T = mk.twist_functor(osheaf, X)
+        assert not [M for M, N in built if M in below], kind
+        assert [M for M, N in built if N is osheaf], kind
+        assert T == evaluation_cone(osheaf, X), kind
+
+
+def test_twist_functors_refuse_a_singular_curve():
+    # Serre duality needs the curve smooth: the cusp Y^2Z = X^3 is refused
+    # by both functors before any system is built
+    M = cuspidal_object()
+    for functor in (mk.twist_functor, mk.inverse_twist_functor):
+        with pytest.raises(mk.InputError, match="singular curve"):
+            functor(M, M)
 
 
 def test_rank_nine_twist_image_is_simple_and_spherical(rank_nine):
