@@ -30,7 +30,11 @@ in f1 coordinates.  The span is built only for representatives and
 null-homotopy tests, once per `StableHom`.
 
 Every reported dimension (`hom_space`, `stable_hom_dim`, the iso search)
-is read on the direct side, from the systems of Hom(M, N).  Only the twist
+is read on the direct side, from the systems of Hom(M, N).  Consecutive
+shifts share one elimination: the strict system of Hom(M[i + 1], N) is the
+successor of shift i and the direct system of shift i + 1, and `hom_space`
+keeps the last call's successor for the next call, so a sweep over shifts
+eliminates one strict system per shift.  Only the twist
 functor's guard reads some of its dimensions on the dual side of Serre
 duality, dim Hom(C[i], X) = dim Hom(X[−1−i], C) on a smooth curve, where
 those systems are smaller (`twist_functor`); its bases stay direct.
@@ -376,16 +380,44 @@ def _stable_homs(sources: list[MatrixFactorization], N: MatrixFactorization) -> 
     return [StableHom(a, b) for a, b in zip(systems, systems[1:])]
 
 
+# the successor system of the last `hom_space` call:
+# (HomProblem(M[1], N), its eliminated strict equations), or None
+_last_successor: tuple[HomProblem, RowSpace] | None = None
+
+
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
     """Stable Hom M → N from the strict ranks of Hom(M, N) and Hom(M[1], N).
 
     M and N must be factorisations of one potential f ≠ 0 (alpha·beta = f·I):
     the alpha-square system rests on it.  `catalog_mf`, `cone_mf` and the CLI's
-    loader check it."""
-    return _stable_homs([M, shift_mf(M, 1)], N)[0]
+    loader check it.
+
+    One module-level slot keeps the successor system of the last call,
+    Hom(M[1], N) and its eliminated equations.  A call whose (M, N) equals
+    the slot's (problem.M, problem.N) takes that system as its direct one
+    and eliminates only its own successor, so a sweep over consecutive
+    shifts eliminates each strict system once.  The key is structural
+    equality (`==` on the factorisations): a HomProblem and its equations
+    depend only on the ring, the twist lists and the two alphas, and the
+    equality compares them all.  This rests on factorisations being values:
+    `shift_mf` and `GradedMatrix.retwist` share the `Poly` entries, and
+    nothing in the package writes into a matrix or a `Poly` in place; a
+    caller that mutates a factorisation between calls is unsupported.  The
+    slot is read once, so a call racing another can only miss, never take
+    another pair's system.  On a hit, `source` and `target` equal M and N
+    but are other objects; every check here compares with `==`."""
+    global _last_successor
+    last = _last_successor
+    if last is not None and (last[0].M, last[0].N) == (M, N):
+        system, successor = last, _strict_systems([shift_mf(M, 1)], N)[0]
+    else:
+        system, successor = _strict_systems([M, shift_mf(M, 1)], N)
+    _last_successor = successor
+    return StableHom(system, successor)
 
 
 def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 0) -> int:
+    """dim of stable Hom(M[shift], N), read through `hom_space`."""
     return hom_space(shift_mf(M, shift), N).stable_dim
 
 

@@ -570,6 +570,70 @@ def test_hom_space_structure(kp):
         assert not mk.is_null_homotopic(rep)
 
 
+SHIFTS = range(-3, 4)
+
+
+def test_a_shift_sweep_eliminates_each_strict_system_once(monkeypatch, kp, kq, osheaf):
+    # stable Hom(M[i], N) reads the strict systems at i and i + 1, and
+    # hom_space keeps the last call's successor: a sweep over -3..3
+    # eliminates the eight systems at -3..4 once each, not fourteen, and a
+    # sweep on another pair, or the same pair again, starts afresh
+    eliminated = []
+    rows = HomProblem.strict_rows
+    monkeypatch.setattr(HomProblem, "strict_rows", lambda self: eliminated.append((self.M, self.N)) or rows(self))
+    mk.hom_space(kq, kp)
+    for M, N in ((kp, osheaf), (osheaf, kp), (kp, osheaf), (kq, kq)):
+        eliminated.clear()
+        for s in SHIFTS:
+            mk.stable_hom_dim(M, N, shift=s)
+        assert eliminated == [(mk.shift_mf(M, s), N) for s in range(-3, 5)]
+
+
+@pytest.mark.parametrize("char, lam, mu, other", [(101, 2, 3, (0, 1)), (0, 0, 1, (2, 3))])
+def test_a_reused_system_answers_only_for_its_own_pair(char, lam, mu, other):
+    # profiles from consecutive sweeps, from the same calls in a seeded
+    # shuffled order, which mostly miss, and from sweeps that alternate
+    # between two objects of equal twist lists at every shift, which a key
+    # on the twists alone would answer wrongly, all equal the profiles of
+    # one elimination per shift without hom_space
+    curve, kinds = catalog_objects(char, lam, mu)
+    pt = mk.point_on(curve, curve.field.of(other[0]), curve.field.of(other[1]))
+    objs = {k: kinds[k] for k in ("point", "point-e", "lb-minus-p", "lb-minus-e", "structure-sheaf")}
+    objs["point@q"] = mk.catalog_mf(curve, "point", pt)
+    twins = [("point", "point@q"), ("point", "point-e"), ("lb-minus-p", "lb-minus-e")]
+    for a, b in twins:
+        assert (objs[a].p0, objs[a].p1) == (objs[b].p0, objs[b].p1) and objs[a] != objs[b]
+    want = {(a, b): [H.stable_dim for H in homs._stable_homs([mk.shift_mf(M, s) for s in range(-3, 5)], N)]
+            for a, M in objs.items() for b, N in objs.items()}
+    swept = {(a, b): [mk.stable_hom_dim(objs[a], objs[b], shift=s) for s in SHIFTS] for a, b in want}
+    assert swept == want
+    calls = [(a, b, s) for a, b in want for s in SHIFTS]
+    random.Random(0).shuffle(calls)
+    crossed = [(twin[s % 2], c, s) for twin in twins for c in objs for s in SHIFTS]
+    crossed += [(c, twin[s % 2], s) for twin in twins for c in objs for s in SHIFTS]
+    for a, b, s in calls + crossed:
+        assert mk.stable_hom_dim(objs[a], objs[b], shift=s) == want[a, b][s + 3], (a, b, s)
+
+
+def test_a_reused_system_gives_a_full_stable_hom(kp, kq, osheaf):
+    # a hit takes the slot's system, whose M equals the caller's but is
+    # another object; dimensions, basis and null-homotopy tests are those
+    # of a fresh computation, every check in homs comparing with ==
+    for M, N in ((kp, kp), (osheaf, osheaf), (osheaf, kp), (kq, kp)):
+        mk.hom_space(mk.shift_mf(M, -1), N)
+        H = mk.hom_space(M, N)
+        assert H.source == M and H.source is not M and H.target == N
+        [fresh] = homs._stable_homs([M, mk.shift_mf(M, 1)], N)
+        assert (H.strict_dim, H.boundary_rank) == (fresh.strict_dim, fresh.boundary_rank)
+        assert H.basis == fresh.basis
+        for phi in H.basis:
+            assert mk.verify_morphism(phi) == [] and phi.source == M
+            assert not H.is_null_homotopic(phi)
+        assert H.is_null_homotopic(mk.zero_morphism(M, N))
+        if M is N:
+            assert not H.is_null_homotopic(mk.identity_morphism(M))
+
+
 def test_strict_basis_members_are_chain_maps(kp, osheaf):
     H = mk.hom_space(osheaf, kp)
     for rep in H.strict_basis:
