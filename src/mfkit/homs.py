@@ -29,15 +29,18 @@ the boundary rank of Hom(M, N), by columns its images span the boundaries
 in f1 coordinates.  The span is built only for representatives and
 null-homotopy tests, once per `StableHom`.
 
-Every reported dimension (`hom_space`, `stable_hom_dim`, the iso search)
-is read on the direct side, from the systems of Hom(M, N).  Consecutive
-shifts share one elimination: the strict system of Hom(M[i + 1], N) is the
-successor of shift i and the direct system of shift i + 1, and `hom_space`
-keeps the last call's successor for the next call, so a sweep over shifts
-eliminates one strict system per shift.  Only the twist
-functor's guard reads some of its dimensions on the dual side of Serre
-duality, dim Hom(C[i], X) = dim Hom(X[−1−i], C) on a smooth curve, where
-those systems are smaller (`twist_functor`); its bases stay direct.
+A dimension has two routes.  `hom_space`, whose basis and
+null-homotopy tests need the morphisms, and the iso search read them on
+the direct side, from the systems of Hom(M, N) and Hom(M[1], N).
+`stable_hom_dim` reads them off Hilbert functions: M[2] = M(3), so the
+strict systems at all shifts of one parity are the graded pieces of one
+image module, and one Groebner basis per parity gives every strict rank
+in closed form; it keeps the last pair's two bases, so a sweep over shifts
+builds two.  Hom(M[i], N) and Hom(N[−1−i], M) come from different image
+modules, so Serre duality stays an independent check of it.  Only the
+twist functor's guard reads some of its dimensions on the dual side of
+Serre duality, dim Hom(C[i], X) = dim Hom(X[−1−i], C) on a smooth curve,
+where those systems are smaller (`twist_functor`); its bases stay direct.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from functools import cached_property, reduce as _fold
 from math import comb, lcm
 
 from .errors import InputError, ValidationError
+from .groebner import buchberger
 from .linalg import RowSpace, nullspace, row_space
 from .mf import (MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf, smooth_weierstrass,
                  transpose_mf)
@@ -156,19 +160,31 @@ def _width(M: MatrixFactorization, N: MatrixFactorization) -> int:
     return max(top, 0).bit_length()
 
 
-def _slot_entries(M: MatrixFactorization, N: MatrixFactorization) -> tuple[list, int]:
+def _slot_entries(M: MatrixFactorization, N: MatrixFactorization, degree: int = 0) -> tuple[list, int]:
     """The entries (tag, i, j, d) of f0: P0(M) → P0(N) and f1: P1(M) → P1(N)
-    of degree d ≥ 0, and their number of slots, one per monomial of degree
-    d, Σ C(d + n − 1, n − 1): read from the twist lists alone."""
+    of degree d ≥ 0, for M twisted to M(−degree), and their number of
+    slots, one per monomial of degree d, Σ C(d + n − 1, n − 1): read from
+    the twist lists alone."""
     n = M.ring.nvars
     entries = [
-        (tag, i, j, s - t)
+        (tag, i, j, s + degree - t)
         for tag, tgt, src in (("f0", N.p0, M.p0), ("f1", N.p1, M.p1))
         for i, t in enumerate(tgt)
         for j, s in enumerate(src)
-        if s >= t
+        if s + degree >= t
     ]
     return entries, sum(comb(d + n - 1, n - 1) for *_, d in entries)
+
+
+def _sized_slot_entries(M: MatrixFactorization, N: MatrixFactorization, degree: int = 0) -> tuple[list, int]:
+    """`_slot_entries` of Hom(M(−degree), N), refused above MAX_HOM_SLOTS
+    and between factorisations of different potentials."""
+    if M.ring != N.ring or M.f != N.f:
+        raise ValidationError("Hom needs factorisations of the same potential")
+    entries, count = _slot_entries(M, N, degree)
+    if count > MAX_HOM_SLOTS:
+        raise InputError(f"Hom system needs {count} unknowns, more than {MAX_HOM_SLOTS}")
+    return entries, count
 
 
 def _hom_slots(M: MatrixFactorization, N: MatrixFactorization, width: int) -> tuple[list, list]:
@@ -181,40 +197,48 @@ def _hom_slots(M: MatrixFactorization, N: MatrixFactorization, width: int) -> tu
     fills in less.  Their number (`_slot_entries`) is checked against
     MAX_HOM_SLOTS before any is built."""
     ring = M.ring
-    entries, count = _slot_entries(M, N)
-    if count > MAX_HOM_SLOTS:
-        raise InputError(f"Hom system needs {count} unknowns, more than {MAX_HOM_SLOTS}")
+    entries, _ = _sized_slot_entries(M, N)
     slots = [(tag, i, j, exp) for tag, i, j, d in entries for exp in ring.monomials_of_degree(d)]
     packed = [m for *_, d in entries for m in ring.packed_monomials(d, width)]
     order = sorted(range(len(slots)), key=packed.__getitem__, reverse=True)
     return [slots[c] for c in order], [packed[c] for c in order]
 
 
-def _images(M: MatrixFactorization, N: MatrixFactorization, slots, packed, width: int) -> list:
-    """The alpha-square (f0, f1) ↦ alpha_N·f0 − f1·alpha_M on the slots of
-    Hom(M, N), slot by slot, as (base, terms): the image of the slot is the
-    coefficient c at the key base + offset for each (offset, c) of terms.
-    A key packs (row k, column j, monomial e) of the image, a map
-    P0(M) → P1(N), into the int ((k·W + j) << n·width) + pack_lex(e), W the
-    rank of M: an f0 slot at (i, j) reaches column j through column i of
-    alpha_N, an f1 slot row i through row j of −alpha_M, so a key is the
-    slot's packed exponent plus an alpha term's, one int add.  The keys of
-    one slot are distinct, so every coefficient is one entry of an alpha.
+def _entry_images(M: MatrixFactorization, N: MatrixFactorization, key) -> tuple[list, list]:
+    """The alpha-square (f0, f1) ↦ alpha_N·f0 − f1·alpha_M on the matrix
+    units of Hom(M, N), as lists of (key(o, e), c), e a monomial and o an
+    offset in the index k·W + j of the entries (k, j) of the image, a map
+    P0(M) → P1(N), W the rank of M.  The unit of an f0 entry (i, j) goes to
+    column i of alpha_N placed in column j, at o = k·W from j (`cols[i]`);
+    that of an f1 entry (i, j) to row j of −alpha_M placed in row i, at
+    o = k from i·W (`rows[j]`).
 
     The coefficients are ints in RowSpace's stored form: over F_p the field
     elements themselves, in [0, p); over Q those of D·alpha_N and D·alpha_M,
-    D the lcm of every denominator in both.  The whole image is scaled by
-    the one D ≠ 0, which keeps the kernel of the equations and the span of
-    the images."""
-    fld, W, shift = M.ring.field, len(M.p0), M.ring.nvars * width
+    D the lcm of every denominator in both.  Every image is scaled by the
+    one D ≠ 0, which keeps the kernel of the equations and the span of the
+    images."""
+    fld, W = M.ring.field, len(M.p0)
     D = 1 if fld.char else lcm(*(c.denominator for A in (M.alpha, N.alpha)
                                  for row in A.entries for p in row for c in p.terms.values()))
-    cols = [[(((k * W) << shift) + pack_lex(e, width), c.numerator * (D // c.denominator))
-             for k, row in enumerate(N.alpha.entries) for e, c in row[i].terms.items()]
-            for i in range(len(N.p0))]
-    rows = [[((k << shift) + pack_lex(e, width), fld.neg(c.numerator * (D // c.denominator)))
-             for k, p in enumerate(row) for e, c in p.terms.items()]
-            for row in M.alpha.entries]
+    cols = [[(key(k * W, e), c.numerator * (D // c.denominator)) for k, row in enumerate(N.alpha.entries)
+             for e, c in row[i].terms.items()] for i in range(len(N.p0))]
+    rows = [[(key(k, e), fld.neg(c.numerator * (D // c.denominator))) for k, p in enumerate(row)
+             for e, c in p.terms.items()] for row in M.alpha.entries]
+    return cols, rows
+
+
+def _images(M: MatrixFactorization, N: MatrixFactorization, slots, packed, width: int) -> list:
+    """The alpha-square on the slots of Hom(M, N), slot by slot, as
+    (base, terms): the image of the slot is the coefficient c at the key
+    base + offset for each (offset, c) of terms.  A key packs the entry
+    index k·W + j and monomial e of an image term into the int
+    ((k·W + j) << n·width) + pack_lex(e): a slot's image is its matrix
+    unit's (`_entry_images`) times its monomial, so a key is the slot's
+    packed exponent plus an alpha term's, one int add.  The keys of one
+    slot are distinct, so every coefficient is one entry of an alpha."""
+    W, shift = len(M.p0), M.ring.nvars * width
+    cols, rows = _entry_images(M, N, lambda o, e: (o << shift) + pack_lex(e, width))
     return [((j << shift) + m, cols[i]) if tag == "f0" else (((i * W) << shift) + m, rows[j])
             for (tag, i, j, _), m in zip(slots, packed)]
 
@@ -224,8 +248,6 @@ class HomProblem:
     exponents packed (`_hom_slots`) into fields `width` bits wide."""
 
     def __init__(self, M: MatrixFactorization, N: MatrixFactorization):
-        if M.ring != N.ring or M.f != N.f:
-            raise ValidationError("Hom needs factorisations of the same potential")
         self.M, self.N, self.ring = M, N, M.ring
         self.width = _width(M, N)
         self.slots, self.packed = _hom_slots(M, N, self.width)
@@ -380,45 +402,88 @@ def _stable_homs(sources: list[MatrixFactorization], N: MatrixFactorization) -> 
     return [StableHom(a, b) for a, b in zip(systems, systems[1:])]
 
 
-# the successor system of the last `hom_space` call:
-# (HomProblem(M[1], N), its eliminated strict equations), or None
-_last_successor: tuple[HomProblem, RowSpace] | None = None
-
-
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
-    """Stable Hom M → N from the strict ranks of Hom(M, N) and Hom(M[1], N).
+    """Stable Hom M → N from the strict systems of Hom(M, N) and
+    Hom(M[1], N), both eliminated on every call, since its basis and
+    null-homotopy tests need morphisms; `stable_hom_dim` reads dimensions
+    alone, more cheaply over a run of shifts.
 
     M and N must be factorisations of one potential f ≠ 0 (alpha·beta = f·I):
     the alpha-square system rests on it.  `catalog_mf`, `cone_mf` and the CLI's
-    loader check it.
+    loader check it."""
+    return StableHom(*_strict_systems([M, shift_mf(M, 1)], N))
 
-    One module-level slot keeps the successor system of the last call,
-    Hom(M[1], N) and its eliminated equations.  A call whose (M, N) equals
-    the slot's (problem.M, problem.N) takes that system as its direct one
-    and eliminates only its own successor, so a sweep over consecutive
-    shifts eliminates each strict system once.  The key is structural
-    equality (`==` on the factorisations): a HomProblem and its equations
-    depend only on the ring, the twist lists and the two alphas, and the
-    equality compares them all.  This rests on factorisations being values:
-    `shift_mf` and `GradedMatrix.retwist` share the `Poly` entries, and
-    nothing in the package writes into a matrix or a `Poly` in place; a
-    caller that mutates a factorisation between calls is unsupported.  The
-    slot is read once, so a call racing another can only miss, never take
-    another pair's system.  On a hit, `source` and `target` equal M and N
-    but are other objects; every check here compares with `==`."""
-    global _last_successor
-    last = _last_successor
-    if last is not None and (last[0].M, last[0].N) == (M, N):
-        system, successor = last, _strict_systems([shift_mf(M, 1)], N)[0]
-    else:
-        system, successor = _strict_systems([M, shift_mf(M, 1)], N)
-    _last_successor = successor
-    return StableHom(system, successor)
+
+def _image_basis(A: MatrixFactorization, N: MatrixFactorization, bound: int | None):
+    """Reduced Groebner basis, up to degree bound, of the image of the
+    alpha-square of Hom(A, N) as a graded submodule of Hom(P0(A), P1(N)):
+    the entry (k, j) is position k·W + j, W the rank of A, with twist
+    N.p1[k] − A.p0[j].  One generator per entry of f0 and f1, the image of
+    its matrix unit (`_entry_images`), in the degree of N's twist less A's.
+    So in degree D the generators' multiples are the images of the slots of
+    Hom(A(−D), N), and the piece of degree D is that strict system's
+    image."""
+    W = len(A.p0)
+    cols, rows = _entry_images(A, N, lambda o, e: (o, e))
+    gens = [{(j + o, e): c for (o, e), c in img} for img in cols for j in range(W)]
+    gens += [{(i * W + o, e): c for (o, e), c in img} for i in range(len(N.p1)) for img in rows]
+    return buchberger(gens, [t - s for t in N.p1 for s in A.p0], A.ring, bound)
+
+
+def _image_rank(gb, degree: int) -> int:
+    """dim of the span of gb in the degree: at each position, the monomials
+    of that degree less the twist, less the standard ones."""
+    n = gb.ring.nvars
+    return sum(comb(degree - t + n - 1, n - 1) - gb.standard_count(pos, degree - t)
+               for pos, t in enumerate(gb.twists) if degree >= t)
+
+
+# the alpha-square images of the last `stable_hom_dim` pair: ((M, N),
+# (M, M[1]), their Groebner bases [for (M, N), for (M[1], N)]), or None
+_last_images: tuple[tuple, tuple, list] | None = None
 
 
 def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 0) -> int:
-    """dim of stable Hom(M[shift], N), read through `hom_space`."""
-    return hom_space(shift_mf(M, shift), N).stable_dim
+    """dim of stable Hom(M[shift], N), read off two Hilbert functions.
+
+    M[2] = M(3), so the image of the strict system of Hom(M[s], N) is the
+    degree D = −3·⌊s/2⌋ piece of one image module (`_image_basis`), that
+    of (M, N) for even s and of (M[1], N) for odd s: its rank is the
+    monomials of degree D less the standard ones of one reduced Groebner
+    basis.  The rank at shift + 1 is the boundary rank, so the answer is
+    #slots − rank(shift) − rank(shift + 1).  Both systems are sized from
+    the twist lists (`_slot_entries`) and refused as `hom_space(M[shift],
+    N)` refuses them, before any basis is built.
+
+    One module-level slot keeps the last pair's M[1] and two bases, keyed
+    by the unshifted (M, N) under `==`; factorisations are values (nothing
+    in the package writes into a matrix or `Poly` in place), and one
+    mutated between calls is unsupported.  A missing basis is built only
+    up to the degree this call reads, and rebuilt in full when a later call
+    reads above it, so a sweep from low shifts to high builds two bases per
+    pair.  The slot is read once, so a racing call can only miss.
+
+    The trade-off: a lone call near shift 0 is about twice as slow as
+    `hom_space(M[shift], N).stable_dim`, which stays the one-shift route of
+    the `hom` command: 0.27 ms against 0.13 ms at shift 0, median over the
+    GF(101) catalog pairs of rank ≤ 4 (Xeon, Python 3.11)."""
+    global _last_images
+    last = _last_images
+    if last is not None and last[0] == (M, N):
+        sides, bases = last[1], list(last[2])
+    else:
+        sides, bases = (M, shift_mf(M, 1)), [None, None]
+    # M[s] is sides[s % 2](−degree)
+    shifts = [(s % 2, -3 * (s // 2)) for s in (shift, shift + 1)]
+    counts = [_sized_slot_entries(sides[side], N, degree)[1] for side, degree in shifts]
+    ranks = []
+    for side, degree in shifts:
+        gb = bases[side]
+        if gb is None or (gb.bound is not None and degree > gb.bound):
+            gb = bases[side] = _image_basis(sides[side], N, degree if gb is None else None)
+        ranks.append(_image_rank(gb, degree))
+    _last_images = ((M, N), sides, bases)
+    return counts[0] - ranks[0] - ranks[1]
 
 
 def is_null_homotopic(phi: MFMorphism) -> bool:

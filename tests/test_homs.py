@@ -573,20 +573,28 @@ def test_hom_space_structure(kp):
 SHIFTS = range(-3, 4)
 
 
-def test_a_shift_sweep_eliminates_each_strict_system_once(monkeypatch, kp, kq, osheaf):
-    # stable Hom(M[i], N) reads the strict systems at i and i + 1, and
-    # hom_space keeps the last call's successor: a sweep over -3..3
-    # eliminates the eight systems at -3..4 once each, not fourteen, and a
-    # sweep on another pair, or the same pair again, starts afresh
-    eliminated = []
-    rows = HomProblem.strict_rows
-    monkeypatch.setattr(HomProblem, "strict_rows", lambda self: eliminated.append((self.M, self.N)) or rows(self))
-    mk.hom_space(kq, kp)
+def test_a_shift_sweep_builds_each_parity_basis_once(monkeypatch, kp, kq, osheaf):
+    # stable_hom_dim reads every shift of one parity off one Groebner basis
+    # and keeps the last pair's two: a sweep over -3..3 builds them once,
+    # each up to the degree its first call reads (6 for odd shifts, 3 for
+    # even ones), and eliminates no strict system; a sweep on another pair,
+    # or on the same pair after another, starts afresh
+    built, eliminated = [], []
+    basis, rows = homs.buchberger, HomProblem.strict_rows
+    monkeypatch.setattr(homs, "buchberger", lambda gens, twists, ring, bound: built.append(bound)
+                        or basis(gens, twists, ring, bound))
+    monkeypatch.setattr(HomProblem, "strict_rows", lambda self: eliminated.append(self) or rows(self))
+    mk.stable_hom_dim(kq, kp)
     for M, N in ((kp, osheaf), (osheaf, kp), (kp, osheaf), (kq, kq)):
-        eliminated.clear()
+        built.clear()
         for s in SHIFTS:
             mk.stable_hom_dim(M, N, shift=s)
-        assert eliminated == [(mk.shift_mf(M, s), N) for s in range(-3, 5)]
+        assert built == [6, 3] and eliminated == []
+    # from high shifts to low, each parity is built to the degree of its
+    # first call and rebuilt in full once a later call reads above it
+    built.clear()
+    assert [mk.stable_hom_dim(kp, kp, shift=s) for s in reversed(SHIFTS)] == [0, 0, 0, 1, 1, 0, 0]
+    assert built == [-3, -6, None, None] and eliminated == []
 
 
 @pytest.mark.parametrize("char, lam, mu, other", [(101, 2, 3, (0, 1)), (0, 0, 1, (2, 3))])
@@ -616,13 +624,13 @@ def test_a_reused_system_answers_only_for_its_own_pair(char, lam, mu, other):
 
 
 def test_a_reused_system_gives_a_full_stable_hom(kp, kq, osheaf):
-    # a hit takes the slot's system, whose M equals the caller's but is
-    # another object; dimensions, basis and null-homotopy tests are those
-    # of a fresh computation, every check in homs comparing with ==
+    # after a call at the previous shift, dimensions, basis and
+    # null-homotopy tests are those of a fresh computation, every check in
+    # homs comparing with ==
     for M, N in ((kp, kp), (osheaf, osheaf), (osheaf, kp), (kq, kp)):
         mk.hom_space(mk.shift_mf(M, -1), N)
         H = mk.hom_space(M, N)
-        assert H.source == M and H.source is not M and H.target == N
+        assert H.source == M and H.target == N
         [fresh] = homs._stable_homs([M, mk.shift_mf(M, 1)], N)
         assert (H.strict_dim, H.boundary_rank) == (fresh.strict_dim, fresh.boundary_rank)
         assert H.basis == fresh.basis
@@ -632,6 +640,56 @@ def test_a_reused_system_gives_a_full_stable_hom(kp, kq, osheaf):
         assert H.is_null_homotopic(mk.zero_morphism(M, N))
         if M is N:
             assert not H.is_null_homotopic(mk.identity_morphism(M))
+
+
+def test_stable_hom_dim_refuses_before_any_basis(monkeypatch, kp, curve101):
+    # the systems of the shift and the next are sized from the twist lists
+    # and refused as hom_space refuses them, before any Groebner pass
+    monkeypatch.setattr(homs, "buchberger", lambda *a: pytest.fail("a basis was built"))
+    with pytest.raises(mk.InputError, match=f"Hom system needs 36036009 unknowns, more than {homs.MAX_HOM_SLOTS}"):
+        mk.stable_hom_dim(kp, kp, shift=-2000)
+    other = mk.catalog_mf(curve101, "point", mk.point_on(curve101, 0, 1))
+    for M, N in ((kp, other), (other, kp)):
+        for call in (mk.stable_hom_dim, mk.hom_space):
+            with pytest.raises(mk.ValidationError, match="Hom needs factorisations of the same potential"):
+                call(M, N)
+
+
+@pytest.fixture(scope="module")
+def higher_rank(curve101):
+    """Words in P = T_k(p) and o = T_O^-1 applied to O from left to right
+    over GF(101), p = (0, 1): MF ranks 5, 7, 8 and 13."""
+    kp = mk.catalog_mf(curve101, "point", mk.point_on(curve101, 0, 1))
+    O = mk.catalog_mf(curve101, "structure-sheaf")
+    objs = {"P": mk.twist_functor(kp, O)}
+    objs["PP"] = mk.twist_functor(kp, objs["P"])
+    objs["Po"] = mk.inverse_twist_functor(O, objs["P"])
+    objs["PPo"] = mk.inverse_twist_functor(O, objs["PP"])
+    assert [M.rank for M in objs.values()] == [5, 7, 8, 13]
+    return objs
+
+
+def test_stable_hom_dim_matches_hom_space_at_higher_rank(curve101, higher_rank, osheaf, kp):
+    # stable_hom_dim against one hom_space per shift, over GF(101) at ranks
+    # up to 13, over Q, and with a rank-0 object, asked from low shifts to
+    # high (two bases per pair), from high to low (rebuilds in full) and in
+    # a shuffled order (mostly misses); shift -7 reads degree 12, where the
+    # oracle's systems reach 30,000 unknowns at rank 13 (2.6 s), so it is
+    # checked on the rank-5 self pair, over Q and with the rank-0 object
+    objs = dict(higher_rank, O=osheaf, k=kp, zero=mk.reduce_mf(mk.trivial_mf(curve101.ring, curve101.f)))
+    assert objs["zero"].rank == 0
+    pairs = ["P P", "PP PP", "PPo PPo", "Po P", "P PPo", "PPo P", "P zero", "zero PPo", "zero zero", "O k", "k O"]
+    want = {(a, b, s): mk.hom_space(mk.shift_mf(objs[a], s), objs[b]).stable_dim
+            for a, b in map(str.split, pairs)
+            for s in [-3, -2, -1, 0, 1, 2, 3, 7] + [-7] * ({a, b} <= {"P", "O", "k", "zero"})}
+    ascending = sorted(want)
+    shuffled = list(want)
+    random.Random(0).shuffle(shuffled)
+    for calls in (ascending, ascending[::-1], shuffled):
+        for a, b, s in calls:
+            assert mk.stable_hom_dim(objs[a], objs[b], shift=s) == want[a, b, s], (a, b, s)
+    # not vacuous: each self-profile is nonzero at shifts -1 and 0
+    assert all(want[a, a, s] == 1 for a in ("P", "PP", "PPo") for s in (-1, 0))
 
 
 def test_strict_basis_members_are_chain_maps(kp, osheaf):
