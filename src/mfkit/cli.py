@@ -104,7 +104,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, UnicodeDecodeError, an int literal
+        # past the interpreter's digit limit; RecursionError: deep nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

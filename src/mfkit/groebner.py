@@ -156,11 +156,6 @@ def _unpacked(row: dict, scale: int, pk: _Packing, p: int) -> Vec:
     return {pk.unpack(-c): x if p else Fraction(x, scale) for c, x in sorted(row.items())}
 
 
-def _check_bound(gb: GroebnerBasis, degree: int) -> None:
-    if gb.bound is not None and degree > gb.bound:
-        raise ValidationError(f"Groebner basis built up to degree {gb.bound} read in degree {degree}")
-
-
 def reduce_vec(v: Vec, gb: GroebnerBasis) -> Vec:
     """Full normal form of v against the Groebner basis gb.
 
@@ -168,8 +163,6 @@ def reduce_vec(v: Vec, gb: GroebnerBasis) -> Vec:
     1: that column carries the scalar that fraction-free elimination over Q
     puts on the remainder.  When no leading term divides a term of v, v is
     its own normal form, returned in descending term order."""
-    if gb.bound is not None and v:
-        _check_bound(gb, vec_degree(v, gb.twists))
     pk = gb._packing
     terms = {-pk.pack(t): t for t in v}
     row = {c: v[t] for c, t in terms.items()}
@@ -181,9 +174,8 @@ def reduce_vec(v: Vec, gb: GroebnerBasis) -> Vec:
     return _unpacked(red, red.pop(0), pk, gb.ring.field.char)
 
 
-def _degree_pass(gens, twists, ring: PolyRing, bound: int | None = None):
-    """F4 with the normal strategy, degree by degree, on packed terms, up to
-    degree bound when one is given.
+def _degree_pass(gens, twists, ring: PolyRing):
+    """F4 with the normal strategy, degree by degree, on packed terms.
 
     An S-pair's first half is not a row: the reducer of its leading term
     stands in for it, and differs from it by a multiple of an S-pair of
@@ -205,8 +197,6 @@ def _degree_pass(gens, twists, ring: PolyRing, bound: int | None = None):
     pairs_at: dict[int, dict] = {}  # degree -> {(lead, pos, lcm): None}; row x^(lcm - lt)·found[lead]
     while gens_at or pairs_at:
         d = min(gens_at.keys() | pairs_at.keys())
-        if bound is not None and d > bound:
-            break
         halves = []
         for lead, pos, lcm in pairs_at.pop(d, ()):
             s = -pk.pack((pos, lcm)) - lead
@@ -232,25 +222,20 @@ def _degree_pass(gens, twists, ring: PolyRing, bound: int | None = None):
     return pk, found, enlarged
 
 
-def buchberger(gens, twists, ring: PolyRing, bound: int | None = None) -> GroebnerBasis:
+def buchberger(gens, twists, ring: PolyRing) -> GroebnerBasis:
     """Unique reduced Groebner basis of the span of gens, monic, by
-    descending leading term; with a bound, its elements of degree at most
-    bound, which is a Groebner basis in those degrees only (the pass
-    handles degrees in ascending order, and no element of higher degree
-    reduces a term of lower one)."""
-    pk, found, _ = _degree_pass(gens, twists, ring, bound)
-    return GroebnerBasis(ring, twists, pk, [found[q] for q in sorted(found)], bound)
+    descending leading term."""
+    pk, found, _ = _degree_pass(gens, twists, ring)
+    return GroebnerBasis(ring, twists, pk, [found[q] for q in sorted(found)])
 
 
 class GroebnerBasis:
     """The reduced Groebner basis a pass found for a graded submodule of
     ⊕_i R(-t_i): its stored rows by descending leading term, filed by
-    position for `reduce_vec`.  Only `buchberger` makes one.  A basis built
-    up to a degree `bound` answers only up to it: `standard_count` and
-    `reduce_vec` above it raise ValidationError."""
+    position for `reduce_vec`.  Only `buchberger` makes one."""
 
-    def __init__(self, ring: PolyRing, twists, packing: _Packing, rows: list[dict], bound: int | None = None):
-        self.ring, self.twists, self._packing, self._rows, self.bound = ring, list(twists), packing, rows, bound
+    def __init__(self, ring: PolyRing, twists, packing: _Packing, rows: list[dict]):
+        self.ring, self.twists, self._packing, self._rows = ring, list(twists), packing, rows
         self._at_pos: dict = {}
         for row in rows:
             _index(self._at_pos, packing, min(row), row)
@@ -286,7 +271,6 @@ class GroebnerBasis:
         leading term: the dimension of the quotient at pos in that degree,
         Σ_k n_k·C(degree - k + n - 1, n - 1) over the k <= degree, n_k the
         coefficients of the position's numerator (1 with no leading term)."""
-        _check_bound(self, degree + self.twists[pos])
         if degree < 0:
             return 0
         n = self.ring.nvars

@@ -146,8 +146,8 @@ def add_morphisms(phi: MFMorphism, psi: MFMorphism) -> MFMorphism:
 # --- stable Hom via coefficient linear algebra ------------------------------
 
 # Hom systems larger than this are refused before any slot is built; the
-# rank-18 self-Hom at shift -3, the largest met in tests and scale probes,
-# has 11,664
+# rank-25 self-Hom at shift -3 (the object PPoPP of ROADMAP's Baseline), the
+# largest met in tests and scale probes, has 22,500
 MAX_HOM_SLOTS = 150_000
 
 
@@ -414,20 +414,19 @@ def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
     return StableHom(*_strict_systems([M, shift_mf(M, 1)], N))
 
 
-def _image_basis(A: MatrixFactorization, N: MatrixFactorization, bound: int | None):
-    """Reduced Groebner basis, up to degree bound, of the image of the
-    alpha-square of Hom(A, N) as a graded submodule of Hom(P0(A), P1(N)):
-    the entry (k, j) is position k·W + j, W the rank of A, with twist
-    N.p1[k] − A.p0[j].  One generator per entry of f0 and f1, the image of
-    its matrix unit (`_entry_images`), in the degree of N's twist less A's.
-    So in degree D the generators' multiples are the images of the slots of
-    Hom(A(−D), N), and the piece of degree D is that strict system's
-    image."""
+def _image_basis(A: MatrixFactorization, N: MatrixFactorization):
+    """Reduced Groebner basis of the image of the alpha-square of Hom(A, N)
+    as a graded submodule of Hom(P0(A), P1(N)): the entry (k, j) is
+    position k·W + j, W the rank of A, with twist N.p1[k] − A.p0[j].  One
+    generator per entry of f0 and f1, the image of its matrix unit
+    (`_entry_images`), in the degree of N's twist less A's.  So in degree D
+    the generators' multiples are the images of the slots of Hom(A(−D), N),
+    and the piece of degree D is that strict system's image."""
     W = len(A.p0)
     cols, rows = _entry_images(A, N, lambda o, e: (o, e))
     gens = [{(j + o, e): c for (o, e), c in img} for img in cols for j in range(W)]
     gens += [{(i * W + o, e): c for (o, e), c in img} for i in range(len(N.p1)) for img in rows]
-    return buchberger(gens, [t - s for t in N.p1 for s in A.p0], A.ring, bound)
+    return buchberger(gens, [t - s for t in N.p1 for s in A.p0], A.ring)
 
 
 def _image_rank(gb, degree: int) -> int:
@@ -439,8 +438,8 @@ def _image_rank(gb, degree: int) -> int:
 
 
 # the alpha-square images of the last `stable_hom_dim` pair: ((M, N),
-# (M, M[1]), their Groebner bases [for (M, N), for (M[1], N)]), or None
-_last_images: tuple[tuple, tuple, list] | None = None
+# (M, M[1]), their Groebner bases (for (M, N), for (M[1], N))), or None
+_last_images: tuple[tuple, tuple, tuple] | None = None
 
 
 def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 0) -> int:
@@ -458,32 +457,29 @@ def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 
     One module-level slot keeps the last pair's M[1] and two bases, keyed
     by the unshifted (M, N) under `==`; factorisations are values (nothing
     in the package writes into a matrix or `Poly` in place), and one
-    mutated between calls is unsupported.  A missing basis is built only
-    up to the degree this call reads, and rebuilt in full when a later call
-    reads above it, so a sweep from low shifts to high builds two bases per
-    pair.  The slot is read once, so a racing call can only miss.
+    mutated between calls is unsupported.  Shift and shift + 1 differ in
+    parity, so a miss builds both bases, whole, and a sweep over shifts in
+    any order builds two bases per pair.  The slot is read once, so a
+    racing call can only miss.
 
-    The trade-off: a lone call near shift 0 is about twice as slow as
+    The trade-off: a lone call pays for two whole bases, several times
     `hom_space(M[shift], N).stable_dim`, which stays the one-shift route of
-    the `hom` command: 0.27 ms against 0.13 ms at shift 0, median over the
-    GF(101) catalog pairs of rank ≤ 4 (Xeon, Python 3.11)."""
+    the `hom` command.  Medians over the 100 GF(101) catalog pairs of rank
+    ≤ 4, another pair in the slot, two runs (Xeon, Python 3.11): 0.79–0.89
+    ms against 0.14 ms at shift 0, 0.75–0.80 ms against 0.08 ms at shift 1,
+    and 0.79–1.12 ms against 1.43–1.58 ms at shift −3."""
     global _last_images
     last = _last_images
-    if last is not None and last[0] == (M, N):
-        sides, bases = last[1], list(last[2])
-    else:
-        sides, bases = (M, shift_mf(M, 1)), [None, None]
+    if last is None or last[0] != (M, N):
+        last = ((M, N), (M, shift_mf(M, 1)), None)
+    _, sides, bases = last
     # M[s] is sides[s % 2](−degree)
     shifts = [(s % 2, -3 * (s // 2)) for s in (shift, shift + 1)]
     counts = [_sized_slot_entries(sides[side], N, degree)[1] for side, degree in shifts]
-    ranks = []
-    for side, degree in shifts:
-        gb = bases[side]
-        if gb is None or (gb.bound is not None and degree > gb.bound):
-            gb = bases[side] = _image_basis(sides[side], N, degree if gb is None else None)
-        ranks.append(_image_rank(gb, degree))
-    _last_images = ((M, N), sides, bases)
-    return counts[0] - ranks[0] - ranks[1]
+    if bases is None:
+        bases = tuple(_image_basis(A, N) for A in sides)
+        _last_images = ((M, N), sides, bases)
+    return counts[0] - sum(_image_rank(bases[side], degree) for side, degree in shifts)
 
 
 def is_null_homotopic(phi: MFMorphism) -> bool:

@@ -74,6 +74,22 @@ def test_verify_malformed_json_is_input_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "data",
+    [b'\xff\xfe{"a":1}', b"[" * 100000 + b"]" * 100000, b'{"a": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf8", "deep", "long-int"],
+)
+def test_verify_undecodable_or_deeply_nested_json_is_input_error(capsys, tmp_path, data):
+    # a file that is not UTF-8, whose nesting exhausts the decoder's
+    # recursion, or with an int literal past the interpreter's digit limit
+    # is malformed input (exit 2), not an internal error (exit 70)
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    code, payload, err = run_cli(capsys, "verify", str(path))
+    assert (code, payload) == (2, None)
+    assert "is not valid JSON" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
     "key, value",
     [("alpha", lambda rows: [[1] + row[1:] for row in rows]), ("p0_twists", lambda tw: [True] + tw[1:])],
 )

@@ -685,34 +685,6 @@ def test_standard_count_matches_the_tuple_loop(seed, fld):
         assert mk.hilbert_function(P, i) == want
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from([QQ, Field(101)]), st.integers(0, 5))
-def test_a_degree_bounded_basis_answers_only_up_to_its_bound(seed, fld, bound):
-    # a pass cut after degree bound keeps the full basis's elements of degree
-    # at most bound and agrees with it there; above the bound its standard
-    # counts and normal forms raise rather than answer from a partial basis
-    R = PolyRing(fld)
-    rng = random.Random(seed)
-    twists = [rng.randrange(3) for _ in range(rng.randrange(1, 4))]
-    gens = [random_homogeneous_vec(rng, R, twists, rng.randrange(1, 5)) for _ in range(rng.randrange(1, 6))]
-    gens = [v for v in gens if v]
-    full, cut = buchberger(gens, twists, R), buchberger(gens, twists, R, bound)
-    assert (full.bound, cut.bound) == (None, bound)
-    assert cut.basis == [v for v in full.basis if vec_degree(v, twists) <= bound]
-    for pos, t in enumerate(twists):
-        for d in range(-1, bound - t + 1):
-            assert cut.standard_count(pos, d) == full.standard_count(pos, d)
-        with pytest.raises(mk.ValidationError, match=f"built up to degree {bound}"):
-            cut.standard_count(pos, bound - t + 1)
-    for d in (bound, bound + 1):
-        v = random_homogeneous_vec(rng, R, twists, d)
-        if v and d > bound:
-            with pytest.raises(mk.ValidationError, match=f"built up to degree {bound}"):
-                reduce_vec(v, cut)
-        elif v:
-            assert reduce_vec(v, cut) == reduce_vec(v, full)
-
-
 # ---------------------------------------------------------------------------
 # Hilbert-series numerators of monomial ideals against brute-force counting
 

@@ -544,10 +544,10 @@ def test_hom_space_builds_only_the_representatives(monkeypatch, kp, kq, osheaf):
 
 def test_hom_problem_counts_its_slots_before_building_them(monkeypatch, kp, osheaf):
     # the closed-form count is the number of slots built: a bound one below
-    # it refuses the system, a bound equal to it does not; the rank-18
+    # it refuses the system, a bound equal to it does not; the rank-25
     # self-Hom at shift -3, the largest system met in the tests and scale
-    # probes, has 11,664 slots, and the bound leaves ten times that
-    assert homs.MAX_HOM_SLOTS >= 10 * 11_664
+    # probes, has 22,500 slots, and the bound leaves six times that
+    assert homs.MAX_HOM_SLOTS >= 6 * 22_500
     cases = ((mk.shift_mf(kp, -3), kp), (osheaf, mk.shift_mf(kp, 2)), (mk.shift_mf(kp, -9), osheaf))
     for M, N in cases:
         n = len(HomProblem(M, N).slots)
@@ -575,26 +575,27 @@ SHIFTS = range(-3, 4)
 
 def test_a_shift_sweep_builds_each_parity_basis_once(monkeypatch, kp, kq, osheaf):
     # stable_hom_dim reads every shift of one parity off one Groebner basis
-    # and keeps the last pair's two: a sweep over -3..3 builds them once,
-    # each up to the degree its first call reads (6 for odd shifts, 3 for
-    # even ones), and eliminates no strict system; a sweep on another pair,
-    # or on the same pair after another, starts afresh
+    # and keeps the last pair's two, both built whole on a miss: a sweep
+    # over -3..3, ascending, descending or shuffled, builds them once, for
+    # (M, N) and for (M[1], N), and eliminates no strict system; a sweep on
+    # another pair, or on the same pair after another, starts afresh
     built, eliminated = [], []
     basis, rows = homs.buchberger, HomProblem.strict_rows
-    monkeypatch.setattr(homs, "buchberger", lambda gens, twists, ring, bound: built.append(bound)
-                        or basis(gens, twists, ring, bound))
+    monkeypatch.setattr(homs, "buchberger", lambda gens, twists, ring: built.append(twists)
+                        or basis(gens, twists, ring))
     monkeypatch.setattr(HomProblem, "strict_rows", lambda self: eliminated.append(self) or rows(self))
+    shuffled = list(SHIFTS)
+    random.Random(0).shuffle(shuffled)
     mk.stable_hom_dim(kq, kp)
-    for M, N in ((kp, osheaf), (osheaf, kp), (kp, osheaf), (kq, kq)):
-        built.clear()
-        for s in SHIFTS:
-            mk.stable_hom_dim(M, N, shift=s)
-        assert built == [6, 3] and eliminated == []
-    # from high shifts to low, each parity is built to the degree of its
-    # first call and rebuilt in full once a later call reads above it
-    built.clear()
+    objs, profiles = dict(kp=kp, kq=kq, O=osheaf), {}
+    for order in (list(SHIFTS), list(reversed(SHIFTS)), shuffled):
+        for pair in ("kp O", "O kp", "kp O", "kq kq"):
+            M, N = (objs[name] for name in pair.split())
+            built.clear()
+            dims = {s: mk.stable_hom_dim(M, N, shift=s) for s in order}
+            assert built == [[t - s for t in N.p1 for s in A.p0] for A in (M, mk.shift_mf(M, 1))]
+            assert eliminated == [] and profiles.setdefault(pair, dims) == dims
     assert [mk.stable_hom_dim(kp, kp, shift=s) for s in reversed(SHIFTS)] == [0, 0, 0, 1, 1, 0, 0]
-    assert built == [-3, -6, None, None] and eliminated == []
 
 
 @pytest.mark.parametrize("char, lam, mu, other", [(101, 2, 3, (0, 1)), (0, 0, 1, (2, 3))])
@@ -672,10 +673,11 @@ def higher_rank(curve101):
 def test_stable_hom_dim_matches_hom_space_at_higher_rank(curve101, higher_rank, osheaf, kp):
     # stable_hom_dim against one hom_space per shift, over GF(101) at ranks
     # up to 13, over Q, and with a rank-0 object, asked from low shifts to
-    # high (two bases per pair), from high to low (rebuilds in full) and in
-    # a shuffled order (mostly misses); shift -7 reads degree 12, where the
-    # oracle's systems reach 30,000 unknowns at rank 13 (2.6 s), so it is
-    # checked on the rank-5 self pair, over Q and with the rank-0 object
+    # high, from high to low (two whole bases per pair either way) and in
+    # a shuffled order (mostly misses, each building two); shift -7 reads
+    # degree 12, where the oracle's systems reach 30,000 unknowns at rank 13
+    # (2.6 s), so it is checked on the rank-5 self pair, over Q and with the
+    # rank-0 object
     objs = dict(higher_rank, O=osheaf, k=kp, zero=mk.reduce_mf(mk.trivial_mf(curve101.ring, curve101.f)))
     assert objs["zero"].rank == 0
     pairs = ["P P", "PP PP", "PPo PPo", "Po P", "P PPo", "PPo P", "P zero", "zero PPo", "zero zero", "O k", "k O"]
