@@ -46,13 +46,13 @@ there is no dedicated quotient-ring engine.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
 from operator import le, mul
 from struct import Struct
 
 from .errors import ValidationError
+from .fields import rational
 from .linalg import int_row, row_space
 from .poly import Exp, GradedMatrix, Poly, PolyRing
 
@@ -153,7 +153,7 @@ def _index(at_pos: dict, pk: _Packing, lead: int, row: dict) -> None:
 def _unpacked(row: dict, scale: int, pk: _Packing, p: int) -> Vec:
     """The stored row divided by scale, keyed by terms, in descending order.
     Over F_p the scale is 1: RowSpace keeps pivots 1 and never rescales."""
-    return {pk.unpack(-c): x if p else Fraction(x, scale) for c, x in sorted(row.items())}
+    return {pk.unpack(-c): x if p else rational(x, scale) for c, x in sorted(row.items())}
 
 
 def reduce_vec(v: Vec, gb: GroebnerBasis) -> Vec:

@@ -21,8 +21,10 @@ that hold field elements convert through it, and so do `reduce` and
 `contains`, which take field elements and leave them untouched.  Rows born
 as ints skip it: the Hom systems (`homs._images`), and the Gröbner
 basis rows, which a pass keeps as stored here and shifts (`groebner`).
-`Fraction`s are built only where `inverse` and `nullspace` hand out field
-elements.
+Field elements come back out only where `inverse` and `nullspace` hand them
+out, through `RowSpace.scalar`: over Q the quotient of an entry by its
+pivot, an int when the pivot divides it and a `Fraction` only otherwise
+(`fields.rational`).
 
 A stored row has entries only at or right of its pivot, so a new pivot left
 of the smallest stored pivot lies in no stored row, and `add` then skips
@@ -38,10 +40,9 @@ to a nonzero scalar over Q; its support, and so `contains`, is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, inf, lcm
 
-from .fields import Field
+from .fields import Field, rational
 
 
 def _eliminate(v: dict, row: dict, piv: int, p: int) -> None:
@@ -148,7 +149,7 @@ class RowSpace:
     def scalar(self, piv: int, x: int):
         """The field element x / (pivot entry of the row at piv)."""
         p = self.field.char
-        return x % p if p else Fraction(x, self.rows[piv][piv])
+        return x % p if p else rational(x, self.rows[piv][piv])
 
     @property
     def rank(self) -> int:

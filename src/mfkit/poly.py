@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from fractions import Fraction
 from operator import add
 
 from .errors import ParseError, ValidationError
@@ -377,7 +376,8 @@ class _Parser:
             elif len(w) != 1 or self.exp0 not in w:
                 raise ParseError("division only by nonzero constants")
             else:
-                v = self.scale(v, self.ring.field.inv(w[self.exp0]))
+                c, div = w[self.exp0], self.ring.field.div
+                v = {e: div(a, c) for e, a in v.items()}
         return v
 
     def factor(self) -> dict:
@@ -405,7 +405,7 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         if type(tok) is int:
-            c = tok % self.char if self.char else Fraction(tok)
+            c = tok % self.char if self.char else tok
             return {self.exp0: c} if c else {}
         if tok == "(":
             self.depth += 1

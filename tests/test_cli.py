@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,26 @@ def test_catalog_bad_coordinate_is_input_error(capsys, lam):
     assert code == 2
     assert payload is None
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("field", ["QQ", "101"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--kind", "structure-sheaf", "--curve", "1e5000", "1"),
+        ("--kind", "structure-sheaf", "--curve", "1e-5000", "1"),
+        ("--kind", "structure-sheaf", "--curve", "1e30000000", "1"),
+        ("--kind", "point", "--lambda", "1e5000", "--mu", "0"),
+    ],
+)
+def test_catalog_number_with_a_huge_exponent_is_input_error(capsys, field, argv):
+    # refused before the exponent is expanded, so the refusal is quick
+    start = time.perf_counter()
+    code, payload, err = run_cli(capsys, "catalog", "--field", field, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert payload is None
+    assert "expands past" in err
 
 
 @pytest.mark.parametrize(

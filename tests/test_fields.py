@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfkit as mk
-from mfkit.fields import Field, QQ
+from mfkit.fields import Field, QQ, rational
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=30
@@ -54,6 +54,54 @@ def test_bad_text_and_noninvertible_denominators_are_parse_errors():
         Field(101).of("1/101")
     with pytest.raises(mk.ParseError):
         Field(5).of(Fraction(2, 15))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)])
+@pytest.mark.parametrize("bad", [0.5, 1.5, 0.1, 2.0, None, [1], 1j])
+def test_floats_and_other_types_are_parse_errors(field, bad):
+    # a float used to be truncated over F_p (0.5 -> 0) and taken at its
+    # binary value over Q (0.1 -> 3602879701896397/36028797018963968)
+    with pytest.raises(mk.ParseError):
+        field.of(bad)
+    R = mk.PolyRing(field)
+    with pytest.raises(mk.ParseError):
+        R.const(bad)
+    with pytest.raises(mk.ParseError):
+        R.var("X").scale(bad)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)])
+@pytest.mark.parametrize("text", ["1e5000", "1e-5000", "-1.5E+30000000", "12e4299", "1_0e9_999"])
+def test_number_text_that_expands_past_the_digit_limit_is_a_parse_error(field, text):
+    with pytest.raises(mk.ParseError, match="expands past"):
+        field.of(text)
+
+
+def test_number_text_within_the_digit_limit_is_read():
+    assert QQ.of("1e4299") == 10**4299
+    assert QQ.of("2.5e-3") == Fraction(1, 400)
+    assert Field(101).of("1e3") == 1000 % 101
+
+
+def test_integral_rationals_are_ints():
+    assert type(QQ.inv(Fraction(-1))) is int and QQ.inv(Fraction(-1)) == -1
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    assert type(QQ.of("4/2")) is int and QQ.of("4/2") == 2
+    assert type(QQ.of(Fraction(6, 3))) is int and type(QQ.of(7)) is int
+    assert type(QQ.div(6, -3)) is int and QQ.div(6, -3) == -2
+    assert QQ.div(3, -2) == Fraction(-3, 2) and QQ.div(Fraction(1, 2), Fraction(1, 4)) == 2
+    assert QQ.zero == 0 and type(QQ.zero) is int and type(QQ.one) is int
+    assert QQ.of("2/3") == Fraction(2, 3) and type(QQ.inv(2)) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50).filter(bool))
+def test_rational_is_an_int_exactly_when_integral(n, d):
+    q = rational(n, d)
+    assert q == Fraction(n, d)
+    assert type(q) is (int if n % d == 0 else Fraction)
 
 
 def test_composite_characteristic_rejected():
