@@ -200,6 +200,9 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    # raw extraction at step s resolves s + 1 steps
+    if args.step is not None and args.step >= MAX_RESOLVE_LENGTH:
+        raise InputError(f"--step must be <= {MAX_RESOLVE_LENGTH - 1}, got {args.step}")
     P = _module_from_args(args)
     M = extract_mf(P, args.mode, args.step)
     _emit(mf_to_dict(M), args.out)

@@ -39,9 +39,9 @@ only when it is read.
 
 A computation is over A exactly when the potential f is passed: f·e_i are
 adjoined to the generators (`groebner_basis`, `ColumnSpan`, `mingens` and
-what calls them), and `reduce_mod_f` is the one reduction modulo f, the
-normal form against f·e_i.  The vectors f·e_i live only in this module;
-there is no dedicated quotient-ring engine.
+what calls them), and `minimal_mod_f` is the one reduction modulo f: the
+kept minimal generators over A, each reduced against f·e_i.  The vectors
+f·e_i live only in this module; there is no dedicated quotient-ring engine.
 """
 
 from __future__ import annotations
@@ -403,20 +403,15 @@ def syzygy_basis(M, *, f: Poly | None = None) -> GradedMatrix:
 
     Over R (no f) this is a Groebner basis of the syzygy module.  With f it is
     the kernel of the induced map of free A-modules, A = R/(f): the projection
-    onto the column coordinates of the syzygies of [M | f·Id], reduced modulo
-    f and cut to minimal generators.
+    onto the column coordinates of the syzygies of [M | f·Id], cut to minimal
+    generators over A and reduced modulo f (`minimal_mod_f`).
     """
     cols = columns_as_vectors(M)
     span = ColumnSpan(M.ring, M.target_twists, cols, f=f)
-    syz = vectors_as_columns(M.ring, M.source_twists, span.syzygies(len(cols)))
-    return syz if f is None else minimal_generators(reduce_mod_f(syz, f), f=f)
-
-
-def reduce_mod_f(M: GradedMatrix, f: Poly) -> GradedMatrix:
-    """The columns of M reduced modulo f·e_i for every row i, zero ones dropped."""
-    mod_f = buchberger(_f_unit_vectors(f, M.target_twists), M.target_twists, M.ring)
-    cols = [normal_form(v, mod_f) for v in columns_as_vectors(M)]
-    return vectors_as_columns(M.ring, M.target_twists, [v for v in cols if v])
+    syz = span.syzygies(len(cols))
+    if f is not None:
+        syz = minimal_mod_f(syz, M.source_twists, M.ring, f)
+    return vectors_as_columns(M.ring, M.source_twists, syz)
 
 
 def mingens(vecs: list[Vec], twists, ring: PolyRing, *, f: Poly | None = None) -> list[Vec]:
@@ -430,6 +425,15 @@ def mingens(vecs: list[Vec], twists, ring: PolyRing, *, f: Poly | None = None) -
     base = _f_unit_vectors(f, twists) if f is not None else []
     _, _, enlarged = _degree_pass(base + list(vecs), twists, ring)
     return [vecs[k - len(base)] for k in enlarged if k >= len(base)]
+
+
+def minimal_mod_f(vecs: list[Vec], twists, ring: PolyRing, f: Poly) -> list[Vec]:
+    """`mingens` over A = R/(f), the kept vectors reduced modulo f·e_i.  A
+    normal form differs from its vector by an element of f·F, and `mingens`
+    takes each f·e_i before the vectors of its degree, so a vector is kept
+    exactly when its normal form would be, and one in f·F never is."""
+    mod_f = buchberger(_f_unit_vectors(f, twists), twists, ring)
+    return [reduce_vec(v, mod_f) for v in mingens(vecs, twists, ring, f=f)]
 
 
 def minimal_generators(M: GradedMatrix, *, f: Poly | None = None) -> GradedMatrix:

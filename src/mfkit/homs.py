@@ -122,17 +122,9 @@ def compose_morphisms(psi: MFMorphism, phi: MFMorphism) -> MFMorphism:
 
 def scale_morphism(phi: MFMorphism, c) -> MFMorphism:
     c = phi.source.ring.field.of(c)
-    f0 = GradedMatrix(
-        phi.f0.ring,
-        list(phi.f0.target_twists),
-        list(phi.f0.source_twists),
-        [[e.scale(c) for e in row] for row in phi.f0.entries],
-    )
-    f1 = GradedMatrix(
-        phi.f1.ring,
-        list(phi.f1.target_twists),
-        list(phi.f1.source_twists),
-        [[e.scale(c) for e in row] for row in phi.f1.entries],
+    f0, f1 = (
+        GradedMatrix(m.ring, m.target_twists, m.source_twists, [[e.scale(c) for e in row] for row in m.entries])
+        for m in (phi.f0, phi.f1)
     )
     return MFMorphism(phi.source, phi.target, f0, f1)
 

@@ -18,8 +18,7 @@ from .groebner import (
     GroebnerBasis,
     columns_as_vectors,
     groebner_basis,
-    minimal_generators,
-    reduce_mod_f,
+    minimal_mod_f,
     syzygy_basis,
     vec_degree,
     vectors_as_columns,
@@ -57,13 +56,13 @@ def minimize_presentation(P: Presentation) -> Presentation:
     """Equivalent presentation with no unit entries and minimal relations."""
     # each unit entry expresses a generator by the others: clear its row,
     # then drop the generator and the relation.  Reduction mod f fixes every
-    # constant and commutes with these steps, so reducing once at the end
-    # splits the same units and gives the same matrix as reducing first
+    # constant and commutes with these steps, so reducing the kept relations
+    # once at the end splits the same units and gives what reducing first would
     rel = P.relations
     while (pivot := rel.unit_entry()) is not None:
         rel = rel.split_unit(*pivot)
-    rel = minimal_generators(reduce_mod_f(rel, P.f), f=P.f)
-    return Presentation(P.ring, P.f, rel.target_twists, rel)
+    vecs = minimal_mod_f(columns_as_vectors(rel), rel.target_twists, P.ring, P.f)
+    return Presentation(P.ring, P.f, rel.target_twists, vectors_as_columns(P.ring, rel.target_twists, vecs))
 
 
 @dataclass

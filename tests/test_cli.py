@@ -191,6 +191,23 @@ def test_resolve_length_is_bounded(monkeypatch, capsys, length):
         assert f"--length must be <= {mk.cli.MAX_RESOLVE_LENGTH}, got {length}" in err
 
 
+@pytest.mark.parametrize("step", [mk.cli.MAX_RESOLVE_LENGTH - 1, mk.cli.MAX_RESOLVE_LENGTH, 1_000_000])
+def test_raw_extract_step_is_bounded(monkeypatch, capsys, step):
+    # raw extraction at step s resolves s + 1 steps, so the step is capped
+    # one below the resolve length; the stub extracts at step 3 whatever it
+    # is asked, so a broken bound costs nothing here
+    asked = []
+    real = mk.cli.extract_mf
+    monkeypatch.setattr(mk.cli, "extract_mf", lambda P, mode, s: asked.append(s) or real(P, mode, 3))
+    code, payload, err = run_cli(capsys, "extract", "--module", "K", "--mode", "raw", "--step", str(step))
+    if step < mk.cli.MAX_RESOLVE_LENGTH:
+        assert (code, asked) == (0, [step])
+        assert mk.verify_mf(mk.mf_from_dict(payload)) == []
+    else:
+        assert (code, asked, payload) == (2, [], None)
+        assert f"--step must be <= {mk.cli.MAX_RESOLVE_LENGTH - 1}, got {step}" in err
+
+
 def test_extract_point_matches_catalog(capsys, tmp_path, qcurve, qpoints):
     code, payload, err = run_cli(
         capsys, "extract", "--module", "point", "2", "3", "--mode", "point"

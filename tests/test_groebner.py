@@ -25,7 +25,7 @@ from mfkit.groebner import (
     columns_as_vectors,
     hilbert_numerator,
     mingens,
-    reduce_mod_f,
+    minimal_mod_f,
     reduce_vec,
     vec_degree,
     vectors_as_columns,
@@ -567,8 +567,7 @@ def test_row_echelon_pass_matches_reference_buchberger(seed, fld, over_a):
     if over_a:
         mod_f = _f_unit_vectors(f, twists)
         want = [reference_reduce_vec(v, mod_f, lts_of(mod_f), fld) for v in vecs]
-        got = reduce_mod_f(vectors_as_columns(R, twists, vecs), f)
-        assert columns_as_vectors(got) == [v for v in want if v]
+        assert minimal_mod_f(vecs, twists, R, f) == reference_mingens([v for v in want if v], twists, R, f)
     d = rng.randrange(1, 5)
     w = random_combination(rng, R, twists, cols, d)
     span_lts = lts_of(span.gb.basis)
@@ -582,6 +581,37 @@ def test_row_echelon_pass_matches_reference_buchberger(seed, fld, over_a):
                 reference_add_scaled(acc, cols[j], c, exp, fld)
             assert acc == target
     assert span.lift(w) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([QQ, Field(7), Field(101)]),
+    st.sampled_from(["Y^2*Z - X^3 - Z^3", "Y^2*Z - X^3 + 2*X*Z^2 - 3*Z^3"]),
+)
+def test_minimal_mod_f_matches_reducing_every_vector_first(seed, fld, potential):
+    # reference: the normal form of every vector against f·e_i, zero ones
+    # dropped, then mingens over A; draws include multiples of f (normal
+    # form 0) and combinations of earlier draws and f·e_i
+    R = PolyRing(fld)
+    rng = random.Random(seed)
+    f = R.parse(potential)
+    twists = [rng.randrange(3) for _ in range(rng.randrange(1, 4))]
+    f_cols = _f_unit_vectors(f, twists)
+    vecs = []
+    for _ in range(rng.randrange(1, 7)):
+        d, kind = rng.randrange(1, 6), rng.random()
+        if kind < 0.25:
+            vecs.append(random_combination(rng, R, twists, f_cols, d))
+        elif kind < 0.5:
+            vecs.append(random_combination(rng, R, twists, vecs + f_cols, d))
+        else:
+            vecs.append(random_homogeneous_vec(rng, R, twists, d))
+    mod_f = buchberger(f_cols, twists, R)
+    reduced = [v for v in (reduce_vec(v, mod_f) for v in vecs) if v]
+    got = minimal_mod_f(vecs, twists, R, f)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in mingens(reduced, twists, R, f=f)]
+    assert all(reduce_vec(v, mod_f) == v for v in got)
 
 
 def whole_basis_reducer_space(rows, basis, lts, fld):
