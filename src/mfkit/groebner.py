@@ -122,9 +122,9 @@ def _packing(nvars: int, twists: tuple) -> _Packing:
 
 def _reducer_space(rows, at_pos: dict, pk: _Packing, fld):
     """Symbolic preprocessing: a RowSpace of the reducers of rows (dicts keyed
-    by column), and every column visited, each mapped to its reducer or None.
-    Each column of rows, or of a reducer taken, whose term a leading term
-    divides gets one reducer: the shift of the first such basis element.
+    by column).  Each column of rows, or of a reducer taken, whose term a
+    leading term divides gets one reducer: the shift of the first such basis
+    element.
     at_pos holds, per position field, the elements in basis order as
     (packed leading term, stored row).  A reducer's leading column is its
     own, so `row_space` needs no back-substitution."""
@@ -141,7 +141,7 @@ def _reducer_space(rows, at_pos: dict, pk: _Packing, fld):
                     reducers[c] = r = {j + s: x for j, x in row.items()}
                     todo.extend(r)
                     break
-    return row_space([r for r in reducers.values() if r], fld), reducers
+    return row_space([r for r in reducers.values() if r], fld)
 
 
 def _index(at_pos: dict, pk: _Packing, lead: int, row: dict) -> None:
@@ -166,7 +166,7 @@ def reduce_vec(v: Vec, gb: GroebnerBasis) -> Vec:
     pk = gb._packing
     terms = {-pk.pack(t): t for t in v}
     row = {c: v[t] for c, t in terms.items()}
-    space, _ = _reducer_space([row], gb._at_pos, pk, gb.ring.field)
+    space = _reducer_space([row], gb._at_pos, pk, gb.ring.field)
     if not space.rows:
         return {terms[c]: row[c] for c in sorted(terms)}
     row[0] = 1
@@ -203,7 +203,7 @@ def _degree_pass(gens, twists, ring: PolyRing):
             halves.append({c + s: x for c, x in found[lead].items()})
         ks = gens_at.pop(d, [])
         rows = [int_row({-pk.pack(t): c for t, c in gens[k].items()}, fld) for k in ks]
-        space, _ = _reducer_space(halves + rows, at_pos, pk, fld)
+        space = _reducer_space(halves + rows, at_pos, pk, fld)
         old = set(space.rows)
         for h in halves:
             space.add(h)
@@ -437,6 +437,7 @@ def minimal_mod_f(vecs: list[Vec], twists, ring: PolyRing, f: Poly) -> list[Vec]
 
 
 def minimal_generators(M: GradedMatrix, *, f: Poly | None = None) -> GradedMatrix:
-    """mingens applied to the columns of a graded matrix."""
+    """mingens applied to the columns of a graded matrix.  No caller in the
+    package; public as the matrix form of `mingens`, for tests and users."""
     vecs = mingens(columns_as_vectors(M), M.target_twists, M.ring, f=f)
     return vectors_as_columns(M.ring, M.target_twists, vecs)

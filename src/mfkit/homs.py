@@ -26,7 +26,10 @@ fraction field (Eisenbud, Trans. AMS 260 (1980), §5):
 
 So the one system of Hom(M[1], N) is read two ways: by rows its rank is
 the boundary rank of Hom(M, N), by columns its images span the boundaries
-in f1 coordinates.  The span is built only for representatives and
+in f1 coordinates.  A `HomProblem` owns its system: its `equations` are
+eliminated on first read, once per problem, and a `StableHom` pairs the
+problems of Hom(M, N) and Hom(M[1], N), so consecutive shifts share one
+elimination.  The span is built only for representatives and
 null-homotopy tests, once per `StableHom`.
 
 A dimension has two routes.  `hom_space`, whose basis and
@@ -249,6 +252,11 @@ class HomProblem:
         """Slot → column, for `vector_from_morphism`; built on first read."""
         return {k: c for c, k in enumerate(self.slots)}
 
+    @cached_property
+    def equations(self) -> RowSpace:
+        """`strict_rows` eliminated, on first read, so once per problem."""
+        return row_space(self.strict_rows(), self.ring.field)
+
     def strict_rows(self) -> list[dict]:
         """Equations of the strict morphisms: the alpha-square
         alpha_N·f0 = f1·alpha_M (the beta-square follows; see the module
@@ -314,9 +322,10 @@ class HomProblem:
 
 class StableHom:
     """Strict morphisms M → N modulo null-homotopic ones, from two strict
-    systems, each a HomProblem and its eliminated equations: `problem` =
-    Hom(M, N), in whose coordinates everything is read, and `shifted` =
-    Hom(M[1], N), whose strict rank is the boundary rank (module docstring).
+    systems: `problem` = Hom(M, N), in whose coordinates everything is
+    read, and `shifted` = Hom(M[1], N), whose strict rank is the boundary
+    rank (module docstring).  Each reads its `equations`, eliminated on
+    first read, once per HomProblem.
 
     `strict_dim` is #slots − rank(equations); D∘D = 0 puts the boundaries
     inside the strict morphisms, so `stable_dim` is `strict_dim` −
@@ -329,11 +338,11 @@ class StableHom:
     the span in full coordinates); `strict_basis`, every solution.
     """
 
-    def __init__(self, system: tuple[HomProblem, RowSpace], successor: tuple[HomProblem, RowSpace]):
-        (self.problem, self._equations), (self.shifted, shifted_equations) = system, successor
-        self.source, self.target = self.problem.M, self.problem.N
-        self.strict_dim = len(self.problem.slots) - self._equations.rank
-        self.boundary_rank = shifted_equations.rank
+    def __init__(self, problem: HomProblem, shifted: HomProblem):
+        self.problem, self.shifted = problem, shifted
+        self.source, self.target = problem.M, problem.N
+        self.strict_dim = len(problem.slots) - problem.equations.rank
+        self.boundary_rank = shifted.equations.rank
 
     @property
     def stable_dim(self) -> int:
@@ -341,7 +350,7 @@ class StableHom:
 
     @cached_property
     def solutions(self) -> list[dict]:
-        return nullspace(self._equations, len(self.problem.slots))
+        return nullspace(self.problem.equations, len(self.problem.slots))
 
     @cached_property
     def boundaries(self) -> RowSpace:
@@ -377,33 +386,17 @@ class StableHom:
         return [self.problem.morphism_from_vector(v) for v in self.solutions]
 
 
-def _strict_systems(sources: list[MatrixFactorization], N: MatrixFactorization) -> list[tuple]:
-    """(HomProblem(M, N), its eliminated strict equations) for every M in
-    sources; every system is sized against MAX_HOM_SLOTS before any is
-    eliminated."""
-    problems = [HomProblem(M, N) for M in sources]
-    return [(prob, row_space(prob.strict_rows(), prob.ring.field)) for prob in problems]
-
-
-def _stable_homs(sources: list[MatrixFactorization], N: MatrixFactorization) -> list[StableHom]:
-    """Stable Hom(M[i], N) for every M[i] of the consecutive shifts
-    sources = [M[i], M[i + 1], …] but the last, each strict system
-    eliminated once.  A kernel, a basis and the boundary span are built
-    only when read."""
-    systems = _strict_systems(sources, N)
-    return [StableHom(a, b) for a, b in zip(systems, systems[1:])]
-
-
 def hom_space(M: MatrixFactorization, N: MatrixFactorization) -> StableHom:
     """Stable Hom M → N from the strict systems of Hom(M, N) and
-    Hom(M[1], N), both eliminated on every call, since its basis and
+    Hom(M[1], N), both sized against MAX_HOM_SLOTS before either is
+    eliminated, and both eliminated on every call, since its basis and
     null-homotopy tests need morphisms; `stable_hom_dim` reads dimensions
     alone, more cheaply over a run of shifts.
 
     M and N must be factorisations of one potential f ≠ 0 (alpha·beta = f·I):
     the alpha-square system rests on it.  `catalog_mf`, `cone_mf` and the CLI's
     loader check it."""
-    return StableHom(*_strict_systems([M, shift_mf(M, 1)], N))
+    return StableHom(HomProblem(M, N), HomProblem(shift_mf(M, 1), N))
 
 
 def _image_basis(A: MatrixFactorization, N: MatrixFactorization):
@@ -606,12 +599,13 @@ def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFacto
     that Serre duality gives d_i = dim Hom(C[i], X) = dim Hom(X[−1−i], C)
     (Bondal–Kapranov, Math. USSR Izv. 35 (1990)).  The guard reads d_i for
     i ≥ k from the strict systems of Hom(C[i], X) at k..4 and d_i for i < k
-    from those of Hom(X[j], C) at −k..3, each eliminated once, a lone system
-    bounding nothing and left out; the split k in -3..4 is the one whose
-    systems have the fewest unknowns, counted from the twist lists alone
-    (`_slot_entries`).  The bases of the evaluation are read on the direct
-    side only, at the support shifts and their successor, eliminating only
-    the systems the split left out."""
+    from those of Hom(X[j], C) at −k..3, a lone system bounding nothing and
+    left out; the split k in -3..4 is the one whose systems have the fewest
+    unknowns, counted from the twist lists alone (`_slot_entries`).  All
+    are sized before any is eliminated, on first read, once per HomProblem.
+    The bases of the evaluation are read on the direct side only, at the
+    support shifts and their successor, building only the problems the
+    split left out."""
     smooth_weierstrass(C.f)
     shifted_C = {i: shift_mf(C, i) for i in range(-3, 5)}
     shifted_X = {j: shift_mf(X, j) for j in range(-4, 4)}
@@ -620,9 +614,9 @@ def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFacto
     splits = {k: (range(k, 5 if k < 4 else k), range(-k, 4 if k > -3 else -k)) for k in range(-3, 5)}
     k = min(splits, key=lambda k: sum(map(direct.get, splits[k][0])) + sum(map(dual.get, splits[k][1])))
     mine, theirs = splits[k]
-    systems = dict(zip(mine, _strict_systems([shifted_C[i] for i in mine], X)))
-    duals = _stable_homs([shifted_X[j] for j in theirs], C)
-    dims = {i: StableHom(systems[i], systems[i + 1]).stable_dim if i >= k else duals[k - 1 - i].stable_dim
+    systems = {i: HomProblem(shifted_C[i], X) for i in mine}
+    duals = {j: HomProblem(shifted_X[j], C) for j in theirs}
+    dims = {i: (StableHom(systems[i], systems[i + 1]) if i >= k else StableHom(duals[-1 - i], duals[-i])).stable_dim
             for i in range(-3, 4)}
     if dims[-3] != 0 or dims[3] != 0:
         raise InputError(f"twist functor guard failed: nonzero stable Hom at shift ±3 ({dims})")
@@ -633,8 +627,7 @@ def twist_functor(C: MatrixFactorization, X: MatrixFactorization) -> MatrixFacto
         # no stable maps out of C: the evaluation source is the zero object
         # and the cone is X itself
         return reduce_mf(X)
-    missing = [i for i in range(support[0], support[-1] + 2) if i not in systems]
-    systems.update(zip(missing, _strict_systems([shifted_C[i] for i in missing], X)))
+    systems.update({i: HomProblem(shifted_C[i], X) for i in range(support[0], support[-1] + 2) if i not in systems})
     reps = [phi for i in support for phi in StableHom(systems[i], systems[i + 1]).basis]
     source = _fold(direct_sum_mf, [r.source for r in reps])
     f0 = GradedMatrix.block([[r.f0 for r in reps]])

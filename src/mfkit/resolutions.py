@@ -118,7 +118,9 @@ def hilbert_function(P: Presentation, i: int) -> int:
 
 
 def free_hilbert_function(ring: PolyRing, f: Poly, twists, i: int) -> int:
-    """dim_K of the degree-i piece of the free module ⊕A(-t_j)."""
+    """dim_K of the degree-i piece of the free module ⊕A(-t_j).  No caller in
+    the package; public as the free-module form of `hilbert_function`, for
+    tests and users."""
     return hilbert_function(Presentation.free(ring, f, twists), i)
 
 

@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -616,7 +615,9 @@ def test_minimal_mod_f_matches_reducing_every_vector_first(seed, fld, potential)
 
 def whole_basis_reducer_space(rows, basis, lts, fld):
     """_reducer_space by scanning the whole basis for each term: the reducer
-    of a term is the multiple of the first element whose leading term divides it."""
+    of a term is the multiple of the first element whose leading term divides it.
+    Returns the space, its columns numbered by descending visited term, and
+    those terms."""
     reducers = {}
     todo = [t for r in rows for t in r]
     while todo:
@@ -633,25 +634,20 @@ def whole_basis_reducer_space(rows, basis, lts, fld):
     terms = sorted(reducers, key=term_key, reverse=True)
     cols = {t: j for j, t in enumerate(terms)}
     space = row_space([int_row({cols[u]: c for u, c in r.items()}, fld) for r in reducers.values() if r], fld)
-    return space, cols, terms
+    return space, terms
 
 
 def packed_reducer_space(rows, basis, twists, ring):
-    """_reducer_space of rows against basis, packed here, in the form of
-    whole_basis_reducer_space: columns renamed 0, 1, ... by descending term,
-    and the terms unpacked."""
+    """_reducer_space of rows against basis, packed here, its rows read
+    back in terms: {pivot term: {term: stored coefficient}}."""
     pk, fld = _Packing(ring.nvars, tuple(twists)), ring.field
     at_pos = {}
     for v in basis:
         row = int_row({-pk.pack(t): c for t, c in v.items()}, fld)
         _index(at_pos, pk, min(row), row)
     packed = [{-pk.pack(t): c for t, c in r.items()} for r in rows]
-    space, reducers = _reducer_space(packed, at_pos, pk, fld)
-    order = sorted(reducers)  # ascending column, descending term
-    index = {c: j for j, c in enumerate(order)}
-    terms = [pk.unpack(-c) for c in order]
-    renamed = {index[q]: {index[c]: x for c, x in row.items()} for q, row in space.rows.items()}
-    return SimpleNamespace(rows=renamed), {t: j for j, t in enumerate(terms)}, terms
+    space = _reducer_space(packed, at_pos, pk, fld)
+    return {pk.unpack(-q): {pk.unpack(-c): x for c, x in row.items()} for q, row in space.rows.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -671,11 +667,11 @@ def test_reducer_space_matches_whole_basis_scan(seed, fld, reduced):
     gens = [v for v in gens if v]
     basis = mk.groebner_basis(gens, ring=R, twists=twists).basis if reduced and gens else gens
     rows = [random_homogeneous_vec(rng, R, twists, rng.randrange(2, 6)) for _ in range(3)]
-    space, cols, terms = packed_reducer_space(rows, basis, twists, R)
-    ref, ref_cols, ref_terms = whole_basis_reducer_space(rows, basis, lts_of(basis), fld)
-    assert terms == ref_terms
-    assert cols == ref_cols
-    assert space.rows == ref.rows
+    ref, terms = whole_basis_reducer_space(rows, basis, lts_of(basis), fld)
+    # the reference's columns are its visited terms by descending term, so
+    # its pivots are the terms that got a reducer, in the packed order
+    want = {terms[q]: {terms[c]: x for c, x in row.items()} for q, row in ref.rows.items()}
+    assert packed_reducer_space(rows, basis, twists, R) == want
 
 
 def tuple_standard_count(basis, pos, degree, ring):

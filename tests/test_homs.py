@@ -2,13 +2,14 @@
 
 import functools
 import random
+import re
 from math import lcm
 
 import pytest
 
 import mfkit as mk
 from mfkit import homs
-from mfkit.homs import HomProblem
+from mfkit.homs import HomProblem, StableHom
 from mfkit.linalg import int_row, nullspace, row_space
 from mfkit.poly import GradedMatrix, graded_inverse, pack_lex
 
@@ -49,6 +50,24 @@ def test_compose_add_scale(kp, curve):
     neg = mk.scale_morphism(two, curve.field.of(-1))
     total = mk.add_morphisms(two, neg)
     assert total.f0.is_zero() and total.f1.is_zero()
+
+
+@pytest.mark.parametrize("case", ["compose", "add", "iso"])
+def test_morphism_algebra_and_iso_refuse_mismatched_ends(case, kp, kq):
+    # a composition through two middles, a sum of morphisms with different
+    # ends, and an iso question across two potentials over one ring
+    ida, idb = mk.identity_morphism(kp), mk.identity_morphism(kq)
+    if case == "compose":
+        with pytest.raises(mk.ValidationError, match="composition needs matching middle factorisation"):
+            mk.compose_morphisms(ida, idb)
+    elif case == "add":
+        with pytest.raises(mk.ValidationError, match="morphism sum needs equal sources and targets"):
+            mk.add_morphisms(ida, mk.zero_morphism(kp, kq))
+    else:
+        M, N = (catalog_objects(0, 0, mu)[1]["point"] for mu in (1, "1/2"))
+        assert M.ring == N.ring and M.f != N.f
+        res = mk.is_stably_isomorphic(M, N)
+        assert (res.status, res.reason) == ("no", "different rings or potentials")
 
 
 def test_twist_mismatch_is_reported(kp, kq, curve):
@@ -313,7 +332,7 @@ def assert_half_systems_match_full(M, N, oracle):
     H = mk.hom_space(M, N)
     prob, fld = H.problem, M.ring.field
     strict, boundaries = full_strict_space(prob), full_boundary_space(prob, oracle)
-    assert H._equations.rows == strict.rows
+    assert prob.equations.rows == strict.rows
     assert H.boundary_rank == boundaries.rank
     assert H.shifted.M == mk.shift_mf(M, 1) and H.shifted.N == N
     f1_parts = [prob.f1_part(prob.vector_from_morphism(phi)) for phi in oracle]
@@ -598,6 +617,13 @@ def test_a_shift_sweep_builds_each_parity_basis_once(monkeypatch, kp, kq, osheaf
     assert [mk.stable_hom_dim(kp, kp, shift=s) for s in reversed(SHIFTS)] == [0, 0, 0, 1, 1, 0, 0]
 
 
+def stable_dims(M, N):
+    """dim stable Hom(M[s], N) for s in -3..3, each of the systems of
+    Hom(M[s], N) at s in -3..4 eliminated once."""
+    problems = [HomProblem(mk.shift_mf(M, s), N) for s in range(-3, 5)]
+    return [StableHom(a, b).stable_dim for a, b in zip(problems, problems[1:])]
+
+
 @pytest.mark.parametrize("char, lam, mu, other", [(101, 2, 3, (0, 1)), (0, 0, 1, (2, 3))])
 def test_a_reused_system_answers_only_for_its_own_pair(char, lam, mu, other):
     # profiles from consecutive sweeps, from the same calls in a seeded
@@ -612,8 +638,7 @@ def test_a_reused_system_answers_only_for_its_own_pair(char, lam, mu, other):
     twins = [("point", "point@q"), ("point", "point-e"), ("lb-minus-p", "lb-minus-e")]
     for a, b in twins:
         assert (objs[a].p0, objs[a].p1) == (objs[b].p0, objs[b].p1) and objs[a] != objs[b]
-    want = {(a, b): [H.stable_dim for H in homs._stable_homs([mk.shift_mf(M, s) for s in range(-3, 5)], N)]
-            for a, M in objs.items() for b, N in objs.items()}
+    want = {(a, b): stable_dims(M, N) for a, M in objs.items() for b, N in objs.items()}
     swept = {(a, b): [mk.stable_hom_dim(objs[a], objs[b], shift=s) for s in SHIFTS] for a, b in want}
     assert swept == want
     calls = [(a, b, s) for a, b in want for s in SHIFTS]
@@ -632,7 +657,7 @@ def test_a_reused_system_gives_a_full_stable_hom(kp, kq, osheaf):
         mk.hom_space(mk.shift_mf(M, -1), N)
         H = mk.hom_space(M, N)
         assert H.source == M and H.target == N
-        [fresh] = homs._stable_homs([M, mk.shift_mf(M, 1)], N)
+        fresh = StableHom(HomProblem(M, N), HomProblem(mk.shift_mf(M, 1), N))
         assert (H.strict_dim, H.boundary_rank) == (fresh.strict_dim, fresh.boundary_rank)
         assert H.basis == fresh.basis
         for phi in H.basis:
@@ -757,6 +782,31 @@ def test_cone_reduces_to_catalog_target(curve, points, which):
     assert C.rank == CONE_SHAPES[which][3]
     T = cone_target(curve, which, points[0])
     assert mk.is_stably_isomorphic(C, T).status == "yes"
+
+
+def doubled_entry(A: GradedMatrix) -> GradedMatrix:
+    """A with its first nonzero entry doubled: graded still, but wrong."""
+    entries = [list(row) for row in A.entries]
+    i, j = next((i, j) for i, row in enumerate(entries) for j, e in enumerate(row) if not e.is_zero())
+    entries[i][j] = entries[i][j].scale(A.ring.field.of(2))
+    return GradedMatrix(A.ring, A.target_twists, A.source_twists, entries)
+
+
+def test_cone_refuses_bad_input(curve, points):
+    # a non-strict phi is refused before the cone is built; a strict-shaped
+    # phi into a target whose beta was tampered with passes the alpha-square
+    # but builds an invalid cone, refused on the way out
+    phi, _ = cone_generator(curve, "e-plus-p", points[0])
+    bent = mk.MFMorphism(phi.source, phi.target, phi.f0, doubled_entry(phi.f1))
+    with pytest.raises(mk.ValidationError, match="invalid cone input"):
+        mk.cone_mf(bent)
+    N = phi.target
+    broken = mk.MatrixFactorization(N.ring, N.f, N.alpha, doubled_entry(N.beta))
+    assert mk.verify_mf(broken)
+    into = mk.MFMorphism(phi.source, broken, phi.f0, phi.f1)
+    assert mk.verify_morphism(into) == []
+    with pytest.raises(mk.ValidationError, match="invalid mapping cone"):
+        mk.cone_mf(into)
 
 
 # ---------------------------------------------------------------------------
@@ -992,6 +1042,54 @@ def test_twist_functor_builds_no_direct_system_below_its_split(monkeypatch, oshe
         assert not [M for M, N in built if M in below], kind
         assert [M for M, N in built if N is osheaf], kind
         assert T == evaluation_cone(osheaf, X), kind
+
+
+# kind -> (a, b) for T_O and for T_O^-1: the systems Hom(C[i], X) at a..4
+# and Hom(X[j], C) at b..3 are eliminated, C and X the arguments of the
+# inner twist_functor call, transposed for T_O^-1
+ELIMINATED = {
+    "point": ((0, 0), (-1, 0)),
+    "point-e": ((0, 0), (-1, 0)),
+    "lb-minus-p": ((-1, 0), (0, 0)),
+    "lb-minus-e": ((-1, 0), (0, 0)),
+    "lb-e-plus-p": ((-1, 1), (0, 0)),
+    "lb-2e": ((-1, 1), (0, 0)),
+    "lb-2e-plus-p": ((-1, 1), (0, -1)),
+    "structure-sheaf": ((-1, 0), (-1, 0)),
+    "fundamental": ((-1, 0), (-1, 0)),
+    "trivial": ((2, -2), (-2, 2)),
+}
+
+
+def test_twist_functors_eliminate_each_system_once(monkeypatch, osheaf, points, curve, kp):
+    # every strict system of one T_O and one T_O^-1 call is eliminated at
+    # most once, however many stable Homs read it; the systems eliminated,
+    # by source and target twists, are the guard's split plus the support
+    # and its successor; and every system of the guard, then every one
+    # added for the bases, is built, so sized against MAX_HOM_SLOTS, before
+    # any of them is eliminated (B a build, E an elimination)
+    assert set(ELIMINATED) == set(mk.CATALOG_KINDS)
+    eliminated, events = [], []
+    init, rows = HomProblem.__init__, HomProblem.strict_rows
+    monkeypatch.setattr(HomProblem, "__init__", lambda self, M, N: events.append("B") or init(self, M, N))
+    monkeypatch.setattr(HomProblem, "strict_rows",
+                        lambda self: events.append("E") or eliminated.append(self) or rows(self))
+    mk.hom_space(kp, kp)
+    assert events == list("BBEE")
+    twists = lambda M: (tuple(M.p0), tuple(M.p1))
+    for kind, splits in ELIMINATED.items():
+        X = mk.catalog_mf(curve, kind, points[0] if kind in mk.POINT_KINDS else None)
+        for functor, (c, x), (a, b) in zip((mk.twist_functor, mk.inverse_twist_functor),
+                                           ((osheaf, X), (mk.transpose_mf(osheaf), mk.transpose_mf(X))), splits):
+            eliminated.clear()
+            events.clear()
+            functor(osheaf, X)
+            assert len(set(map(id, eliminated))) == len(eliminated), (kind, functor)
+            assert re.fullmatch("(B+E+){1,2}", "".join(events)), (kind, functor, events)
+            want = [(twists(mk.shift_mf(c, i)), twists(x)) for i in range(a, 5)]
+            want += [(twists(mk.shift_mf(x, j)), twists(c)) for j in range(b, 4)]
+            got = [(twists(p.M), twists(p.N)) for p in eliminated]
+            assert sorted(got) == sorted(want), (kind, functor)
 
 
 def test_twist_functors_refuse_a_singular_curve():
