@@ -31,6 +31,7 @@ from .catalog import (
 from .errors import InputError, MFKitError, ParseError
 from .homs import cone_mf, hom_space, reduce_mf, is_stably_isomorphic
 from .io import (
+    MAX_TWIST,
     catalog_entry_dict,
     mf_from_dict,
     mf_to_dict,
@@ -80,6 +81,11 @@ MAX_RESOLVE_LENGTH = 1_000
 # 101 MB, `--kind all` 40,034 in 19.4 s and 374 MB (Python 3.11).
 MAX_POINT_PRIME = 10_007
 
+# An inconclusive `iso` search tries every one of its --samples candidates:
+# over Q, k(p)⊕k(q) against k(p)⊕k(p) takes 0.30 s at the default 1,000 and
+# 23 s at 100,000, in a flat 17 MB (Python 3.11).
+MAX_ISO_SAMPLES = 100_000
+
 
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
@@ -116,6 +122,13 @@ def _load_mf(path: str):
     M = mf_from_dict(_load_json(path))
     assert_valid_mf(M, f"factorisation in {path}")
     return M
+
+
+def _check_range(flag: str, value: int, low: int | None = None, high: int | None = None) -> None:
+    if low is not None and value < low:
+        raise InputError(f"{flag} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise InputError(f"{flag} must be <= {high}, got {value}")
 
 
 def _seed_from(args) -> int:
@@ -181,8 +194,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    if args.length > MAX_RESOLVE_LENGTH:
-        raise InputError(f"--length must be <= {MAX_RESOLVE_LENGTH}, got {args.length}")
+    _check_range("--length", args.length, high=MAX_RESOLVE_LENGTH)
     P = _module_from_args(args)
     res = minimal_resolution(P, args.length)
     period = detect_periodicity(res)
@@ -201,8 +213,8 @@ def cmd_resolve(args) -> int:
 
 def cmd_extract(args) -> int:
     # raw extraction at step s resolves s + 1 steps
-    if args.step is not None and args.step >= MAX_RESOLVE_LENGTH:
-        raise InputError(f"--step must be <= {MAX_RESOLVE_LENGTH - 1}, got {args.step}")
+    if args.step is not None:
+        _check_range("--step", args.step, high=MAX_RESOLVE_LENGTH - 1)
     P = _module_from_args(args)
     M = extract_mf(P, args.mode, args.step)
     _emit(mf_to_dict(M), args.out)
@@ -255,6 +267,7 @@ def cmd_cone(args) -> int:
 
 
 def cmd_hom(args) -> int:
+    _check_range("--shift", args.shift, -MAX_TWIST, MAX_TWIST)
     M = _load_mf(args.source)
     N = _load_mf(args.target)
     space = hom_space(shift_mf(M, args.shift), N)
@@ -272,13 +285,8 @@ def cmd_hom(args) -> int:
     return EXIT_OK
 
 
-def _non_negative(flag: str, value: int) -> None:
-    if value < 0:
-        raise InputError(f"{flag} must be >= 0, got {value}")
-
-
 def cmd_iso(args) -> int:
-    _non_negative("--samples", args.samples)
+    _check_range("--samples", args.samples, 0, MAX_ISO_SAMPLES)
     M = _load_mf(args.left)
     N = _load_mf(args.right)
     seed = _seed_from(args)
@@ -297,9 +305,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_ar(args) -> int:
-    _non_negative("--max-degree", args.max_degree)
-    if args.max_degree > MAX_AR_DEGREE:
-        raise InputError(f"--max-degree must be <= {MAX_AR_DEGREE}, got {args.max_degree}")
+    _check_range("--max-degree", args.max_degree, 0, MAX_AR_DEGREE)
     M = _load_mf(args.file)
     middle = ar_middle(M)
     cok = cokernel_module(reduce_mf(M))
@@ -331,8 +337,10 @@ _ENVELOPE_MAPS = (
 
 
 def cmd_envelope_map(args) -> int:
-    M = _load_mf(args.file)
     extra = () if args.option is None else (getattr(args, args.option),)
+    for value in extra:
+        _check_range(f"--{args.option}", value, -MAX_TWIST, MAX_TWIST)
+    M = _load_mf(args.file)
     _emit(mf_to_dict(args.map(M, *extra)), args.out)
     return EXIT_OK
 

@@ -3,22 +3,24 @@
 Loading is deliberately permissive about mathematical validity: a
 structurally well-formed envelope always loads, and verify_mf reports any
 per-cell violations afterwards, so tampered files are diagnosed rather than
-rejected at parse time.
+rejected at parse time.  The loaders share one object-and-keys check, one
+ring-and-potential reader and one integer reader for twists and shifts.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .fields import QQ, Field
-from .mf import MatrixFactorization, verify_mf
+from .groebner import DEGREE_BITS
 from .homs import MFMorphism
-from .mf import shift_mf
-from .poly import GradedMatrix, PolyRing, format_poly
+from .mf import MatrixFactorization, shift_mf, verify_mf
+from .poly import GradedMatrix, Poly, PolyRing, format_poly
 from .resolutions import Presentation
 
 _FIELD_RATIONAL = {"q", "qq", "rational", "rationals", "0"}
+MAX_TWIST = (1 << DEGREE_BITS) - 1  # twists are degrees, which a Gröbner pass keeps below 2^DEGREE_BITS
 
 
 def parse_field_token(token) -> Field:
@@ -82,10 +84,35 @@ def _matrix_from_rows(ring: PolyRing, target, source, rows) -> GradedMatrix:
     return GradedMatrix.from_strings(ring, list(target), list(source), rows)
 
 
+def _int(value, what: str, message: str) -> int:
+    """A twist or shift: an int, not a bool, of absolute value at most MAX_TWIST."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(message)
+    if abs(value) > MAX_TWIST:
+        raise ParseError(f"{what} must be below 2^{DEGREE_BITS} in absolute value")
+    return value
+
+
 def _int_list(value, what: str) -> list[int]:
-    if not isinstance(value, list) or any(not isinstance(v, int) or isinstance(v, bool) for v in value):
+    if not isinstance(value, list):
         raise ParseError(f"{what} must be a list of integers")
-    return list(value)
+    return [_int(v, f"{what} entries", f"{what} must be a list of integers") for v in value]
+
+
+def _envelope(data, what: str, keys) -> None:
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} envelope must be a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ParseError(f"{what} envelope is missing {key!r}")
+
+
+def _ring_and_potential(data) -> tuple[PolyRing, Poly]:
+    ring = ring_from_dict(data["ring"])
+    try:
+        return ring, ring.parse(data["f"])
+    except (ParseError, TypeError) as exc:  # TypeError: f is not a string
+        raise ParseError(f"cannot parse potential: {exc}") from exc
 
 
 def mf_to_dict(M: MatrixFactorization) -> dict:
@@ -101,27 +128,14 @@ def mf_to_dict(M: MatrixFactorization) -> dict:
 
 
 def mf_from_dict(data) -> MatrixFactorization:
-    if not isinstance(data, dict):
-        raise ParseError("factorisation envelope must be a JSON object")
-    for key in ("ring", "f", "p0_twists", "p1_twists", "alpha", "beta"):
-        if key not in data:
-            raise ParseError(f"factorisation envelope is missing {key!r}")
+    _envelope(data, "factorisation", ("ring", "f", "p0_twists", "p1_twists", "alpha", "beta"))
     if data.get("d", 3) != 3:
         raise ParseError("only potentials of degree d = 3 are supported")
-    ring = ring_from_dict(data["ring"])
-    try:
-        f = ring.parse(data["f"])
-    except Exception as exc:
-        raise ParseError(f"cannot parse potential: {exc}") from exc
+    ring, f = _ring_and_potential(data)
     p0 = _int_list(data["p0_twists"], "p0_twists")
     p1 = _int_list(data["p1_twists"], "p1_twists")
-    try:
-        alpha = _matrix_from_rows(ring, p1, p0, data["alpha"])
-        beta = _matrix_from_rows(ring, [a - 3 for a in p0], p1, data["beta"])
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"cannot parse matrix entries: {exc}") from exc
+    alpha = _matrix_from_rows(ring, p1, p0, data["alpha"])
+    beta = _matrix_from_rows(ring, [a - 3 for a in p0], p1, data["beta"])
     return MatrixFactorization(ring, f, alpha, beta)
 
 
@@ -136,27 +150,14 @@ def morphism_to_dict(phi: MFMorphism) -> dict:
 
 
 def morphism_from_dict(data) -> MFMorphism:
-    if not isinstance(data, dict):
-        raise ParseError("morphism envelope must be a JSON object")
-    for key in ("source", "target", "f0", "f1"):
-        if key not in data:
-            raise ParseError(f"morphism envelope is missing {key!r}")
+    _envelope(data, "morphism", ("source", "target", "f0", "f1"))
     source = mf_from_dict(data["source"])
     target = mf_from_dict(data["target"])
-    k = data.get("shift", 0)
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParseError("shift must be an integer")
-    source = shift_mf(source, k)
-    ring = source.ring
-    if ring != target.ring:
+    source = shift_mf(source, _int(data.get("shift", 0), "shift", "shift must be an integer"))
+    if source.ring != target.ring:
         raise ParseError("morphism source and target use different rings")
-    try:
-        f0 = _matrix_from_rows(ring, target.p0, source.p0, data["f0"])
-        f1 = _matrix_from_rows(ring, target.p1, source.p1, data["f1"])
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"cannot parse morphism matrices: {exc}") from exc
+    f0 = _matrix_from_rows(source.ring, target.p0, source.p0, data["f0"])
+    f1 = _matrix_from_rows(source.ring, target.p1, source.p1, data["f1"])
     return MFMorphism(source, target, f0, f1)
 
 
@@ -171,16 +172,8 @@ def presentation_to_dict(P: Presentation) -> dict:
 
 
 def presentation_from_dict(data) -> Presentation:
-    if not isinstance(data, dict):
-        raise ParseError("presentation envelope must be a JSON object")
-    for key in ("ring", "f", "ambient_twists", "relations"):
-        if key not in data:
-            raise ParseError(f"presentation envelope is missing {key!r}")
-    ring = ring_from_dict(data["ring"])
-    try:
-        f = ring.parse(data["f"])
-    except Exception as exc:
-        raise ParseError(f"cannot parse potential: {exc}") from exc
+    _envelope(data, "presentation", ("ring", "f", "ambient_twists", "relations"))
+    ring, f = _ring_and_potential(data)
     ambient = _int_list(data["ambient_twists"], "ambient_twists")
     rows = data["relations"]
     try:
@@ -196,9 +189,7 @@ def presentation_from_dict(data) -> Presentation:
             ]
             rel = rel.with_twists(ambient, src)
         return Presentation(ring, f, ambient, rel)
-    except ParseError:
-        raise
-    except Exception as exc:
+    except ValidationError as exc:
         raise ParseError(f"invalid presentation: {exc}") from exc
 
 

@@ -554,8 +554,9 @@ def test_ar_command_on_a_non_brick(capsys, tmp_path, qcurve, qpoints):
         (["ar", "{kp}", "--max-degree", "-1"], "must be >= 0"),
         (["iso", "{kp}", "{kp}", "--samples", "-1"], "must be >= 0"),
         (["ar", "{kp}", "--max-degree", "101"], "--max-degree must be <= 100, got 101"),
+        (["iso", "{kp}", "{kp}", "--samples", "100001"], "--samples must be <= 100000, got 100001"),
     ],
-    ids=["ar", "iso", "ar-above-bound"],
+    ids=["ar", "iso", "ar-above-bound", "iso-above-bound"],
 )
 def test_negative_count_flags_are_input_errors(monkeypatch, capsys, tmp_path, qcurve, qpoints, argv, message):
     kp = write_mf(tmp_path, "kp.json", mk.catalog_mf(qcurve, "point", qpoints[0]))
@@ -569,6 +570,38 @@ def test_negative_count_flags_are_input_errors(monkeypatch, capsys, tmp_path, qc
     assert code == 2
     assert payload is None
     assert message in err
+
+
+HUGE = "9" * 4300  # the most digits int() converts
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["shift", "{kp}", "--k", HUGE], f"--k must be <= {2**31 - 1}, got {HUGE}"),
+        (["twist", "{kp}", "--n", "-" + HUGE], f"--n must be >= {-(2**31 - 1)}, got -{HUGE}"),
+        (["hom", "{kp}", "{kp}", "--shift", "-" + HUGE], f"--shift must be >= {-(2**31 - 1)}, got -{HUGE}"),
+        (["hom", "{kp}", "{kp}", "--shift", str(2**31)], f"--shift must be <= {2**31 - 1}, got {2**31}"),
+        (["shift", "{huge}", "--k", "2"], "p0_twists entries must be below 2^31 in absolute value"),
+        (["twist", "{huge}", "--n", "5"], "p0_twists entries must be below 2^31 in absolute value"),
+        (["transpose", "{huge}"], "p0_twists entries must be below 2^31 in absolute value"),
+        (["verify", "{huge}"], "p0_twists entries must be below 2^31 in absolute value"),
+    ],
+    ids=["shift-k", "twist-n", "hom-shift", "hom-shift-2^31", "shift-envelope", "twist-envelope", "transpose", "verify"],
+)
+def test_twists_and_shifts_past_2_31_are_input_errors(capsys, tmp_path, qcurve, qpoints, argv, message):
+    # each of these ran into the interpreter's 4,300-digit limit on int-to-text
+    # conversion (exit 70) before twists and shifts were bounded
+    d = mk.mf_to_dict(mk.catalog_mf(qcurve, "point", qpoints[0]))
+    kp = tmp_path / "kp.json"
+    kp.write_text(json.dumps(d))
+    # a twist difference, an entry degree, of 4,301 digits
+    d["p0_twists"][0], d["p1_twists"][0] = int(HUGE), -int(HUGE)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(d))
+    code, payload, err = run_cli(capsys, *(a.format(kp=kp, huge=huge) for a in argv))
+    assert (code, payload) == (2, None)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mfkit as mk
@@ -254,11 +254,118 @@ def test_envelope_with_one_field_replaced_loads_or_raises_parse_error(data):
         pass
 
 
+# The envelope loaders let any exception of parse_poly but ParseError
+# through, as an internal error: this property is what makes that safe.
 @settings(max_examples=300, deadline=None)
 @given(st.text(POLY_ALPHABET + "*", max_size=30))
+@example("1/0")
+@example("X^-1")
+@example("9" * 5000)
+@example("(" * 150 + "X" + ")" * 150)
 def test_polynomial_text_parses_or_raises_parse_error(text):
-    for ring in (PolyRing(QQ), PolyRing(Field(101))):
+    for ring in (PolyRing(QQ), PolyRing(Field(101)), PolyRing(Field(2))):
         try:
             parse_poly(text, ring)
         except mk.ParseError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# the message of every refusal, one row per check
+
+
+def _edited(envelope, drop=None, **fields):
+    out = copy.deepcopy(envelope)
+    out.pop(drop, None)
+    out.update(fields)
+    return out
+
+
+_MF, _MOR, _PRES = (through_json(envelope) for _, envelope in ENVELOPES)
+_ALPHA = _MF["alpha"]
+_ERRORS = [
+    ("mf-not-object", mk.mf_from_dict, [], "factorisation envelope must be a JSON object"),
+    ("morphism-not-object", morphism_from_dict, "x", "morphism envelope must be a JSON object"),
+    ("presentation-not-object", presentation_from_dict, None, "presentation envelope must be a JSON object"),
+    *(
+        (f"mf-missing-{key}", mk.mf_from_dict, _edited(_MF, drop=key), f"factorisation envelope is missing {key!r}")
+        for key in ("ring", "f", "p0_twists", "p1_twists", "alpha", "beta")
+    ),
+    *(
+        (f"morphism-missing-{key}", morphism_from_dict, _edited(_MOR, drop=key), f"morphism envelope is missing {key!r}")
+        for key in ("source", "target", "f0", "f1")
+    ),
+    *(
+        (
+            f"presentation-missing-{key}",
+            presentation_from_dict,
+            _edited(_PRES, drop=key),
+            f"presentation envelope is missing {key!r}",
+        )
+        for key in ("ring", "f", "ambient_twists", "relations")
+    ),
+    ("d-not-3", mk.mf_from_dict, _edited(_MF, d=4), "only potentials of degree d = 3 are supported"),
+    ("ring-not-object", mk.mf_from_dict, _edited(_MF, ring=5), "ring must be an object with vars/field/char"),
+    ("ring-bad-field", presentation_from_dict, _edited(_PRES, ring={"field": "banana"}), "unrecognised field spec 'banana'"),
+    ("f-unparsable", mk.mf_from_dict, _edited(_MF, f="X +"), "cannot parse potential: unexpected token None in polynomial"),
+    (
+        "f-not-string",
+        mk.mf_from_dict,
+        _edited(_MF, f=5),
+        "cannot parse potential: expected string or bytes-like object, got 'int'",
+    ),
+    (
+        "presentation-f-not-string",
+        presentation_from_dict,
+        _edited(_PRES, f=["X"]),
+        "cannot parse potential: expected string or bytes-like object, got 'list'",
+    ),
+    ("p0-twist-text", mk.mf_from_dict, _edited(_MF, p0_twists=[1, "2"]), "p0_twists must be a list of integers"),
+    ("p1-twist-bool", mk.mf_from_dict, _edited(_MF, p1_twists=[True, 2]), "p1_twists must be a list of integers"),
+    ("p1-twists-not-list", mk.mf_from_dict, _edited(_MF, p1_twists=2), "p1_twists must be a list of integers"),
+    ("ambient-twist-float", presentation_from_dict, _edited(_PRES, ambient_twists=[0.5]), "ambient_twists must be a list of integers"),
+    ("relation-twists-text", presentation_from_dict, _edited(_PRES, relation_twists="1"), "relation_twists must be a list of integers"),
+    ("ragged-matrix", mk.mf_from_dict, _edited(_MF, alpha=[_ALPHA[0][:1], _ALPHA[1]]), "matrix shape 2x1 does not match twists 2x2"),
+    ("entry-not-string", mk.mf_from_dict, _edited(_MF, beta=[[1, "X"], ["Y", "Z"]]), "matrix must be a list of rows of polynomial strings"),
+    ("entry-text", mk.mf_from_dict, _edited(_MF, alpha=[["X +", _ALPHA[0][1]], _ALPHA[1]]), "unexpected token None in polynomial"),
+    ("morphism-entry-text", morphism_from_dict, _edited(_MOR, f1=[["Q", "0"], ["0", "1"]]), "unknown variable 'Q' in ring ('X', 'Y', 'Z')"),
+    ("morphism-ragged", morphism_from_dict, _edited(_MOR, f0=[["1"]]), "matrix shape 1x1 does not match twists 2x2"),
+    (
+        "morphism-rings-differ",
+        morphism_from_dict,
+        _edited(_MOR, target=_edited(_MF, ring={"field": "GF(101)"})),
+        "morphism source and target use different rings",
+    ),
+    ("morphism-shift-text", morphism_from_dict, _edited(_MOR, shift="1"), "shift must be an integer"),
+    ("morphism-shift-bool", morphism_from_dict, _edited(_MOR, shift=True), "shift must be an integer"),
+    (
+        "presentation-inhomogeneous",
+        presentation_from_dict,
+        _edited(_PRES, drop="relation_twists", relations=[["X + Y^2", "Y"]]),
+        "invalid presentation: polynomial is not homogeneous: Y^2 + X",
+    ),
+    ("presentation-ragged", presentation_from_dict, _edited(_PRES, relations=[["X"]]), "matrix shape 1x1 does not match twists 1x2"),
+    # twists are degrees, which a Gröbner pass keeps below 2^31
+    ("p0-twist-2^31", mk.mf_from_dict, _edited(_MF, p0_twists=[2**31, 4]), "p0_twists entries must be below 2^31 in absolute value"),
+    (
+        "relation-twist-huge",
+        presentation_from_dict,
+        _edited(_PRES, relation_twists=[1, -(10**4299)]),
+        "relation_twists entries must be below 2^31 in absolute value",
+    ),
+    ("morphism-shift-2^31", morphism_from_dict, _edited(_MOR, shift=-(2**31)), "shift must be below 2^31 in absolute value"),
+]
+
+
+@pytest.mark.parametrize("load, data, message", [row[1:] for row in _ERRORS], ids=[row[0] for row in _ERRORS])
+def test_each_refusal_has_its_message(load, data, message):
+    with pytest.raises(mk.ParseError) as info:
+        load(data)
+    assert type(info.value) is mk.ParseError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("twist", [-(2**31) + 1, 2**31 - 1])
+def test_twists_up_to_the_bound_load(twist):
+    M = mk.mf_from_dict(_edited(_MF, p0_twists=[twist, 4]))
+    assert M.p0 == [twist, 4]
