@@ -5,7 +5,10 @@ size bounds).
 
 The potential is f = Y²Z - X³ - aXZ² - bZ³.  Every catalog entry is verified
 against the factorisation axioms at construction time, or is built by the
-shift and twist functors from one that is.
+shift and twist functors from one that is.  The structure sheaf O, which
+the Picard twists, duality and the size bound all twist along, is built and
+checked once per curve (`WeierstrassCurve.structure_sheaf`); a curve is
+frozen, so O cannot change after its check.
 """
 
 from __future__ import annotations
@@ -60,6 +63,12 @@ class WeierstrassCurve:
     def f(self) -> Poly:
         """The potential, built on first read; the curve is immutable."""
         return weierstrass_potential(self.ring, self.a, self.b)
+
+    @functools.cached_property
+    def structure_sheaf(self) -> MatrixFactorization:
+        """O, built and checked by `catalog_mf` on first read, then shared
+        by the curve-level operations on this curve."""
+        return catalog_mf(self, "structure-sheaf")
 
 
 def curve_new(field: Field, a, b) -> WeierstrassCurve:
@@ -250,7 +259,7 @@ def picard_tensor(
     twist functor along the structure sheaf followed by (-1), and n = +1 its
     inverse; general n iterates."""
     curve = _curve_for(M, curve)
-    O = catalog_mf(curve, "structure-sheaf")
+    O = curve.structure_sheaf
     out = M
     while n < 0:
         out = twist_mf(twist_functor(O, out), -1)
@@ -267,8 +276,7 @@ def duality_image(
     """Composite of the structure-sheaf twist with transposition; reduced,
     since the twist is and transposition keeps a factorisation reduced."""
     curve = _curve_for(M, curve)
-    O = catalog_mf(curve, "structure-sheaf")
-    return transpose_mf(twist_functor(O, M))
+    return transpose_mf(twist_functor(curve.structure_sheaf, M))
 
 
 def ar_middle(M: MatrixFactorization, curve: WeierstrassCurve | None = None) -> Presentation:
@@ -311,7 +319,7 @@ class SizeBoundReport:
 def size_bound_check(curve: WeierstrassCurve, point: CurvePoint) -> SizeBoundReport:
     """Cone over a stable morphism Φ𝒪(-3e) → Φκ(p): the reduced cone stays
     within the predicted size window 4 <= rank <= 6."""
-    X3 = twist_mf(catalog_mf(curve, "structure-sheaf"), -1)
+    X3 = twist_mf(curve.structure_sheaf, -1)
     kp = catalog_mf(curve, "point", point)
     hom = hom_space(X3, kp)
     if hom.stable_dim < 1:

@@ -10,12 +10,16 @@ syzygies, membership, and lifts.
 Input must be homogeneous: a generator that is not raises ValidationError.
 Bases come from F4 with the normal strategy (Faugère, JPAA 139 (1999);
 Lazard, EUROCAL 1983) on the one eliminator, `linalg.RowSpace`.  Degree by
-degree, the rows are the S-pairs' second halves, the generators, and the
-multiples of earlier basis elements that reduce their terms; the columns
-are the terms in descending order, so a row's pivot is its leading term.
-Each new pivot row of the fully reduced echelon form is an element of the
-reduced basis, and a generator is needed exactly when it enlarges the row
-space, so one pass gives both.  A normal form is one more such row.
+degree, the multiples of earlier basis elements that reduce the terms met
+are the reducers; the new rows, the S-pairs' second halves and the
+generators, are cleared against the reducers and echelonised apart from
+them, in a space of their own, so no new pivot is ever put back into a
+reducer row, which the degree then drops.  The columns are the terms in
+descending order, so a row's pivot is its leading term.  Each pivot row of
+the new rows' fully reduced echelon form is an element of the reduced
+basis, and a generator is needed exactly when it enlarges the span, so one
+pass gives both.  A normal form is one more row, cleared against its
+reducers.
 
 Inside elimination a term is one packed int (Monagan and Pearce, JSC 46
 (2011)).  With P positions, n variables and fields of W = 32 bits,
@@ -33,8 +37,9 @@ in descending order with no column map.  A pass keeps each basis element
 as the stored int row that RowSpace produced; S-pair halves and reducers
 are integer shifts of those rows.  The pass's `GroebnerBasis` keeps them:
 normal forms work on them as they are, standard-monomial counts come from
-one Hilbert-series numerator per position, computed once from the leading
-exponents there, and an element becomes a (pos, exp)-keyed field vector
+one Hilbert-series numerator per position, folded from the leading
+exponents there once per distinct set of them (`hilbert_numerator`), and
+an element becomes a (pos, exp)-keyed field vector
 only when it is read.
 
 A computation is over A exactly when the potential f is passed: f·e_i are
@@ -53,7 +58,7 @@ from struct import Struct
 
 from .errors import ValidationError
 from .fields import rational
-from .linalg import int_row, row_space
+from .linalg import RowSpace, int_row, row_space
 from .poly import Exp, GradedMatrix, Poly, PolyRing
 
 Term = tuple[int, Exp]
@@ -180,11 +185,23 @@ def _degree_pass(gens, twists, ring: PolyRing):
     An S-pair's first half is not a row: the reducer of its leading term
     stands in for it, and differs from it by a multiple of an S-pair of
     lower degree, or of this degree with its second half among the rows.
-    The S-pair rows go in before the generators, and these in index order,
-    so a generator enlarges the span of those taken before it exactly when
-    RowSpace.add returns a row.  Returns the packing, the reduced basis as
-    {leading column: stored row} in the order found, and the indices of the
-    generators that enlarged the span, by degree, then index.
+    The S-pair rows go in before the generators, and these in index order.
+
+    Each new row is cleared against the degree's reducers (`_reducer_space`)
+    and added to a RowSpace of the new rows only, so the reducers are left
+    as they are.  The output is that of echelonising reducers and new rows
+    together: the reducers are fully reduced among themselves, each at its
+    own leading column, and a cleared row has no entry at a reducer's pivot.
+    Echelonising the cleared rows among themselves keeps that, so the new
+    rows are fully reduced against both sets, and in stored form they are
+    the unique new pivot rows of the joint space.  A generator enlarges the
+    span of the reducers and the rows taken before it exactly when its
+    cleared form enlarges the span of the cleared rows before it, that is,
+    when RowSpace.add returns a row.
+
+    Returns the packing, the reduced basis as {leading column: stored row}
+    in the order found, and the indices of the generators that enlarged the
+    span, by degree, then index.
     """
     fld = ring.field
     pk = _packing(ring.nvars, tuple(twists))
@@ -203,14 +220,14 @@ def _degree_pass(gens, twists, ring: PolyRing):
             halves.append({c + s: x for c, x in found[lead].items()})
         ks = gens_at.pop(d, [])
         rows = [int_row({-pk.pack(t): c for t, c in gens[k].items()}, fld) for k in ks]
-        space = _reducer_space(halves + rows, at_pos, pk, fld)
-        old = set(space.rows)
+        reducers = _reducer_space(halves + rows, at_pos, pk, fld)
+        space = RowSpace(fld)
         for h in halves:
-            space.add(h)
+            space.add(reducers._clear(h))
         for k, r in zip(ks, rows):
-            if space.add(r) is not None:
+            if space.add(reducers._clear(r)) is not None:
                 enlarged.append(k)
-        for piv in sorted(space.rows.keys() - old):
+        for piv in sorted(space.rows):
             pos, exp = pk.unpack(-piv)
             earlier = exps_at.setdefault(pos, [])
             for iexp in earlier:
@@ -256,13 +273,14 @@ class GroebnerBasis:
         return [_unpacked(row, row[min(row)], pk, char) for row in self._rows if -min(row) >> pk.shift <= top]
 
     @cached_property
-    def hilbert_numerators(self) -> dict[int, list[int]]:
+    def hilbert_numerators(self) -> dict[int, tuple[int, ...]]:
         """For each position with a leading term, the numerator of the
-        Hilbert series of R/⟨its leading exponents⟩.  The basis is reduced,
-        so those exponents are already the minimal generators."""
+        Hilbert series of R/⟨its leading exponents⟩ (`hilbert_numerator`).
+        The basis is reduced, so those exponents are already the minimal
+        generators."""
         pk = self._packing
         return {
-            pk.P - key: hilbert_numerator([pk.unpack(lt)[1] for lt, _ in leads])
+            pk.P - key: _numerator(_Exponents([pk.unpack(lt)[1] for lt, _ in leads]))
             for key, leads in self._at_pos.items()
         }
 
@@ -280,20 +298,53 @@ class GroebnerBasis:
 
 def hilbert_numerator(gens) -> list[int]:
     """Coefficients n_k of N(t) = Σ n_k·t^k, the numerator of the Hilbert
-    series N(t)/(1 - t)^n of R/⟨x^g : g in gens⟩.  The generators fold in one
-    at a time by N(I + ⟨x^m⟩) = N(I) - t^|m|·N(I : x^m) (Bayer and Stillman,
-    JSC 14 (1992); Bigatti, Comm. Algebra 25 (1997)).  The fold is a loop
-    and only the colon ideals, minimised, recurse, so the recursion does not
-    deepen with the number of gens."""
+    series N(t)/(1 - t)^n of R/⟨x^g : g in gens⟩, with no trailing zeros
+    (none at all for the unit ideal, whose N is 0).  The generators fold in
+    one at a time by N(I + ⟨x^m⟩) = N(I) - t^|m|·N(I : x^m) (Bayer and
+    Stillman, JSC 14 (1992); Bigatti, Comm. Algebra 25 (1997)).  The fold is
+    a loop and only the colon ideals, minimised, recurse, so the recursion
+    does not deepen with the number of gens.
+
+    N is a function of the set of gens alone, and the bases of one pass
+    share leading-term sets, as do the colon ideals of one fold, so the
+    fold runs once per distinct set (`_numerator`).  Each call gets a
+    fresh list."""
+    return list(_numerator(_Exponents(gens)))
+
+
+class _Exponents:
+    """Exponents in the order given, equal to and hashed as their set: the
+    key of `_numerator`, which folds a miss in this order."""
+
+    __slots__ = ("order", "key")
+
+    def __init__(self, exps):
+        self.order = tuple(exps)
+        self.key = frozenset(self.order)
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+@lru_cache(maxsize=1024)
+def _numerator(gens: _Exponents) -> tuple[int, ...]:
+    """`hilbert_numerator` of gens, folded in their order on a miss.  The
+    trailing zeros the fold leaves depend on that order, so they are cut,
+    which makes the kept value the same for every order."""
     num, done = [1], []
-    for m in gens:
+    for m in gens.order:
         colon = _minimal({tuple([a - b if a > b else 0 for a, b in zip(g, m)]) for g in done})
-        low, inner = sum(m), hilbert_numerator(colon)
+        low, inner = sum(m), _numerator(_Exponents(colon))
         num += [0] * (low + len(inner) - len(num))
         for k, c in enumerate(inner, low):
             num[k] -= c
         done.append(m)
-    return num
+    while num and not num[-1]:
+        num.pop()
+    return tuple(num)
 
 
 def _minimal(exps) -> list[Exp]:

@@ -38,9 +38,11 @@ the direct side, from the systems of Hom(M, N) and Hom(M[1], N).
 `stable_hom_dim` reads them off Hilbert functions: M[2] = M(3), so the
 strict systems at all shifts of one parity are the graded pieces of one
 image module, and one Groebner basis per parity gives every strict rank
-in closed form; it keeps the last pair's two bases, so a sweep over shifts
-builds two.  Hom(M[i], N) and Hom(N[−1−i], M) come from different image
-modules, so Serre duality stays an independent check of it.  Only the
+in closed form; it keeps the last pair's two bases, and each slot count
+and image rank it has read, so a sweep over shifts builds two bases and
+reads each count and rank once.  Hom(M[i], N) and Hom(N[−1−i], M) come
+from different image modules, so Serre duality stays an independent check
+of it.  Only the
 twist functor's guard reads some of its dimensions on the dual side of
 Serre duality, dim Hom(C[i], X) = dim Hom(X[−1−i], C) on a smooth curve,
 where those systems are smaller (`twist_functor`); its bases stay direct.
@@ -422,9 +424,11 @@ def _image_rank(gb, degree: int) -> int:
                for pos, t in enumerate(gb.twists) if degree >= t)
 
 
-# the alpha-square images of the last `stable_hom_dim` pair: ((M, N),
-# (M, M[1]), their Groebner bases (for (M, N), for (M[1], N))), or None
-_last_images: tuple[tuple, tuple, tuple] | None = None
+# the last `stable_hom_dim` pair: ((M, N), (M, M[1]), the Groebner bases of
+# their alpha-square images (for (M, N), for (M[1], N)), and two dicts keyed
+# by (side, degree), side 0 for M and 1 for M[1]: the slot counts of
+# Hom(side(−degree), N) and the image ranks in that degree), or None
+_last_images: tuple[tuple, tuple, tuple, dict, dict] | None = None
 
 
 def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 0) -> int:
@@ -439,13 +443,17 @@ def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 
     the twist lists (`_slot_entries`) and refused as `hom_space(M[shift],
     N)` refuses them, before any basis is built.
 
-    One module-level slot keeps the last pair's M[1] and two bases, keyed
-    by the unshifted (M, N) under `==`; factorisations are values (nothing
-    in the package writes into a matrix or `Poly` in place), and one
-    mutated between calls is unsupported.  Shift and shift + 1 differ in
-    parity, so a miss builds both bases, whole, and a sweep over shifts in
-    any order builds two bases per pair.  The slot is read once, so a
-    racing call can only miss.
+    One module-level slot keeps the last pair's M[1], its two bases, and
+    each slot count and image rank read so far, keyed by (side, degree);
+    a refused count raises before it is stored.  The slot is keyed by the
+    unshifted (M, N) under `==`; factorisations are values (nothing in the
+    package writes into a matrix or `Poly` in place), and one mutated
+    between calls is unsupported.  Shift and shift + 1 differ in parity,
+    so a miss builds both bases, whole, and a sweep over shifts in any
+    order builds two bases per pair and reads each count and rank once:
+    8 of each over −3..3, where the calls ask for 14.  The slot is read
+    once per call, so a racing call can only miss, and two calls that
+    share a slot write equal values under one key.
 
     The trade-off: a lone call pays for two whole bases, several times
     `hom_space(M[shift], N).stable_dim`, which stays the one-shift route of
@@ -456,15 +464,20 @@ def stable_hom_dim(M: MatrixFactorization, N: MatrixFactorization, shift: int = 
     global _last_images
     last = _last_images
     if last is None or last[0] != (M, N):
-        last = ((M, N), (M, shift_mf(M, 1)), None)
-    _, sides, bases = last
+        last = ((M, N), (M, shift_mf(M, 1)), None, {}, {})
+    pair, sides, bases, counts, ranks = last
     # M[s] is sides[s % 2](−degree)
-    shifts = [(s % 2, -3 * (s // 2)) for s in (shift, shift + 1)]
-    counts = [_sized_slot_entries(sides[side], N, degree)[1] for side, degree in shifts]
+    keys = [(s % 2, -3 * (s // 2)) for s in (shift, shift + 1)]
+    for side, degree in keys:
+        if (side, degree) not in counts:
+            counts[side, degree] = _sized_slot_entries(sides[side], N, degree)[1]
     if bases is None:
         bases = tuple(_image_basis(A, N) for A in sides)
-        _last_images = ((M, N), sides, bases)
-    return counts[0] - sum(_image_rank(bases[side], degree) for side, degree in shifts)
+        _last_images = (pair, sides, bases, counts, ranks)
+    for side, degree in keys:
+        if (side, degree) not in ranks:
+            ranks[side, degree] = _image_rank(bases[side], degree)
+    return counts[keys[0]] - ranks[keys[0]] - ranks[keys[1]]
 
 
 def is_null_homotopic(phi: MFMorphism) -> bool:
@@ -534,10 +547,9 @@ def _try_certificate(phi: MFMorphism) -> IsoResult | None:
     return IsoResult("yes", "strict isomorphism of reduced factorisations found", phi, psi)
 
 
-def _iso_candidates(basis: list[MFMorphism], fld, seed: int, samples: int):
-    """Strict morphisms to try, built one at a time: the stable
-    representatives, then `samples` seeded random combinations of them."""
-    yield from basis
+def _iso_samples(basis: list[MFMorphism], fld, seed: int, samples: int):
+    """`samples` seeded random combinations of the stable representatives,
+    built one at a time."""
     rng = random.Random(seed)
     for _ in range(samples):
         yield _fold(add_morphisms, [scale_morphism(b, fld.sample(rng)) for b in basis])
@@ -553,12 +565,15 @@ def is_stably_isomorphic(
     """Decide stable isomorphism where possible.
 
     Reduces both sides, refutes by invariants (rank, twist multisets, stable
-    Hom dimensions), and otherwise tries the stable representatives, then
-    seeded random combinations of them.  On reduced models a boundary has no
-    constant part, so a strict morphism is invertible exactly when its stable
-    class is.  A "yes" always carries a two-sided certificate on the reduced
-    models: backward∘forward = id is checked, and forward∘backward = id
-    follows because the components are square.
+    Hom dimensions), and otherwise tries the stable representatives.  If
+    none is invertible, it compares the stable End dimensions, which an
+    isomorphism would make equal, and refutes if they differ; only then
+    does it try seeded random combinations of the representatives.  On
+    reduced models a boundary has no constant part, so a strict morphism is
+    invertible exactly when its stable class is.  A "yes" always carries a
+    two-sided certificate on the reduced models: backward∘forward = id is
+    checked, and forward∘backward = id follows because the components are
+    square.
     """
     if M.ring != N.ring or M.f != N.f:
         return IsoResult("no", "different rings or potentials")
@@ -577,7 +592,14 @@ def is_stably_isomorphic(
     if bwd_dim == 0:
         return IsoResult("no", "no nonzero stable morphism from right to left")
 
-    for phi in _iso_candidates(fwd.basis, M.ring.field, seed, samples):
+    for phi in fwd.basis:
+        res = _try_certificate(phi)
+        if res is not None:
+            return res
+    ends = hom_space(Mr, Mr).stable_dim, hom_space(Nr, Nr).stable_dim
+    if ends[0] != ends[1]:
+        return IsoResult("no", f"stable End dimensions differ: {ends[0]} vs {ends[1]}")
+    for phi in _iso_samples(fwd.basis, M.ring.field, seed, samples):
         res = _try_certificate(phi)
         if res is not None:
             return res

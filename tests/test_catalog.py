@@ -230,6 +230,26 @@ def test_picard_round_trip_on_a_point(curve, points):
     assert mk.is_stably_isomorphic(up, M).status == "yes"
 
 
+def test_the_structure_sheaf_is_built_once_per_curve(monkeypatch):
+    # picard_tensor, duality_image and size_bound_check twist along the
+    # curve's O, which catalog_mf builds and checks on first read only
+    built = []
+    catalog = mk.catalog.catalog_mf
+    monkeypatch.setattr(mk.catalog, "catalog_mf", lambda c, kind, pt=None: built.append(kind) or catalog(c, kind, pt))
+    curve = mk.curve_new(Field(101), 2, 3)
+    pt = mk.default_points(curve, 1)[0]
+    M = catalog(curve, "point", pt)
+    down = mk.picard_tensor(M, -1, curve)
+    mk.picard_tensor(down, +1, curve)
+    assert built == ["structure-sheaf"]
+    mk.duality_image(M, curve)
+    mk.size_bound_check(curve, pt)
+    assert built == ["structure-sheaf", "point"]
+    assert curve.structure_sheaf is curve.structure_sheaf
+    assert mk.verify_mf(curve.structure_sheaf) == []
+    assert curve.structure_sheaf == catalog(curve, "structure-sheaf")
+
+
 def test_picard_degree_moves_rank(curve):
     O = mk.catalog_mf(curve, "structure-sheaf")
     up = mk.picard_tensor(O, -1, curve)

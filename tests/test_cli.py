@@ -455,13 +455,25 @@ def test_iso_command_refuted(capsys, tmp_path, qcurve, qpoints):
 
 
 def test_iso_command_inconclusive(capsys, tmp_path, qcurve, qpoints):
-    kp = mk.catalog_mf(qcurve, "point", qpoints[0])
-    kq = mk.catalog_mf(qcurve, "point", qpoints[1])
+    # k(p)⊕k(q) and k(p)⊕k(r): every invariant agrees, stable End
+    # dimensions included, and no sample is invertible
+    kp, kq, kr = (mk.catalog_mf(qcurve, "point", pt) for pt in qpoints[:3])
     a = write_mf(tmp_path, "pq.json", mk.direct_sum_mf(kp, kq))
-    b = write_mf(tmp_path, "pp.json", mk.direct_sum_mf(kp, kp))
+    b = write_mf(tmp_path, "pr.json", mk.direct_sum_mf(kp, kr))
     code, payload, err = run_cli(capsys, "iso", a, b, "--samples", "20")
     assert code == 3
     assert payload["status"] == "inconclusive"
+
+
+def test_iso_command_refutes_by_stable_end_dimensions(capsys, tmp_path, qcurve, qpoints):
+    # every invariant before the representatives agrees, and the stable End
+    # dimensions 2 and 4 refute it before any sample
+    kp, kq = (mk.catalog_mf(qcurve, "point", pt) for pt in qpoints[:2])
+    a = write_mf(tmp_path, "pq.json", mk.direct_sum_mf(kp, kq))
+    b = write_mf(tmp_path, "pp.json", mk.direct_sum_mf(kp, kp))
+    code, payload, err = run_cli(capsys, "iso", a, b)
+    assert code == 1
+    assert payload == {"status": "no", "reason": "stable End dimensions differ: 2 vs 4"}
 
 
 def test_iso_seed_env(capsys, tmp_path, qcurve, qpoints, monkeypatch):
@@ -602,6 +614,53 @@ def test_twists_and_shifts_past_2_31_are_input_errors(capsys, tmp_path, qcurve, 
     code, payload, err = run_cli(capsys, *(a.format(kp=kp, huge=huge) for a in argv))
     assert (code, payload) == (2, None)
     assert err == f"error: {message}\n"
+
+
+MAX_TWIST = 2**31 - 1
+K_PRESENTATION = {"ring": {"vars": ["X", "Y", "Z"], "field": "QQ", "char": 0}, "f": "Y^2*Z - X^3 - Z^3",
+                  "relations": [["X", "Y", "Z"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, top",
+    [
+        # k(p) has twists [3, 4] and [2, 2]; M[2k] = M(3k) lowers each by 3k
+        (["shift", "{kp}", "--k", "1431655766"], -MAX_TWIST),
+        (["shift", "{kp}", "--k", "1431655768"], -MAX_TWIST - 3),
+        (["shift", "{kp}", "--k", str(MAX_TWIST)], -3 * (2**30 - 1)),
+        (["twist", "{kp}", "--n", str(-(MAX_TWIST - 4))], MAX_TWIST),
+        (["twist", "{kp}", "--n", str(-(MAX_TWIST - 3))], MAX_TWIST + 1),
+        (["twist", "{kp}", "--n", str(MAX_TWIST)], -MAX_TWIST + 2),
+        # the resolution of K to length 3 reaches its ambient twist plus 4
+        (["resolve", "--module", "{K4}", "--length", "3"], MAX_TWIST),
+        (["resolve", "--module", "{K3}", "--length", "3"], MAX_TWIST + 1),
+    ],
+    ids=["shift-at-bound", "shift-past-bound", "shift-2^31-1", "twist-at-bound", "twist-past-bound", "twist-2^31-1",
+         "resolve-at-bound", "resolve-past-bound"],
+)
+def test_the_cli_writes_no_envelope_its_loader_refuses(capsys, tmp_path, qcurve, qpoints, argv, top):
+    # a result whose most extreme twist is within ±(2^31 - 1) is written and
+    # loads again; one past it is refused (exit 2) before anything is written
+    kp = write_mf(tmp_path, "kp.json", mk.catalog_mf(qcurve, "point", qpoints[0]))
+    K = {}
+    for below in (4, 3):
+        K[f"K{below}"] = tmp_path / f"K{below}.json"
+        K[f"K{below}"].write_text(json.dumps({**K_PRESENTATION, "ambient_twists": [MAX_TWIST - below]}))
+    out = tmp_path / "out.json"
+    argv = [a.format(kp=kp, **K) for a in argv]
+    code, payload, err = run_cli(capsys, *argv, "--out", str(out))
+    if abs(top) > MAX_TWIST:
+        assert (code, payload, out.exists()) == (2, None, False)
+        assert err == f"error: the result has twist {top}, beyond ±{MAX_TWIST}: its envelope could not be read back\n"
+        return
+    assert code == 0
+    written = json.loads(out.read_text())
+    if argv[0] == "resolve":
+        assert max(map(max, written["twists"])) == top
+        assert mk.presentation_from_dict({**K_PRESENTATION, "ambient_twists": written["twists"][0]})
+    else:
+        assert top in written["p0_twists"] + written["p1_twists"]
+        assert run_cli(capsys, "verify", str(out))[0] == 0
 
 
 @pytest.mark.parametrize(

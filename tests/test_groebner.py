@@ -1,5 +1,6 @@
 """Groebner bases, normal forms, syzygies, spans, and minimal generators."""
 
+import copy
 import heapq
 import random
 from fractions import Fraction
@@ -7,11 +8,12 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mfkit as mk
 from mfkit.fields import Field, QQ
+from mfkit import groebner
 from mfkit.groebner import (
     DEGREE_BITS,
     ColumnSpan,
@@ -582,6 +584,33 @@ def test_row_echelon_pass_matches_reference_buchberger(seed, fld, over_a):
     assert span.lift(w) is not None
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([QQ, Field(101)]), st.booleans())
+def test_a_degree_step_leaves_its_reducer_rows_alone(seed, fld, over_a):
+    # each degree's reducers are cleared against but never written to: the
+    # new rows are echelonised in a space of their own
+    R = PolyRing(fld)
+    rng = random.Random(seed)
+    twists = [rng.randrange(3) for _ in range(rng.randrange(1, 4))]
+    vecs = [random_homogeneous_vec(rng, R, twists, rng.randrange(1, 4)) for _ in range(rng.randrange(2, 6))]
+    spaces = []
+
+    def recorded(rows, at_pos, pk, field):
+        space = _reducer_space(rows, at_pos, pk, field)
+        spaces.append((space, copy.deepcopy(space.rows)))
+        return space
+
+    f = R.parse("Y^2*Z - X^3 - Z^3") if over_a else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_reducer_space", recorded)
+        gb = mk.groebner_basis(vecs, ring=R, twists=twists, f=f)
+    assume(any(rows for _, rows in spaces))
+    assert all(space.rows == rows for space, rows in spaces)
+    assert [list(v.items()) for v in gb.basis] == [
+        list(v.items()) for v in reference_buchberger(vecs + (_f_unit_vectors(f, twists) if over_a else []), twists, R)
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(0, 10**6),
@@ -798,6 +827,51 @@ def test_hilbert_numerator_of_a_long_staircase():
     assert trimmed(num) == [1] + [0] * (N - 1) + [-(N + 1), N]
     for d in (0, 1, N - 1, N, N + 1, 2 * N):
         assert count_from_numerator(num, 2, d) == (d + 1 if d < N else 0)
+
+
+def uncached_numerator(gens):
+    """The Bayer–Stillman fold of hilbert_numerator with no memo, trailing
+    zeros cut."""
+    num, done = [1], []
+    for m in gens:
+        colon = {tuple(max(a - b, 0) for a, b in zip(g, m)) for g in done}
+        inner = uncached_numerator(sorted(colon))
+        num += [0] * (sum(m) + len(inner) - len(num))
+        for k, c in enumerate(inner, sum(m)):
+            num[k] -= c
+        done.append(m)
+    return trimmed(num)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), max_size=6), st.randoms())
+def test_cached_numerators_match_the_uncached_fold(n, raw, rnd):
+    # one generator set in several orders and with repeats: every call gets
+    # the fold's numerator as a fresh list, and the memo stays bounded
+    gens = [tuple(g[:n]) for g in raw]
+    want = uncached_numerator(gens)
+    shuffled = rnd.sample(gens, len(gens))
+    doubled = gens + [rnd.choice(gens) for _ in gens]
+    for order in (gens, shuffled, doubled, list(reversed(gens))):
+        got = hilbert_numerator(order)
+        assert got == want
+        got.append(7)
+    assert hilbert_numerator(gens) == want
+    info = groebner._numerator.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_a_hom_pass_folds_each_leading_term_set_once(monkeypatch):
+    # the image bases of one stable-Hom sweep share leading-term sets, so
+    # the numerator memo answers most reads within one sweep
+    curve = mk.default_curve(Field(101))
+    kp = mk.catalog_mf(curve, "point", mk.default_points(curve, 1)[0])
+    O = mk.catalog_mf(curve, "structure-sheaf")
+    groebner._numerator.cache_clear()
+    for M, N in ((kp, O), (O, kp), (O, O), (kp, kp)):
+        [mk.stable_hom_dim(M, N, shift=s) for s in range(-3, 4)]
+    info = groebner._numerator.cache_info()
+    assert info.hits > info.misses > 0
 
 
 # ---------------------------------------------------------------------------

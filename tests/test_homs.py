@@ -597,12 +597,19 @@ def test_a_shift_sweep_builds_each_parity_basis_once(monkeypatch, kp, kq, osheaf
     # and keeps the last pair's two, both built whole on a miss: a sweep
     # over -3..3, ascending, descending or shuffled, builds them once, for
     # (M, N) and for (M[1], N), and eliminates no strict system; a sweep on
-    # another pair, or on the same pair after another, starts afresh
-    built, eliminated = [], []
+    # another pair, or on the same pair after another, starts afresh.
+    # Shift s reads the slot count and image rank of (s % 2, -3·(s // 2))
+    # and of the same for s + 1: the sweep's calls ask for 14 of each, 8
+    # distinct, and the slot reads each of those once per pair
+    built, eliminated, ranks, counts = [], [], [], []
     basis, rows = homs.buchberger, HomProblem.strict_rows
+    rank, sized = homs._image_rank, homs._sized_slot_entries
     monkeypatch.setattr(homs, "buchberger", lambda gens, twists, ring: built.append(twists)
                         or basis(gens, twists, ring))
     monkeypatch.setattr(HomProblem, "strict_rows", lambda self: eliminated.append(self) or rows(self))
+    monkeypatch.setattr(homs, "_image_rank", lambda gb, degree: ranks.append((gb, degree)) or rank(gb, degree))
+    monkeypatch.setattr(homs, "_sized_slot_entries", lambda M, N, degree=0: counts.append(degree) or sized(M, N, degree))
+    reads = {(s % 2, -3 * (s // 2)) for s in range(-3, 5)}
     shuffled = list(SHIFTS)
     random.Random(0).shuffle(shuffled)
     mk.stable_hom_dim(kq, kp)
@@ -611,10 +618,30 @@ def test_a_shift_sweep_builds_each_parity_basis_once(monkeypatch, kp, kq, osheaf
         for pair in ("kp O", "O kp", "kp O", "kq kq"):
             M, N = (objs[name] for name in pair.split())
             built.clear()
+            ranks.clear()
+            counts.clear()
             dims = {s: mk.stable_hom_dim(M, N, shift=s) for s in order}
             assert built == [[t - s for t in N.p1 for s in A.p0] for A in (M, mk.shift_mf(M, 1))]
             assert eliminated == [] and profiles.setdefault(pair, dims) == dims
+            bases = homs._last_images[2]
+            assert len(ranks) == 8 and {(bases.index(gb), degree) for gb, degree in ranks} == reads
+            assert sorted(counts) == sorted(degree for _, degree in reads)
     assert [mk.stable_hom_dim(kp, kp, shift=s) for s in reversed(SHIFTS)] == [0, 0, 0, 1, 1, 0, 0]
+
+
+def test_a_refused_count_is_not_kept(monkeypatch, osheaf):
+    # with the bound at the unknowns of Hom(O[-2], O), fewer than those of
+    # Hom(O[-3], O), shift -3 is refused on every call, on a miss and on a
+    # hit of the slot that shift -2 filled, and shift -2 is answered
+    sizes = {s: homs._slot_entries(mk.shift_mf(osheaf, s), osheaf)[1] for s in (-3, -2, -1)}
+    assert sizes[-3] > sizes[-2] > sizes[-1]
+    monkeypatch.setattr(homs, "MAX_HOM_SLOTS", sizes[-2])
+    for _ in range(2):
+        with pytest.raises(mk.InputError, match=f"needs {sizes[-3]} unknowns"):
+            mk.stable_hom_dim(osheaf, osheaf, shift=-3)
+        assert mk.stable_hom_dim(osheaf, osheaf, shift=-2) == 0
+    # shift -3 is side 1 at degree 6, shift -2 side 0 at degree 3
+    assert homs._last_images[3] == {(0, 3): sizes[-2], (1, 3): sizes[-1]}
 
 
 def stable_dims(M, N):
@@ -864,23 +891,54 @@ def test_iso_refuted_on_twist_mismatch(kp):
     assert mk.is_stably_isomorphic(kp, mk.twist_mf(kp, 1)).status == "no"
 
 
-def test_iso_inconclusive_on_hard_pair(kp, kq):
-    # k(p) + k(q) and k(p) + k(p) have equal ranks, twists, and nonzero
-    # stable Homs both ways, but are not isomorphic; the random search must
-    # give up without a certificate rather than inventing one.
+@pytest.fixture(scope="module")
+def kr(curve, points):
+    return mk.catalog_mf(curve, "point", points[2])
+
+
+def test_iso_inconclusive_on_hard_pair(kp, kq, kr):
+    # k(p) + k(q) and k(p) + k(r) have equal ranks, twists, nonzero stable
+    # Homs both ways and stable End dimensions 2 and 2, but are not
+    # isomorphic; the random search must give up without a certificate
+    # rather than inventing one.
     A = mk.direct_sum_mf(kp, kq)
-    B = mk.direct_sum_mf(kp, kp)
+    B = mk.direct_sum_mf(kp, kr)
     res = mk.is_stably_isomorphic(A, B, samples=40)
     assert res.status == "inconclusive"
     assert res.forward is None and res.backward is None
 
 
-def test_iso_search_is_seeded(kp, kq):
+def test_iso_search_is_seeded(kp, kq, kr):
     A = mk.direct_sum_mf(kp, kq)
-    B = mk.direct_sum_mf(kp, kp)
+    B = mk.direct_sum_mf(kp, kr)
     r1 = mk.is_stably_isomorphic(A, B, seed=5, samples=25)
     r2 = mk.is_stably_isomorphic(A, B, seed=5, samples=25)
     assert r1.status == r2.status == "inconclusive"
+
+
+def test_iso_refuted_by_stable_end_dimensions_before_any_sample(monkeypatch, kp, kq):
+    # k(p) + k(q) and k(p) + k(p) agree on every invariant before the
+    # representatives, but stable End has dimension 2 on the left and 4 on
+    # the right (read here by stable_hom_dim); an isomorphism would make
+    # them equal, so the answer is a certified "no" and no sample is built
+    monkeypatch.setattr(homs, "_iso_samples", lambda *a: pytest.fail("a sample was built"))
+    A, B = mk.direct_sum_mf(kp, kq), mk.direct_sum_mf(kp, kp)
+    assert [mk.stable_hom_dim(X, X) for X in (A, B)] == [2, 4]
+    for left, right, dims in ((A, B, "2 vs 4"), (B, A, "4 vs 2")):
+        res = mk.is_stably_isomorphic(left, right)
+        assert (res.status, res.reason) == ("no", f"stable End dimensions differ: {dims}")
+        assert res.forward is None and res.backward is None
+
+
+def test_iso_yes_needs_no_end_dimensions(monkeypatch, kp):
+    # k(p) against itself: the first representative certifies it, so the
+    # only Hom spaces built are the two of the invariants, and the End
+    # dimensions, read only once every representative failed, cost nothing
+    calls = []
+    space = homs.hom_space
+    monkeypatch.setattr(homs, "hom_space", lambda M, N: calls.append((M, N)) or space(M, N))
+    res = mk.is_stably_isomorphic(kp, kp)
+    assert res.status == "yes" and len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

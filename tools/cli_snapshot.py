@@ -19,11 +19,15 @@ at the point (0, 1), and over GF(101) at (2, 3)):
   iso against the point and against the structure sheaf;
 - resolve of K and of the point module at length 5, extract in its three
   modes, the cone of an iso certificate, with and without --reduce;
-- malformed envelopes and out-of-range flags, each refused.
+- malformed envelopes and out-of-range flags, each refused;
+- shift --k and twist --n at ±(2^31 - 1) on the point envelope: each result
+  with a twist beyond ±(2^31 - 1), which the loaders refuse, is refused
+  before it is written (exit 2), and the others are written.
 
 A run that one tree refuses and the other completes differs on every stream,
-so the matrix holds no run that only a newer bound refuses; the tests pin
-those.  The whole matrix takes a few seconds in one process.
+so apart from the runs at ±(2^31 - 1), which check that bound, the matrix
+holds no run that only a newer bound refuses; the tests pin those.  The
+whole matrix takes a few seconds in one process.
 """
 
 from __future__ import annotations
@@ -135,6 +139,9 @@ def malformed(tag: str) -> None:
     run("shift", f"{tag}-huge.json", "--k", "2")
     run("twist", f"{tag}-huge.json", "--n", "5")
     run("transpose", f"{tag}-huge.json")
+    for bound in (str(2**31 - 1), str(-(2**31 - 1))):
+        run("shift", kp, "--k", bound)
+        run("twist", kp, "--n", bound)
     run("shift", kp, "--k", HUGE)
     run("hom", kp, kp, "--shift", "-" + HUGE)
     run("iso", kp, kp, "--samples", "-1")
