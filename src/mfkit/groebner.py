@@ -45,7 +45,10 @@ only when it is read.
 A computation is over A exactly when the potential f is passed: f·e_i are
 adjoined to the generators (`groebner_basis`, `ColumnSpan`, `mingens` and
 what calls them), and `minimal_mod_f` is the one reduction modulo f: the
-kept minimal generators over A, each reduced against f·e_i.  The vectors
+kept minimal generators over A, each reduced against f·e_i.  Those are a
+reduced basis of f·F as they stand (`_f_basis`), so that reduction runs no
+pass, and `minimal_mod_f` also returns the basis its selection pass found,
+which a minimised presentation keeps as its module basis.  The vectors
 f·e_i live only in this module; there is no dedicated quotient-ring engine.
 """
 
@@ -199,9 +202,8 @@ def _degree_pass(gens, twists, ring: PolyRing):
     cleared form enlarges the span of the cleared rows before it, that is,
     when RowSpace.add returns a row.
 
-    Returns the packing, the reduced basis as {leading column: stored row}
-    in the order found, and the indices of the generators that enlarged the
-    span, by degree, then index.
+    Returns the reduced basis of the span, a `GroebnerBasis`, and the
+    indices of the generators that enlarged the span, by degree, then index.
     """
     fld = ring.field
     pk = _packing(ring.nvars, tuple(twists))
@@ -236,20 +238,20 @@ def _degree_pass(gens, twists, ring: PolyRing):
             earlier.append(exp)
             found[piv] = space.rows[piv]
             _index(at_pos, pk, piv, found[piv])
-    return pk, found, enlarged
+    return GroebnerBasis(ring, twists, pk, [found[q] for q in sorted(found)]), enlarged
 
 
 def buchberger(gens, twists, ring: PolyRing) -> GroebnerBasis:
     """Unique reduced Groebner basis of the span of gens, monic, by
     descending leading term."""
-    pk, found, _ = _degree_pass(gens, twists, ring)
-    return GroebnerBasis(ring, twists, pk, [found[q] for q in sorted(found)])
+    return _degree_pass(gens, twists, ring)[0]
 
 
 class GroebnerBasis:
     """The reduced Groebner basis a pass found for a graded submodule of
     ⊕_i R(-t_i): its stored rows by descending leading term, filed by
-    position for `reduce_vec`.  Only `buchberger` makes one."""
+    position for `reduce_vec`.  Only a pass (`_degree_pass`, which
+    `buchberger` and `mingens` run) makes one, and `_f_basis` for f·F."""
 
     def __init__(self, ring: PolyRing, twists, packing: _Packing, rows: list[dict]):
         self.ring, self.twists, self._packing, self._rows = ring, list(twists), packing, rows
@@ -379,6 +381,18 @@ def _f_unit_vectors(f: Poly, twists) -> list[Vec]:
     return [{(i, e): c for e, c in f.terms.items()} for i in range(len(twists))]
 
 
+def _f_basis(f: Poly, twists, ring: PolyRing) -> GroebnerBasis:
+    """The reduced Groebner basis of f·F, built as it stands: each f·e_i is
+    alone at its position, so no S-pair exists and no term of one is
+    divisible by another's leading term.  Each row is brought to stored form
+    on its own, and the rows, sharing no column, come out as a pass over
+    them would leave them (`buchberger`)."""
+    pk = _packing(ring.nvars, tuple(twists))
+    rows = [int_row({-pk.pack(t): c for t, c in v.items()}, ring.field) for v in _f_unit_vectors(f, twists)]
+    stored = row_space(rows, ring.field).rows
+    return GroebnerBasis(ring, twists, pk, [stored[q] for q in sorted(stored)])
+
+
 def groebner_basis(gens, *, ring=None, twists=None, f: Poly | None = None) -> GroebnerBasis:
     """Reduced GB of the span of gens: a GradedMatrix (columns), a list of
     Poly (ideal case), or a list of vectors with explicit ambient twists.
@@ -461,34 +475,39 @@ def syzygy_basis(M, *, f: Poly | None = None) -> GradedMatrix:
     span = ColumnSpan(M.ring, M.target_twists, cols, f=f)
     syz = span.syzygies(len(cols))
     if f is not None:
-        syz = minimal_mod_f(syz, M.source_twists, M.ring, f)
+        syz = minimal_mod_f(syz, M.source_twists, M.ring, f)[0]
     return vectors_as_columns(M.ring, M.source_twists, syz)
 
 
-def mingens(vecs: list[Vec], twists, ring: PolyRing, *, f: Poly | None = None) -> list[Vec]:
-    """Minimal generating subset of homogeneous vectors (graded Nakayama).
+def mingens(vecs: list[Vec], twists, ring: PolyRing, *, f: Poly | None = None) -> tuple[list[Vec], GroebnerBasis]:
+    """Minimal generating subset of homogeneous vectors (graded Nakayama),
+    and the reduced Groebner basis of their span (plus f·F when f is given).
 
     Takes the vectors by ascending degree, then index, and keeps one iff it
     is not a combination of those kept before it (plus f·e_i when f is
-    given).  One degree-ordered pass decides every candidate; a vector that
-    is not homogeneous raises ValidationError.
+    given).  One degree-ordered pass decides every candidate and finds the
+    basis; a vector that is not homogeneous raises ValidationError.
     """
     base = _f_unit_vectors(f, twists) if f is not None else []
-    _, _, enlarged = _degree_pass(base + list(vecs), twists, ring)
-    return [vecs[k - len(base)] for k in enlarged if k >= len(base)]
+    gb, enlarged = _degree_pass(base + list(vecs), twists, ring)
+    return [vecs[k - len(base)] for k in enlarged if k >= len(base)], gb
 
 
-def minimal_mod_f(vecs: list[Vec], twists, ring: PolyRing, f: Poly) -> list[Vec]:
-    """`mingens` over A = R/(f), the kept vectors reduced modulo f·e_i.  A
-    normal form differs from its vector by an element of f·F, and `mingens`
-    takes each f·e_i before the vectors of its degree, so a vector is kept
-    exactly when its normal form would be, and one in f·F never is."""
-    mod_f = buchberger(_f_unit_vectors(f, twists), twists, ring)
-    return [reduce_vec(v, mod_f) for v in mingens(vecs, twists, ring, f=f)]
+def minimal_mod_f(vecs: list[Vec], twists, ring: PolyRing, f: Poly) -> tuple[list[Vec], GroebnerBasis]:
+    """`mingens` over A = R/(f): the kept vectors reduced modulo f·e_i
+    (against `_f_basis`, with no pass), and the basis of span(vecs) + f·F
+    that the selection found.  A normal form differs from its vector by an
+    element of f·F, and `mingens` takes each f·e_i before the vectors of its
+    degree, so a vector is kept exactly when its normal form would be, and
+    one in f·F never is.  The reduced kept vectors and f·F span the same
+    submodule as vecs and f·F, so the basis is theirs too."""
+    mod_f = _f_basis(f, twists, ring)
+    kept, gb = mingens(vecs, twists, ring, f=f)
+    return [reduce_vec(v, mod_f) for v in kept], gb
 
 
 def minimal_generators(M: GradedMatrix, *, f: Poly | None = None) -> GradedMatrix:
     """mingens applied to the columns of a graded matrix.  No caller in the
     package; public as the matrix form of `mingens`, for tests and users."""
-    vecs = mingens(columns_as_vectors(M), M.target_twists, M.ring, f=f)
+    vecs = mingens(columns_as_vectors(M), M.target_twists, M.ring, f=f)[0]
     return vectors_as_columns(M.ring, M.target_twists, vecs)

@@ -49,11 +49,18 @@ class Presentation:
 
     @cached_property
     def _module_gb(self) -> GroebnerBasis:
+        """The reduced Groebner basis of span(relations) + f·F, which
+        `hilbert_function` reads.  `minimize_presentation` seeds it with the
+        basis its own pass found, which is unique for the submodule; that
+        relies on a presentation being a value, its fields never reassigned
+        or changed in place after it is made."""
         return groebner_basis(self.relations, f=self.f)
 
 
 def minimize_presentation(P: Presentation) -> Presentation:
-    """Equivalent presentation with no unit entries and minimal relations."""
+    """Equivalent presentation with no unit entries and minimal relations.
+    Its module basis (`Presentation._module_gb`) is the one the selection of
+    minimal relations found (`minimal_mod_f`), so it is not derived again."""
     # each unit entry expresses a generator by the others: clear its row,
     # then drop the generator and the relation.  Reduction mod f fixes every
     # constant and commutes with these steps, so reducing the kept relations
@@ -61,8 +68,10 @@ def minimize_presentation(P: Presentation) -> Presentation:
     rel = P.relations
     while (pivot := rel.unit_entry()) is not None:
         rel = rel.split_unit(*pivot)
-    vecs = minimal_mod_f(columns_as_vectors(rel), rel.target_twists, P.ring, P.f)
-    return Presentation(P.ring, P.f, rel.target_twists, vectors_as_columns(P.ring, rel.target_twists, vecs))
+    vecs, gb = minimal_mod_f(columns_as_vectors(rel), rel.target_twists, P.ring, P.f)
+    out = Presentation(P.ring, P.f, rel.target_twists, vectors_as_columns(P.ring, rel.target_twists, vecs))
+    out.__dict__["_module_gb"] = gb  # where cached_property keeps its value
+    return out
 
 
 @dataclass

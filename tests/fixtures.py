@@ -11,6 +11,7 @@ reduced mapping cone is stably isomorphic to a shifted catalog object:
 import functools
 
 import mfkit as mk
+from mfkit import groebner
 
 CONE_CASES = ("e-plus-p", "2e", "2e-plus-p")
 
@@ -123,3 +124,29 @@ def cuspidal_object():
     M = mk.MatrixFactorization(ring, Y * Y * Z - X**3, alpha, beta)
     assert mk.verify_mf(M) == []
     return M
+
+
+def same_basis(a, b):
+    """Whether two GroebnerBasis objects agree: equal twists, equal stored
+    rows in the same order, and equal decoded elements, keys in the same
+    order.  The key order inside a stored row follows the order of
+    elimination, so it may differ."""
+    return (
+        a.twists == b.twists
+        and a._rows == b._rows
+        and [list(v.items()) for v in a.basis] == [list(v.items()) for v in b.basis]
+    )
+
+
+def counting(monkeypatch, name):
+    """Replace mfkit.groebner.<name> by a wrapper that records each call's
+    arguments; returns the list it appends to."""
+    calls = []
+    real = getattr(groebner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, name, wrapper)
+    return calls

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfkit as mk
-from mfkit.fields import Field, QQ, rational
+from mfkit.fields import Field, QQ, _is_prime, rational
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=30
@@ -110,6 +110,31 @@ def test_composite_characteristic_rejected():
             Field(bad)
     with pytest.raises(ValueError):
         Field(-3)
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            return False
+        q += 1
+    return True
+
+
+def test_primality_agrees_with_trial_division():
+    # every n below 20,000; the strong pseudoprimes to base 2 (2047), to
+    # bases 2 and 3 (1373653) and to bases 2, 3 and 5 (25326001); and the
+    # largest prime below 2^31, the next prime down and a composite between
+    extra = [2047, 1373653, 25326001, 2147483647, 2147483629, 2147483645]
+    for n in [*range(-3, 20_000), *extra]:
+        assert _is_prime(n) == trial_division_is_prime(n), n
+    assert [_is_prime(n) for n in extra] == [False, False, False, True, True, False]
+    assert Field(2**31 - 1).char == 2**31 - 1
+    for bad in (2047, 1373653, 25326001, 2147483645):
+        with pytest.raises(ValueError):
+            Field(bad)
 
 
 def test_sample_is_deterministic_and_in_range():

@@ -18,6 +18,7 @@ from mfkit.groebner import (
     DEGREE_BITS,
     ColumnSpan,
     GroebnerBasis,
+    _f_basis,
     _f_unit_vectors,
     _index,
     _Packing,
@@ -33,6 +34,8 @@ from mfkit.groebner import (
 )
 from mfkit.linalg import int_row, row_space
 from mfkit.poly import GradedMatrix, PolyRing, grevlex_key
+
+from fixtures import counting, same_basis
 
 
 @pytest.fixture(scope="module")
@@ -437,15 +440,18 @@ def test_minimal_generators_over_hypersurface_kill_potential_multiples(R, fpoly)
 def test_mingens_vector_form(R):
     X, Y, Z = R.gens()
     vecs = [poly_vec(X), poly_vec(Y), poly_vec(X + Y)]
-    kept = mingens(vecs, [0], R)
+    kept, gb = mingens(vecs, [0], R)
     assert len(kept) == 2
+    assert same_basis(gb, buchberger(vecs, [0], R))
 
 
 def test_mingens_waits_for_the_s_pairs_of_each_degree(R):
     X, Y, Z = R.gens()
     # Y^3 = X·(XY) - Y·(X^2 - Y^2) is in the span only through the degree-3 S-pair
     vecs = [poly_vec(X * X - Y * Y), poly_vec(X * Y), poly_vec(Y**3)]
-    assert mingens(vecs, [0], R) == vecs[:2]
+    kept, gb = mingens(vecs, [0], R)
+    assert kept == vecs[:2]
+    assert same_basis(gb, buchberger(vecs, [0], R))
 
 
 @settings(max_examples=40, deadline=None)
@@ -496,7 +502,9 @@ def test_mingens_matches_per_candidate_loop(seed, fld, over_a):
         vecs.append(v)
         spanning.append(v)
     rng.shuffle(vecs)
-    assert mingens(vecs, twists, R, f=f) == mingens_per_candidate(vecs, twists, R, f)
+    kept, gb = mingens(vecs, twists, R, f=f)
+    assert kept == mingens_per_candidate(vecs, twists, R, f)
+    assert same_basis(gb, buchberger(vecs + (_f_unit_vectors(f, twists) if over_a else []), twists, R))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +562,9 @@ def test_row_echelon_pass_matches_reference_buchberger(seed, fld, over_a):
     ref = reference_buchberger(cols, twists, R)
     # same vectors, same coefficients, same key order
     assert [list(v.items()) for v in gb.basis] == [list(v.items()) for v in ref]
-    assert mingens(vecs, twists, R, f=f) == reference_mingens(vecs, twists, R, f)
+    kept, kept_gb = mingens(vecs, twists, R, f=f)
+    assert kept == reference_mingens(vecs, twists, R, f)
+    assert same_basis(kept_gb, gb)  # gb is buchberger of cols: vecs, then f·e_i
     lts = lts_of(gb.basis)
     for _ in range(3):
         w = random_homogeneous_vec(rng, R, twists, rng.randrange(5))
@@ -568,7 +578,9 @@ def test_row_echelon_pass_matches_reference_buchberger(seed, fld, over_a):
     if over_a:
         mod_f = _f_unit_vectors(f, twists)
         want = [reference_reduce_vec(v, mod_f, lts_of(mod_f), fld) for v in vecs]
-        assert minimal_mod_f(vecs, twists, R, f) == reference_mingens([v for v in want if v], twists, R, f)
+        kept, kept_gb = minimal_mod_f(vecs, twists, R, f)
+        assert kept == reference_mingens([v for v in want if v], twists, R, f)
+        assert same_basis(kept_gb, gb)
     d = rng.randrange(1, 5)
     w = random_combination(rng, R, twists, cols, d)
     span_lts = lts_of(span.gb.basis)
@@ -637,9 +649,42 @@ def test_minimal_mod_f_matches_reducing_every_vector_first(seed, fld, potential)
             vecs.append(random_homogeneous_vec(rng, R, twists, d))
     mod_f = buchberger(f_cols, twists, R)
     reduced = [v for v in (reduce_vec(v, mod_f) for v in vecs) if v]
-    got = minimal_mod_f(vecs, twists, R, f)
-    assert [list(v.items()) for v in got] == [list(v.items()) for v in mingens(reduced, twists, R, f=f)]
+    got, gb = minimal_mod_f(vecs, twists, R, f)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in mingens(reduced, twists, R, f=f)[0]]
     assert all(reduce_vec(v, mod_f) == v for v in got)
+    assert same_basis(gb, buchberger(vecs + f_cols, twists, R))
+
+
+@pytest.mark.parametrize(
+    "char, a, b",
+    [(0, Fraction(1, 2), Fraction(-3, 7)), (101, Fraction(1, 2), Fraction(-3, 7)), (7, 1, 1)],
+)
+@pytest.mark.parametrize("twists", [[0], [0, 1, 1], [2, -1, 0, 5], [3, 3]])
+def test_f_basis_is_the_pass_over_f_e_i(char, a, b, twists):
+    curve = mk.curve_new(Field(char), a, b)
+    R, f = curve.ring, curve.f
+    direct = _f_basis(f, twists, R)
+    passed = buchberger(_f_unit_vectors(f, twists), twists, R)
+    assert same_basis(direct, passed)
+    assert [list(r.items()) for r in direct._rows] == [list(r.items()) for r in passed._rows]
+    assert direct.hilbert_numerators == passed.hilbert_numerators
+    if not char:  # monic: X^3 - Y^2·Z + (1/2)·X·Z^2 - (3/7)·Z^3
+        assert {type(c) for v in direct.basis for c in v.values()} == {int, Fraction}
+
+
+@pytest.mark.parametrize("fld", [QQ, Field(101)])
+def test_minimal_mod_f_runs_one_pass_and_no_buchberger(fld):
+    R = PolyRing(fld)
+    f = R.parse("Y^2*Z - X^3 - Z^3")
+    rng = random.Random(5)
+    twists = [0, 1, 1]
+    vecs = [random_homogeneous_vec(rng, R, twists, d) for d in (1, 2, 2, 3, 4)]
+    vecs.append(random_combination(rng, R, twists, vecs + _f_unit_vectors(f, twists), 4))
+    with pytest.MonkeyPatch.context() as mp:
+        built, passes = counting(mp, "buchberger"), counting(mp, "_degree_pass")
+        kept, gb = minimal_mod_f(vecs, twists, R, f)
+    assert built == [] and len(passes) == 1
+    assert kept and same_basis(gb, buchberger(vecs + _f_unit_vectors(f, twists), twists, R))
 
 
 def whole_basis_reducer_space(rows, basis, lts, fld):

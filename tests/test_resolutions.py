@@ -7,7 +7,7 @@ import pytest
 import mfkit as mk
 from mfkit.poly import GradedMatrix
 
-from fixtures import catalog_objects
+from fixtures import catalog_objects, counting, same_basis
 
 
 def nf_zero_mod(ring, fpoly, poly):
@@ -173,6 +173,45 @@ def test_subquotient_presentation(curve):
     assert mk.hilbert_function(P, 0) == 0
     for i in range(1, 6):
         assert mk.hilbert_function(P, i) == mk.hilbert_function(A, i)
+
+
+# ---------------------------------------------------------------------------
+# the module basis a minimised presentation keeps from its own pass
+
+NONTRIVIAL_KINDS = [k for k in mk.CATALOG_KINDS if k != "trivial"]
+
+
+def middles(char, lam, mu):
+    """(name, ar_middle) for every non-trivial catalog kind at the point and
+    for the non-brick k(p) ⊕ k(-p), whose middle is a Hom presentation."""
+    curve, objs = catalog_objects(char, lam, mu)
+    fld = curve.field
+    q = mk.point_on(curve, fld.of(lam), fld.neg(fld.of(mu)))
+    objs = {kind: objs[kind] for kind in NONTRIVIAL_KINDS}
+    objs["k(p)+k(q)"] = mk.direct_sum_mf(objs["point"], mk.catalog_mf(curve, "point", q))
+    return [(name, mk.ar_middle(M, curve)) for name, M in objs.items()]
+
+
+@pytest.mark.parametrize("char, lam, mu", [(0, 0, 1), (101, 2, 3)])
+def test_seeded_module_basis_matches_a_fresh_pass(char, lam, mu):
+    # a minimised presentation's module basis is the one its minimisation
+    # kept, and a fresh pass over its relations gives the same basis
+    for name, mid in middles(char, lam, mu):
+        for P in (mid, mk.truncate_geq(mid, min(mid.ambient) + 1)):
+            assert "_module_gb" in P.__dict__, name
+            assert same_basis(P._module_gb, mk.groebner_basis(P.relations, f=P.f)), name
+
+
+def test_hilbert_function_of_a_middle_builds_no_basis(monkeypatch):
+    built, passes = counting(monkeypatch, "buchberger"), counting(monkeypatch, "_degree_pass")
+    for name, mid in middles(101, 2, 3):
+        built.clear()
+        passes.clear()
+        values = [mk.hilbert_function(mid, i) for i in range(11)]
+        assert built == passes == [], name
+        fresh = mk.Presentation(mid.ring, mid.f, mid.ambient, mid.relations)
+        assert values == [mk.hilbert_function(fresh, i) for i in range(11)], name
+        assert len(built) == len(passes) == 1, name  # a fresh presentation builds its basis
 
 
 def free_dimension(twists, i):
