@@ -5,10 +5,13 @@ size bounds).
 
 The potential is f = Y²Z - X³ - aXZ² - bZ³.  Every catalog entry is verified
 against the factorisation axioms at construction time, or is built by the
-shift and twist functors from one that is.  The structure sheaf O, which
-the Picard twists, duality and the size bound all twist along, is built and
-checked once per curve (`WeierstrassCurve.structure_sheaf`); a curve is
-frozen, so O cannot change after its check.
+shift and twist functors from one that is.  The verdict stays on the object
+(`MatrixFactorization.violations`), so a later `verify_mf` of that same
+object, such as the "verified" field of `io.catalog_entry_dict`, forms no
+second product.  The structure sheaf O, which the Picard twists, duality and
+the size bound all twist along, is built and checked once per curve
+(`WeierstrassCurve.structure_sheaf`); a curve is frozen, so O cannot change
+after its check.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ operation (n) sends a to a - n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError, ValidationError
 from .groebner import ColumnSpan, columns_as_vectors, vectors_as_columns
@@ -16,12 +17,28 @@ from .poly import GradedMatrix, Poly, PolyRing, validate_graded_matrix
 from .resolutions import Presentation, Resolution, hilbert_function, minimal_resolution
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixFactorization:
+    """The pair (alpha, beta) with its potential f over the ring.
+
+    A factorisation is a value: its fields are never reassigned (the class
+    is frozen), and nothing in the package writes into a GradedMatrix entry
+    or a Poly's terms after construction.  So the verdict on the axioms is
+    computed once per instance (`violations`) and read by every later
+    `verify_mf` or `assert_valid_mf` of that instance.  It is kept on this
+    instance only, never keyed by content, so a new instance with the same
+    or other matrices is checked afresh.
+    """
+
     ring: PolyRing
     f: Poly
     alpha: GradedMatrix
     beta: GradedMatrix
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Every axiom violation (`verify_mf`), found on first read."""
+        return tuple(_violations(self))
 
     @property
     def p0(self) -> list[int]:
@@ -63,11 +80,19 @@ def smooth_weierstrass(f: Poly) -> tuple:
 def verify_mf(M: MatrixFactorization) -> list[str]:
     """Report every axiom violation; an empty list means M is a factorisation.
 
-    After the potential, rank, twist and degree checks, alpha·beta decides:
-    R is a domain and f ≠ 0, so alpha·beta = f·I gives det alpha·det beta =
-    fⁿ ≠ 0, alpha is invertible over Frac(R), beta = f·alpha⁻¹ and
-    beta·alpha = f·I (Eisenbud, Trans. AMS 260 (1980), §5).  beta·alpha is
-    formed only when alpha·beta fails, to report both products' violations.
+    The verdict is M's `violations`, found once per instance: a second call
+    on the same object forms no product, and each call returns a new list.
+    See `_violations` for the checks."""
+    return list(M.violations)
+
+
+def _violations(M: MatrixFactorization) -> list[str]:
+    """The checks behind `verify_mf`.  After the potential, rank, twist and
+    degree checks, alpha·beta decides: R is a domain and f ≠ 0, so
+    alpha·beta = f·I gives det alpha·det beta = fⁿ ≠ 0, alpha is invertible
+    over Frac(R), beta = f·alpha⁻¹ and beta·alpha = f·I (Eisenbud, Trans.
+    AMS 260 (1980), §5).  beta·alpha is formed only when alpha·beta fails,
+    to report both products' violations.
     """
     problems: list[str] = []
     ring = M.ring
@@ -103,6 +128,8 @@ def verify_mf(M: MatrixFactorization) -> list[str]:
 
 
 def assert_valid_mf(M: MatrixFactorization, what: str = "matrix factorisation") -> None:
+    """ValidationError unless `verify_mf(M)` is empty; it reads the verdict
+    M keeps, so asserting and then verifying one object checks it once."""
     problems = verify_mf(M)
     if problems:
         raise ValidationError(f"invalid {what}: " + "; ".join(problems))

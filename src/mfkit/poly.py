@@ -317,14 +317,26 @@ def _tokenize(text: str) -> list:
 class _Parser:
     """Recursive descent over the tokens, ending in a None sentinel.
 
-    Every value is a term dict {exponent tuple: nonzero coefficient} that no
-    other value shares (x^0 is a new {exp0: one} each time), so a sum adds
-    into its first term's dict and a sign or a division scales its dict in
-    place.  Products go through _add_products and sums through _add_terms,
-    the term loops of Poly arithmetic, so the result's terms come in the
-    same order as with Poly operands.  Each product of values with m and n
-    terms is charged m·n term products against the budget before it is
-    formed, so a nonzero constant or monomial counts 1 and zero 0.
+    Every value that `expr`, `term` and a parenthesised factor hand each
+    other is a term dict {exponent tuple: nonzero coefficient} that no other
+    value shares, so a sum adds into its first term's dict and a sign scales
+    a parenthesised factor in place.  Products of dicts go through
+    _add_products and sums through _add_terms, the term loops of Poly
+    arithmetic, so the result's terms come in the same order as with Poly
+    operands.
+
+    Inside `term`, a run of one-term factors (a number or a variable, either
+    one to a power, with unary signs) is multiplied as one coefficient and
+    one exponent list, and so is a division of the run by such a nonzero
+    constant.  The run becomes a term dict only when a parenthesised factor
+    arrives or the term ends.  It is a local accumulator of `term`, never a
+    value handed on, so there is still one value type; it spares canonical
+    text such as 82*X*Z^2 a dict, two degree scans and a product call per
+    factor.  Charges and degree checks are those of the dicts the run stands
+    for: each product of values with m and n terms is charged m·n term
+    products before it is formed (a nonzero constant or monomial has 1 term,
+    zero 0), v^k is k such products starting from one, zero has degree 0
+    and x^0 is the constant one.
     """
 
     __slots__ = ("tokens", "i", "ring", "char", "exp0", "one", "budget", "depth")
@@ -339,19 +351,27 @@ class _Parser:
         self.budget = MAX_PARSE_PRODUCTS
         self.depth = 0
 
-    def mul(self, v: dict, w: dict) -> dict:
-        self.budget -= len(v) * len(w)
+    def charge(self, products: int) -> None:
+        self.budget -= products
         if self.budget < 0:
             raise ParseError(f"polynomial text needs more than {MAX_PARSE_PRODUCTS} term products")
+
+    def mul(self, v: dict, w: dict) -> dict:
+        self.charge(len(v) * len(w))
         out: dict = {}
         _add_products(out, v, w, self.char)
         return out
 
-    def scale(self, v: dict, c) -> dict:
-        char = self.char
-        for e, a in v.items():
-            v[e] = a * c % char if char else a * c
-        return v
+    def product(self, v: dict, op: str, w: dict) -> dict:
+        """v * w or v / w of term dicts."""
+        if op == "*":
+            if max(map(sum, v), default=0) + max(map(sum, w), default=0) > MAX_PARSE_DEGREE:
+                raise ParseError(f"product of degree above {MAX_PARSE_DEGREE} in polynomial")
+            return self.mul(v, w)
+        if len(w) != 1 or self.exp0 not in w:
+            raise ParseError("division only by nonzero constants")
+        c, div = w[self.exp0], self.ring.field.div
+        return {e: div(a, c) for e, a in v.items()}
 
     def expr(self) -> dict:
         v = self.term()
@@ -363,30 +383,102 @@ class _Parser:
         return v
 
     def term(self) -> dict:
-        v = self.factor()
-        tokens = self.tokens
-        while tokens[self.i] in ("*", "/"):
-            op = tokens[self.i]
-            self.i += 1
-            w = self.factor()
-            if op == "*":
-                if max(map(sum, v), default=0) + max(map(sum, w), default=0) > MAX_PARSE_DEGREE:
-                    raise ParseError(f"product of degree above {MAX_PARSE_DEGREE} in polynomial")
-                v = self.mul(v, w)
-            elif len(w) != 1 or self.exp0 not in w:
-                raise ParseError("division only by nonzero constants")
+        tokens, char, index = self.tokens, self.char, self.ring._index
+        v = None  # the term as a dict, once a parenthesised factor has arrived
+        op = None  # the operator before the current factor
+        i = self.i
+        while True:
+            minus = False
+            tok = tokens[i]
+            while tok == "-" or tok == "+":
+                minus ^= tok == "-"
+                i += 1
+                tok = tokens[i]
+            if type(tok) is not int and tok not in index:
+                self.i = i
+                w = self.group(minus)
+                i = self.i
+                if op is not None:
+                    if v is None:
+                        v = {tuple(exp): c} if c else {}
+                    w = self.product(v, op, w)
+                v = w
             else:
-                c, div = w[self.exp0], self.ring.field.div
-                v = {e: div(a, c) for e, a in v.items()}
-        return v
+                # the one-term factor a·x_k^n (k None: the constant a)
+                if type(tok) is int:
+                    a, k = tok % char if char else tok, None
+                else:
+                    a, k = self.one, index[tok]
+                i += 1
+                n = 1
+                if tokens[i] == "^":
+                    n = tokens[i + 1]
+                    i += 2
+                    if type(n) is not int:
+                        raise ParseError("exponent must be a nonnegative integer")
+                    if n > MAX_PARSE_DEGREE:
+                        raise ParseError(f"power of degree or exponent above {MAX_PARSE_DEGREE} in polynomial")
+                    if not n:
+                        a, k = self.one, None  # x^0 and 0^0 are the constant one
+                    elif a:
+                        self.charge(n)  # n products from one, 1 each
+                        if k is None:
+                            a = pow(a, n, char) if char else a**n
+                if minus:
+                    a = -a % char if char else -a
+                d = 0 if k is None else n
+                if v is not None:
+                    e = self.exp0
+                    if k is not None:
+                        e = list(e)
+                        e[k] = n
+                        e = tuple(e)
+                    v = self.product(v, op, {e: a} if a else {})
+                elif op is None:
+                    c, exp, deg = a, list(self.exp0), d
+                    if k is not None:
+                        exp[k] = n
+                elif op == "*":
+                    if deg + d > MAX_PARSE_DEGREE:
+                        raise ParseError(f"product of degree above {MAX_PARSE_DEGREE} in polynomial")
+                    if c and a:
+                        self.charge(1)
+                        c = c * a % char if char else c * a
+                        if k is not None:
+                            exp[k] += n
+                            deg += n
+                    else:
+                        c = deg = 0
+                elif a and k is None:
+                    if c:
+                        c = self.ring.field.div(c, a)
+                else:
+                    raise ParseError("division only by nonzero constants")
+            op = tokens[i]
+            if op != "*" and op != "/":
+                self.i = i
+                if v is None:
+                    return {tuple(exp): c} if c else {}
+                return v
+            i += 1
 
-    def factor(self) -> dict:
+    def group(self, minus: bool) -> dict:
+        """The parenthesised factor at token i, with its power and sign."""
         tokens = self.tokens
-        minus = False
-        while tokens[self.i] in ("-", "+"):
-            minus ^= tokens[self.i] == "-"
-            self.i += 1
-        v = self.atom()
+        tok = tokens[self.i]
+        self.i += 1
+        if tok != "(":
+            if tok is None or tok in _OPS:
+                raise ParseError(f"unexpected token {tok!r} in polynomial")
+            raise ParseError(f"unknown variable {tok!r} in ring {self.ring.vars}")
+        self.depth += 1
+        if self.depth > MAX_PARSE_DEPTH:
+            raise ParseError(f"parentheses nested deeper than {MAX_PARSE_DEPTH} in polynomial")
+        v = self.expr()
+        if tokens[self.i] != ")":
+            raise ParseError("unbalanced parentheses")
+        self.i += 1
+        self.depth -= 1
         if tokens[self.i] == "^":
             n = tokens[self.i + 1]
             self.i += 2
@@ -394,37 +486,15 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer")
             if n > MAX_PARSE_DEGREE or max(map(sum, v), default=0) * n > MAX_PARSE_DEGREE:
                 raise ParseError(f"power of degree or exponent above {MAX_PARSE_DEGREE} in polynomial")
-            # n products from one, each charged as a product
             out = {self.exp0: self.one}
             for _ in range(n):
                 out = self.mul(out, v)
             v = out
-        return self.scale(v, -1) if minus else v
-
-    def atom(self) -> dict:
-        tok = self.tokens[self.i]
-        self.i += 1
-        if type(tok) is int:
-            c = tok % self.char if self.char else tok
-            return {self.exp0: c} if c else {}
-        if tok == "(":
-            self.depth += 1
-            if self.depth > MAX_PARSE_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_PARSE_DEPTH} in polynomial")
-            v = self.expr()
-            if self.tokens[self.i] != ")":
-                raise ParseError("unbalanced parentheses")
-            self.i += 1
-            self.depth -= 1
-            return v
-        if tok is None or tok in _OPS:
-            raise ParseError(f"unexpected token {tok!r} in polynomial")
-        index = self.ring._index
-        if tok not in index:
-            raise ParseError(f"unknown variable {tok!r} in ring {self.ring.vars}")
-        exp = list(self.exp0)
-        exp[index[tok]] = 1
-        return {tuple(exp): self.one}
+        if minus:
+            char = self.char
+            for e, a in v.items():
+                v[e] = -a % char if char else -a
+        return v
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:
@@ -436,7 +506,10 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
     constant, a product or power above degree MAX_PARSE_DEGREE, more than
     MAX_PARSE_PRODUCTS term products, nesting deeper than MAX_PARSE_DEPTH.
     Every intermediate value is a term dict on Poly's own term loops, and
-    only the result is built as a Poly (see _Parser).  The budget is charged
+    only the result is built as a Poly (see _Parser).  A run of one-term
+    factors within a term is multiplied as one coefficient and one exponent
+    list, a local of the term rather than a second value type, and gets the
+    same charges, degree checks and messages as its dicts.  The budget is charged
     as for Poly operands: m·n products for a product of values with m and n
     terms (a nonzero constant or monomial has 1, zero has 0), and v^k as k
     such products starting from one.

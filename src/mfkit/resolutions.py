@@ -26,9 +26,10 @@ from .groebner import (
 from .poly import GradedMatrix, Poly, PolyRing, assert_graded
 
 
-@dataclass
+@dataclass(frozen=True)
 class Presentation:
-    """Graded A-module given as coker(relations) with A = R/(f)."""
+    """Graded A-module given as coker(relations) with A = R/(f).  Frozen,
+    so the module basis cached on it (`_module_gb`) cannot go stale."""
 
     ring: PolyRing
     f: Poly
@@ -36,7 +37,7 @@ class Presentation:
     relations: GradedMatrix
 
     def __post_init__(self):
-        self.ambient = list(self.ambient)
+        object.__setattr__(self, "ambient", list(self.ambient))
         if self.relations.target_twists != self.ambient:
             raise ValidationError("relation matrix target twists must equal the ambient twists")
         assert_graded(self.relations, "relation matrix")
@@ -52,8 +53,8 @@ class Presentation:
         """The reduced Groebner basis of span(relations) + f·F, which
         `hilbert_function` reads.  `minimize_presentation` seeds it with the
         basis its own pass found, which is unique for the submodule; that
-        relies on a presentation being a value, its fields never reassigned
-        or changed in place after it is made."""
+        relies on a presentation being a value: its fields cannot be
+        reassigned, and nothing changes them in place after it is made."""
         return groebner_basis(self.relations, f=self.f)
 
 

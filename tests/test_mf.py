@@ -1,5 +1,6 @@
 """Matrix factorisations: verification, functors on objects, reduction, extraction."""
 
+import dataclasses
 import json
 
 import pytest
@@ -118,6 +119,52 @@ def test_valid_factorisations_pass_and_satisfy_both_products(char):
         ba = (M.beta * M.alpha).entries
         n = M.rank
         assert all(ba[i][j] == (cv.f if i == j else cv.ring.zero()) for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("kind", mk.CATALOG_KINDS)
+def test_a_catalog_entry_is_verified_once(monkeypatch, curve, points, kind):
+    # catalog_mf asserts an assembled object valid, and catalog_entry_dict's
+    # "verified" field reads the same verdict: one alpha·beta product in all.
+    # lb-minus-p and lb-minus-e are new objects, shifted and twisted from an
+    # asserted one, and trivial_mf asserts nothing
+    built = []
+    real = mk.mf._violations
+    monkeypatch.setattr(mk.mf, "_violations", lambda M: built.append(M) or real(M))
+    pt = points[0] if kind in mk.POINT_KINDS else None
+    entry = mk.catalog_entry_dict(kind, curve, pt, mk.catalog_mf(curve, kind, pt))
+    assert entry["verified"] is True
+    assert len(built) == (2 if kind in ("lb-minus-p", "lb-minus-e") else 1)
+    assert len({id(M) for M in built}) == len(built)  # no instance checked twice
+
+
+def test_a_factorisation_cannot_be_reassigned(kp):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kp.alpha = kp.beta
+    assert mk.verify_mf(kp) == []
+
+
+@pytest.mark.parametrize("char", [0, 101])
+def test_the_verdict_belongs_to_its_instance(char):
+    # a new object with the checked one's ring, potential and twists but one
+    # alpha entry doubled is checked afresh: the verdict is not keyed by content
+    cv = mk.default_curve(mk.Field(char) if char else mk.QQ)
+    M = mk.catalog_mf(cv, "point", mk.default_points(cv, 1)[0])
+    assert mk.verify_mf(M) == []
+    bad = mk.MatrixFactorization(M.ring, M.f, with_entry(M.alpha, 0, 0, M.alpha.entries[0][0].scale(2)), M.beta)
+    assert mk.verify_mf(bad) == two_product_violations(bad) != []
+    with pytest.raises(mk.ValidationError):
+        mk.assert_valid_mf(bad)
+    assert mk.verify_mf(M) == []
+
+
+def test_verify_returns_a_new_list_each_time(curve, kp):
+    X = curve.ring.gens()[0]
+    bad = mk.MatrixFactorization(curve.ring, curve.f, with_entry(kp.alpha, 0, 0, kp.alpha.entries[0][0] + X), kp.beta)
+    for M in (kp, bad):
+        first = mk.verify_mf(M)
+        want = list(first)
+        first.append("appended by the caller")
+        assert mk.verify_mf(M) == want
 
 
 def test_nonhomogeneous_potential_rejected(curve):

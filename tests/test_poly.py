@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfkit as mk
+from fixtures import reference_parse
 from mfkit.errors import ValidationError
 from mfkit.fields import Field, QQ
 from mfkit.poly import (
@@ -235,6 +236,102 @@ def test_parser_refuses_division_by_zero_mod_p():
     for bad in ("X/101", "1/(X-X)", "X/(Y - Y)", "X/Y"):
         with pytest.raises(mk.ParseError, match="division only by nonzero constants"):
             parse_poly(bad, R)
+
+
+def parse_outcome(parse, text, ring):
+    """What a parser makes of text: its terms in insertion order with each
+    coefficient's type, or the ParseError message."""
+    try:
+        p = parse(text, ring)
+    except mk.ParseError as exc:
+        return "ParseError", str(exc)
+    return [(e, c, type(c)) for e, c in p.terms.items()]
+
+
+PARSER_FIELDS = [QQ, Field(101), Field(2)]
+MUTATION_CHARS = "XYZW0123456789+-*/^() ."
+
+
+@st.composite
+def mutated_texts(draw):
+    """An expression tree's text, as it is or with one character deleted,
+    inserted or with its tail cut off."""
+    text = render(draw(EXPR_TREES))
+    how = draw(st.sampled_from(["keep", "delete", "insert", "truncate"]))
+    if how == "keep":
+        return text
+    at = draw(st.integers(0, len(text) - 1))
+    if how == "delete":
+        return text[:at] + text[at + 1:]
+    if how == "insert":
+        return text[:at] + draw(st.sampled_from(MUTATION_CHARS)) + text[at:]
+    return text[:at]
+
+
+# factors of every kind a run holds, and parenthesised ones that end it, with
+# powers up to and past MAX_PARSE_DEGREE and constants that vanish mod 2 or 101
+FACTORS = st.tuples(
+    st.sampled_from(["", "-", "+", "--", "-+"]),
+    st.sampled_from(["X", "Y", "Z", "0", "1", "2", "3", "7", "101", "202", "(X - Y)", "(2)", "(X^0)", "(0)"]),
+    st.sampled_from(["", "^0", "^1", "^2", "^3", "^12", "^23", "^24", "^25"]),
+).map("".join)
+PRODUCTS = st.lists(
+    st.tuples(st.sampled_from("*/"), FACTORS).map("".join), max_size=6
+)
+RUN_TEXTS = st.lists(
+    st.tuples(FACTORS, PRODUCTS).map(lambda t: t[0] + "".join(t[1])), min_size=1, max_size=3
+).map(" + ".join)
+
+NEAR_LIMIT_TEXTS = [
+    "(X+Y+Z+1)^24",
+    "0*X^24*X",
+    "3/X^0",
+    "X^2^3",
+    "X^24",
+    "X^24*X",
+    "X*X^24",
+    "X^25",
+    "0^25",
+    "0^0",
+    "-0^0",
+    "X^0/2",
+    "2/3*3*X",
+    "2/3*3/1*X",
+    "2/-3*X",
+    "X/0^0",
+    "X/0",
+    "X/101",
+    "X/Y^0",
+    "X/(2/3)*Y",
+    "(X)*2*Y^2",
+    "2*X*(Y+Z)*3*Z",
+    "(X+Y+Z+1)^12*(X+Y+Z+1)^12",
+    "X^",
+    "X^Y",
+    "X*",
+    "*X",
+    "X*)",
+    " + ".join(["X^23*Y"] * (MAX_PARSE_PRODUCTS // 24)),
+    " + ".join(["X^23*Y"] * (MAX_PARSE_PRODUCTS // 24 + 1)),
+    " + ".join(["0*X^23*Y"] * (MAX_PARSE_PRODUCTS // 24 + 1)),
+    "2^" + str(MAX_PARSE_DEGREE) + "*" + "*".join(["X"] * MAX_PARSE_DEGREE),
+]
+
+
+@pytest.mark.parametrize("field", PARSER_FIELDS)
+@pytest.mark.parametrize("text", NEAR_LIMIT_TEXTS, ids=range(len(NEAR_LIMIT_TEXTS)))
+def test_parser_matches_the_reference_descent_near_the_limits(field, text):
+    R = PolyRing(field)
+    assert parse_outcome(parse_poly, text, R) == parse_outcome(reference_parse, text, R)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(PARSER_FIELDS), mutated_texts() | RUN_TEXTS)
+def test_parser_matches_the_reference_descent(field, text):
+    # the same terms in the same order, the same coefficient types, and the
+    # same ParseError message as the one-dict-per-factor descent
+    R = PolyRing(field)
+    assert parse_outcome(parse_poly, text, R) == parse_outcome(reference_parse, text, R)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Graded presentations, minimal free resolutions, and Hilbert functions."""
 
+import dataclasses
 from math import comb
 
 import pytest
@@ -55,6 +56,21 @@ def test_minimize_removes_redundant_generators(curve):
     assert [mk.hilbert_function(Q, i) for i in range(5)] == [
         mk.hilbert_function(P, i) for i in range(5)
     ]
+
+
+def test_a_presentation_cannot_be_reassigned(curve):
+    # a field reassigned after a Hilbert function read would leave the cached
+    # module basis stale, so it is refused
+    ring, f = curve.ring, curve.f
+    X = ring.gens()[0]
+    P = mk.Presentation.free(ring, f, [0])
+    assert [mk.hilbert_function(P, i) for i in range(4)] == [1, 3, 6, 9]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.relations = GradedMatrix(ring, [0], [1], [[X]])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.ambient = [1]
+    Q = mk.Presentation(ring, f, (0,), GradedMatrix(ring, [0], [1], [[X]]))
+    assert Q.ambient == [0] and [mk.hilbert_function(Q, i) for i in range(4)] == [1, 2, 3, 3]
 
 
 def test_minimize_is_idempotent(curve, point_presentation, points):
