@@ -5,7 +5,8 @@ size bounds).
 
 The potential is f = Y²Z - X³ - aXZ² - bZ³.  Every catalog entry is verified
 against the factorisation axioms at construction time, or is built by the
-shift and twist functors from one that is.  The verdict stays on the object
+shift and twist functors from one that is, whose clean verdict it inherits
+(`mf.derived_mf`).  The verdict stays on the object
 (`MatrixFactorization.violations`), so a later `verify_mf` of that same
 object, such as the "verified" field of `io.catalog_entry_dict`, forms no
 second product.  The structure sheaf O, which the Picard twists, duality and

@@ -46,6 +46,10 @@ of it.  Only the
 twist functor's guard reads some of its dimensions on the dual side of
 Serre duality, dim Hom(C[i], X) = dim Hom(X[−1−i], C) on a smooth curve,
 where those systems are smaller (`twist_functor`); its bases stay direct.
+
+A mapping cone costs no alpha·beta product: `cone_mf` reads the verdicts
+its source and target already hold, checks phi's alpha-square, and builds
+the cone with a clean verdict, which its proof justifies (`mf.derived_mf`).
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ from math import comb, lcm
 from .errors import InputError, ValidationError
 from .groebner import buchberger
 from .linalg import RowSpace, nullspace, row_space
-from .mf import (MatrixFactorization, assert_valid_mf, direct_sum_mf, reduce_mf, shift_mf, smooth_weierstrass,
-                 transpose_mf)
+from .mf import (MatrixFactorization, assert_valid_mf, derived_mf, direct_sum_mf, reduce_mf, shift_mf,
+                 smooth_weierstrass, transpose_mf)
 from .poly import GradedMatrix, graded_inverse, pack_lex, validate_graded_matrix
 
 
@@ -495,9 +499,18 @@ def cone_mf(phi: MFMorphism) -> MatrixFactorization:
 
     C0 = N0 ⊕ M1 and C1 = N1 ⊕ M0(3), with maps
     alpha_C = [[alpha_N, f1], [0, -beta_M]], beta_C = [[beta_N, f0], [0, -alpha_M]].
+
+    M and N are asserted valid, a cached read for checked objects, and phi
+    strict; then C is valid with no product formed.  alpha_C·beta_C =
+    [[alpha_N·beta_N, alpha_N·f0 − f1·alpha_M], [0, beta_M·alpha_M]], which
+    is f·I since N and M are valid and phi's alpha-square holds, and the
+    blocks keep their degrees, the twists of C0 and C1 being those of the
+    blocks' sources and targets.
     """
-    assert_strict(phi, "cone input")
     M, N = phi.source, phi.target
+    assert_valid_mf(M, "cone source")
+    assert_valid_mf(N, "cone target")
+    assert_strict(phi, "cone input")
     ring = M.ring
     m_p0_tw = [a - 3 for a in M.p0]
     alpha = GradedMatrix.block(
@@ -512,9 +525,7 @@ def cone_mf(phi: MFMorphism) -> MatrixFactorization:
             [GradedMatrix.zero(ring, [a - 3 for a in M.p1], N.p1), -M.alpha.retwist(3)],
         ]
     )
-    C = MatrixFactorization(ring, M.f, alpha, beta)
-    assert_valid_mf(C, "mapping cone")
-    return C
+    return derived_mf(ring, M.f, alpha, beta, M, N)
 
 
 # --- stable isomorphism ------------------------------------------------------

@@ -26,8 +26,13 @@ class MatrixFactorization:
     or a Poly's terms after construction.  So the verdict on the axioms is
     computed once per instance (`violations`) and read by every later
     `verify_mf` or `assert_valid_mf` of that instance.  It is kept on this
-    instance only, never keyed by content, so a new instance with the same
-    or other matrices is checked afresh.
+    instance only, never keyed by content.  A new instance is checked afresh,
+    with one exception: an object that `twist_mf`, `shift_mf`,
+    `transpose_mf`, `direct_sum_mf`, `reduce_mf` or `homs.cone_mf` derives
+    from sources that all already hold a clean verdict is born clean
+    (`derived_mf`); each of those functions proves in its docstring that
+    its output is then valid.  A source whose verdict is unread or
+    non-empty passes nothing on.
     """
 
     ring: PolyRing
@@ -135,6 +140,18 @@ def assert_valid_mf(M: MatrixFactorization, what: str = "matrix factorisation") 
         raise ValidationError(f"invalid {what}: " + "; ".join(problems))
 
 
+def derived_mf(ring: PolyRing, f: Poly, alpha: GradedMatrix, beta: GradedMatrix,
+               *sources: MatrixFactorization) -> MatrixFactorization:
+    """The factorisation (alpha, beta) built from one or more `sources` by a
+    constructor that proves it valid whenever they are; it is born with a
+    clean verdict exactly when every source already holds one, and is
+    otherwise checked on first read like any other."""
+    out = MatrixFactorization(ring, f, alpha, beta)
+    if all(vars(s).get("violations") == () for s in sources):
+        vars(out)["violations"] = ()
+    return out
+
+
 def trivial_mf(ring: PolyRing, f: Poly) -> MatrixFactorization:
     alpha = GradedMatrix(ring, [0], [0], [[ring.one()]])
     beta = GradedMatrix(ring, [-3], [0], [[f]])
@@ -142,30 +159,45 @@ def trivial_mf(ring: PolyRing, f: Poly) -> MatrixFactorization:
 
 
 def twist_mf(M: MatrixFactorization, n: int) -> MatrixFactorization:
-    """M(n): subtract n from every twist; the matrices are unchanged."""
-    return MatrixFactorization(M.ring, M.f, M.alpha.retwist(n), M.beta.retwist(n))
+    """M(n): subtract n from every twist; the matrices are unchanged.
+
+    Valid when M is: the entries, so both products, are M's, and an entry's
+    expected degree, source twist less target twist, is unchanged when both
+    twists drop by n."""
+    return derived_mf(M.ring, M.f, M.alpha.retwist(n), M.beta.retwist(n), M)
 
 
 def shift_mf(M: MatrixFactorization, k: int = 1) -> MatrixFactorization:
     """Suspension M[k]; [1] swaps the maps, (alpha, beta) ↦ (beta, alpha(3)),
     and [2] equals the twist (3), so M[k] is M(3·(k // 2)) shifted once more
-    when k is odd."""
+    when k is odd.
+
+    Valid when M is: the products of [1] are beta·alpha and alpha·beta up
+    to twists, both f·I for a valid M (`_violations`), and the retwist by 3
+    keeps every degree, as in `twist_mf`."""
     out = twist_mf(M, 3 * (k // 2))
     if k % 2:
-        out = MatrixFactorization(out.ring, out.f, out.beta, out.alpha.retwist(3))
+        out = derived_mf(out.ring, out.f, out.beta, out.alpha.retwist(3), out)
     return out
 
 
 def transpose_mf(M: MatrixFactorization) -> MatrixFactorization:
-    """Duality (alpha, beta) ↦ (alpha^t, beta^t); an exact involution."""
+    """Duality (alpha, beta) ↦ (alpha^t, beta^t); an exact involution.
+
+    Valid when M is: alpha^t·beta^t = (beta·alpha)^t = f·I, and the entry
+    (j, i) of alpha^t, from 6 − p1[i] to 6 − p0[j], wants the degree
+    p0[j] − p1[i] that alpha's (i, j) has; beta's entries likewise."""
     new_p0 = [6 - b for b in M.p1]
     new_p1 = [6 - a for a in M.p0]
     alpha = M.alpha.transpose_entries(new_p1, new_p0)
     beta = M.beta.transpose_entries([a - 3 for a in new_p0], new_p1)
-    return MatrixFactorization(M.ring, M.f, alpha, beta)
+    return derived_mf(M.ring, M.f, alpha, beta, M)
 
 
 def direct_sum_mf(M: MatrixFactorization, N: MatrixFactorization) -> MatrixFactorization:
+    """M ⊕ N, block-diagonal.  Valid when M and N are: they share f, and
+    the product of block-diagonal maps is the block-diagonal of M's and N's
+    products, f·I ⊕ f·I."""
     if M.ring != N.ring or M.f != N.f:
         raise ValidationError("direct sum needs factorisations of the same potential")
     ring = M.ring
@@ -181,23 +213,7 @@ def direct_sum_mf(M: MatrixFactorization, N: MatrixFactorization) -> MatrixFacto
             [GradedMatrix.zero(ring, [a - 3 for a in N.p0], M.p1), N.beta],
         ]
     )
-    return MatrixFactorization(ring, M.f, alpha, beta)
-
-
-def _split_unit(A: GradedMatrix, B: GradedMatrix, i: int, j: int, f: Poly):
-    """Split the trivial summand at the unit A[i][j] off the pair (A, B).
-
-    A's survivor is the Schur complement A.split_unit(i, j).  The inverse
-    operations on B change only row j and column i, which are dropped, so
-    B's survivor is B.delete(j, i).
-    """
-    # after the row operations row j of B is (1/u)·(row i of A·B), and the
-    # column operations change only its entry i, by a sum of its other
-    # entries; so the pair splits exactly when row i of A·B is f·e_i
-    row = GradedMatrix(A.ring, A.target_twists[i : i + 1], A.source_twists, A.entries[i : i + 1]) * B
-    if any(x != (f if k == i else A.ring.zero()) for k, x in enumerate(row.entries[0])):
-        raise ValidationError("reduction invariant failed: complementary map not split")
-    return A.split_unit(i, j), B.delete(j, i)
+    return derived_mf(ring, M.f, alpha, beta, M, N)
 
 
 def reduce_mf(M: MatrixFactorization) -> MatrixFactorization:
@@ -205,19 +221,31 @@ def reduce_mf(M: MatrixFactorization) -> MatrixFactorization:
 
     Scans alpha first, then beta, row-major, and repeats until clean; the
     result is the reduced representative of the stable isomorphism class.
+    M is asserted valid once; every split then keeps the pair valid.
+
+    Proof for a unit u = A[i][j] of a valid pair (A, B), A·B = B·A = f·I
+    (for a unit of beta, read (A, B) as (beta, alpha), the valid shift).
+    The column operations col_k −= (A[i][k]/u)·col_j make row i of A equal
+    u·e_j and change B, on the left, in row j only; row operations against
+    row i then clear column j of A and change B, on the right, in column i
+    only.  The new pair still multiplies to f·I, and its A is (u) ⊕ A' up to
+    order, A' = A.split_unit(i, j).  So its B, f times the inverse of A over
+    the fraction field, is (f/u) ⊕ B', and B' = B.delete(j, i) because only
+    row j and column i changed; hence A'·B' = B'·A' = f·I.  The operations
+    are graded, so every entry keeps its degree (Eisenbud, Trans. AMS 260
+    (1980), §5).
     """
-    f, alpha, beta = M.f, M.alpha, M.beta
+    assert_valid_mf(M, "reduction input")
+    alpha, beta = M.alpha, M.beta
     while True:
-        hit = alpha.unit_entry()
-        if hit is not None:
-            alpha, beta = _split_unit(alpha, beta, *hit, f)
-            continue
-        hit = beta.unit_entry()
-        if hit is not None:
-            beta, alpha = _split_unit(beta, alpha, *hit, f)
-            continue
-        break
-    return MatrixFactorization(M.ring, f, alpha, beta)
+        if (hit := alpha.unit_entry()) is not None:
+            i, j = hit
+            alpha, beta = alpha.split_unit(i, j), beta.delete(j, i)
+        elif (hit := beta.unit_entry()) is not None:
+            i, j = hit
+            beta, alpha = beta.split_unit(i, j), alpha.delete(j, i)
+        else:
+            return derived_mf(M.ring, M.f, alpha, beta, M)
 
 
 def cokernel_module(M: MatrixFactorization) -> Presentation:

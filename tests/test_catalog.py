@@ -8,7 +8,7 @@ import pytest
 import mfkit as mk
 from mfkit.fields import Field, QQ
 
-from fixtures import catalog_objects
+from fixtures import catalog_objects, fresh_violations
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +253,13 @@ def test_the_structure_sheaf_is_built_once_per_curve(monkeypatch):
 def test_picard_degree_moves_rank(curve):
     O = mk.catalog_mf(curve, "structure-sheaf")
     up = mk.picard_tensor(O, -1, curve)
-    assert mk.verify_mf(up) == []
+    assert fresh_violations(up) == []
 
 
 def test_duality_on_point_object(curve, points):
     M = mk.catalog_mf(curve, "point", points[0])
     D = mk.duality_image(M, curve)
-    assert mk.verify_mf(D) == []
+    assert fresh_violations(D) == []
     assert mk.is_stably_isomorphic(D, mk.shift_mf(M, -1)).status == "yes"
 
 
@@ -368,4 +368,4 @@ def test_size_bound_report(curve, points):
     assert rep.cone_rank in (5, 6)
     assert rep.cone_rank >= 4
     assert rep.within_bounds
-    assert mk.verify_mf(rep.cone) == []
+    assert fresh_violations(rep.cone) == []

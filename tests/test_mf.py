@@ -8,6 +8,8 @@ import pytest
 import mfkit as mk
 from mfkit.poly import GradedMatrix, graded_inverse
 
+from fixtures import fresh_violations, refreshed
+
 
 @pytest.fixture(scope="module")
 def kp(curve, points):
@@ -106,7 +108,7 @@ def test_failed_products_are_reported_as_both_products_give_them(curve, kp, oshe
 @pytest.mark.parametrize("char", [0, 101])
 def test_valid_factorisations_pass_and_satisfy_both_products(char):
     # the oracle for the one-product rule: on every catalog kind, its shifts,
-    # twists and pairwise direct sums, verify_mf accepts and beta·alpha = f·I
+    # twists and pairwise direct sums, a fresh check accepts and beta·alpha = f·I
     cv = mk.default_curve(mk.Field(char) if char else mk.QQ)
     pt = mk.default_points(cv, 1)[0]
     kinds = [mk.catalog_mf(cv, k, pt if k in mk.POINT_KINDS else None) for k in mk.CATALOG_KINDS]
@@ -115,7 +117,7 @@ def test_valid_factorisations_pass_and_satisfy_both_products(char):
         objects += [mk.shift_mf(M, 1), mk.shift_mf(M, -1), mk.twist_mf(M, 1), mk.twist_mf(M, -2)]
     objects += [mk.direct_sum_mf(A, B) for k, A in enumerate(kinds) for B in kinds[k:]]
     for M in objects:
-        assert mk.verify_mf(M) == []
+        assert fresh_violations(M) == []
         ba = (M.beta * M.alpha).entries
         n = M.rank
         assert all(ba[i][j] == (cv.f if i == j else cv.ring.zero()) for i in range(n) for j in range(n))
@@ -125,15 +127,16 @@ def test_valid_factorisations_pass_and_satisfy_both_products(char):
 def test_a_catalog_entry_is_verified_once(monkeypatch, curve, points, kind):
     # catalog_mf asserts an assembled object valid, and catalog_entry_dict's
     # "verified" field reads the same verdict: one alpha·beta product in all.
-    # lb-minus-p and lb-minus-e are new objects, shifted and twisted from an
-    # asserted one, and trivial_mf asserts nothing
+    # lb-minus-p and lb-minus-e are shifted and twisted from an asserted
+    # object, whose clean verdict they inherit, and trivial_mf asserts
+    # nothing, so its one product is the "verified" field's
     built = []
     real = mk.mf._violations
     monkeypatch.setattr(mk.mf, "_violations", lambda M: built.append(M) or real(M))
     pt = points[0] if kind in mk.POINT_KINDS else None
     entry = mk.catalog_entry_dict(kind, curve, pt, mk.catalog_mf(curve, kind, pt))
     assert entry["verified"] is True
-    assert len(built) == (2 if kind in ("lb-minus-p", "lb-minus-e") else 1)
+    assert len(built) == 1
     assert len({id(M) for M in built}) == len(built)  # no instance checked twice
 
 
@@ -192,7 +195,7 @@ def test_twist_changes_twists_not_entries(kp):
     assert N.p0 == [t - 2 for t in kp.p0]
     assert N.p1 == [t - 2 for t in kp.p1]
     assert N.alpha.same_entries(kp.alpha)
-    assert mk.verify_mf(N) == []
+    assert fresh_violations(N) == []
     assert mk.twist_mf(N, -2) == kp
 
 
@@ -228,7 +231,7 @@ def test_double_shift_is_twist(kp, osheaf):
 
 def test_shift_swaps_halves(kp):
     S = mk.shift_mf(kp, 1)
-    assert mk.verify_mf(S) == []
+    assert fresh_violations(S) == []
     assert S.alpha.same_entries(kp.beta)
     assert S.p0 == kp.p1
 
@@ -236,7 +239,7 @@ def test_shift_swaps_halves(kp):
 def test_transpose_is_an_involution(kp, osheaf):
     for M in (kp, osheaf):
         T = mk.transpose_mf(M)
-        assert mk.verify_mf(T) == []
+        assert fresh_violations(T) == []
         assert mk.transpose_mf(T) == M
 
 
@@ -247,7 +250,7 @@ def test_transpose_of_trivial(curve):
 
 def test_direct_sum(kp, osheaf):
     D = mk.direct_sum_mf(kp, osheaf)
-    assert mk.verify_mf(D) == []
+    assert fresh_violations(D) == []
     assert D.rank == kp.rank + osheaf.rank
     assert D.p0 == kp.p0 + osheaf.p0
 
@@ -286,8 +289,116 @@ def test_reduce_rejects_a_pair_that_does_not_split(curve, unit_in):
         bad = mk.MatrixFactorization(ring, f, one, GradedMatrix(ring, [-3], [0], [[g]]))
     else:
         bad = mk.MatrixFactorization(ring, f, GradedMatrix(ring, [0], [3], [[g]]), one)
-    with pytest.raises(mk.ValidationError, match="reduction invariant failed"):
+    with pytest.raises(mk.ValidationError, match="invalid reduction input"):
         mk.reduce_mf(bad)
+
+
+# ---------------------------------------------------------------------------
+# verdicts passed on by the constructors
+
+
+def holds_clean_verdict(M):
+    return vars(M).get("violations") == ()
+
+
+@pytest.fixture(scope="module", params=[0, 101])
+def checked(request):
+    """The default curve over QQ or GF(101) and its catalog, every entry's
+    verdict read (trivial_mf asserts nothing, so its verdict is read here)."""
+    cv = mk.default_curve(mk.Field(request.param) if request.param else mk.QQ)
+    pt = mk.default_points(cv, 1)[0]
+    kinds = {k: mk.catalog_mf(cv, k, pt if k in mk.POINT_KINDS else None) for k in mk.CATALOG_KINDS}
+    assert all(mk.verify_mf(M) == [] for M in kinds.values())
+    assert mk.verify_mf(cv.structure_sheaf) == []
+    return cv, kinds
+
+
+def test_inherited_verdicts_agree_with_a_fresh_check(checked):
+    cv, kinds = checked
+    derived = []
+    for M in kinds.values():
+        derived += [mk.shift_mf(M, k) for k in (-2, -1, 1, 2)]
+        derived += [mk.twist_mf(M, -1), mk.twist_mf(M, 1), mk.transpose_mf(M), mk.reduce_mf(M)]
+        derived += [mk.direct_sum_mf(M, N) for N in kinds.values()]
+        derived += [mk.picard_tensor(M, -1, cv), mk.picard_tensor(M, 1, cv)]
+    cones = [mk.cone_mf(phi) for M in kinds.values() for N in kinds.values() for phi in mk.hom_space(M, N).basis]
+    assert cones
+    derived += cones + [mk.reduce_mf(C) for C in cones]
+    for D in derived:
+        assert holds_clean_verdict(D)
+        assert fresh_violations(D) == []
+
+
+def test_a_picard_round_trip_on_a_checked_object_forms_no_product(monkeypatch, checked):
+    cv, kinds = checked
+    calls = []
+    real = mk.mf._violations
+    monkeypatch.setattr(mk.mf, "_violations", lambda M: calls.append(M) or real(M))
+    for M in kinds.values():
+        back = mk.picard_tensor(mk.picard_tensor(M, -1, cv), 1, cv)
+        assert mk.is_stably_isomorphic(back, M).status == "yes"
+        assert mk.verify_mf(back) == []
+    assert calls == []
+
+
+def test_an_unread_or_bad_verdict_passes_nothing_on(monkeypatch, checked):
+    cv, kinds = checked
+    M = kinds["point"]
+    j = next(j for j, e in enumerate(M.beta.entries[0]) if not e.is_zero())
+    bad_beta = with_entry(M.beta, 0, j, M.beta.entries[0][j].scale(2))
+
+    def derive(B):
+        return [mk.shift_mf(B, 1), mk.shift_mf(B, -2), mk.twist_mf(B, 1), mk.transpose_mf(B),
+                mk.direct_sum_mf(B, M), mk.direct_sum_mf(M, B)]
+
+    unread = mk.MatrixFactorization(M.ring, M.f, M.alpha, bad_beta)
+    for D in derive(unread):
+        assert "violations" not in vars(D)
+        assert mk.verify_mf(D)
+    assert "violations" not in vars(unread)
+    assert mk.verify_mf(unread)
+    for D in derive(unread):  # a non-empty verdict passes nothing on either
+        assert "violations" not in vars(D)
+        assert mk.verify_mf(D)
+    # a valid but unread source: the derived object is checked afresh
+    calls = []
+    real = mk.mf._violations
+    monkeypatch.setattr(mk.mf, "_violations", lambda M: calls.append(M) or real(M))
+    for D in derive(refreshed(M)):
+        assert "violations" not in vars(D)
+        assert mk.verify_mf(D) == []
+    assert len(calls) == 6
+
+
+def test_a_cone_refuses_every_bent_morphism(checked):
+    # doubling a nonzero entry of f1 breaks the alpha-square, since E·alpha_M
+    # is nonzero for a nonzero E (alpha_M is injective over the fraction field)
+    cv, kinds = checked
+    bent = 0
+    for M in kinds.values():
+        for N in kinds.values():
+            for phi in mk.hom_space(M, N).basis:
+                i, j = next(((i, j) for i, row in enumerate(phi.f1.entries) for j, e in enumerate(row) if e.terms),
+                            (None, None))
+                if i is None:
+                    continue
+                f1 = with_entry(phi.f1, i, j, phi.f1.entries[i][j].scale(2))
+                with pytest.raises(mk.ValidationError, match="invalid cone input"):
+                    mk.cone_mf(mk.MFMorphism(M, N, phi.f0, f1))
+                bent += 1
+    assert bent
+
+
+def test_reduce_refuses_a_tampered_pair(checked):
+    # with a unit entry to split and without one: either way the input is refused
+    cv, kinds = checked
+    T = mk.trivial_mf(cv.ring, cv.f)
+    for M in (kinds["point"], mk.direct_sum_mf(kinds["point"], T)):
+        j = next(j for j, e in enumerate(M.beta.entries[0]) if not e.is_zero())
+        bad = mk.MatrixFactorization(M.ring, M.f, M.alpha, with_entry(M.beta, 0, j, M.beta.entries[0][j].scale(2)))
+        with pytest.raises(mk.ValidationError, match="invalid reduction input"):
+            mk.reduce_mf(bad)
+    assert mk.direct_sum_mf(kinds["point"], T).alpha.unit_entry() is not None
 
 
 # ---------------------------------------------------------------------------
